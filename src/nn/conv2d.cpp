@@ -39,7 +39,8 @@ Tensor Conv2d::forward(const Tensor& x) {
   static telemetry::Counter& calls = telemetry::counter("nn.conv2d.forward");
   calls.add(1);
   telemetry::Span span("conv2d.forward", "nn");
-  // Whole-batch lowering: one wide im2col + one GEMM per layer. Training is
+  // Batched lowering: one wide im2col + one GEMM per cache-sized sample group
+  // (conv2d_batch_group), bit-identical to a whole-batch GEMM. Training is
   // fp32 by design, so the module graph dispatches through the reference
   // backend explicitly (int8 applies to the fused inference path only).
   Tensor y;
@@ -64,8 +65,8 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   calls.add(1);
   telemetry::Span span("conv2d.backward", "nn");
   Tensor grad_in;
-  // Batched backward: recomputes the wide column matrix once, then one GEMM
-  // each for dW and the data gradient.
+  // Batched backward: per sample group, recomputes the column matrix once,
+  // then one GEMM each for dW and the data gradient.
   backend::blocked_f32().conv2d_backward_batched(
       input_, grad_out, weight_, pad_, grad_in, weight_grad_, bias_grad_, ws_);
   return grad_in;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <numeric>
 #include <stdexcept>
 
 #include "tensor/gemm.hpp"
@@ -11,10 +12,12 @@ namespace parpde::nn {
 
 namespace {
 
-// Cap on one workspace buffer (floats): 16M floats = 64 MiB. The full-scale
-// 256x256 runs fall back to smaller sample groups; the laptop-scale tests
-// lower whole batches at once.
-constexpr std::int64_t kMaxWorkspaceFloats = std::int64_t{1} << 24;
+// Budget for one sample group's column buffer. A group's col (and dcol in the
+// backward pass) must survive in L2/LLC from the im2col that writes it to the
+// GEMM that reads it; whole-batch columns (12-33 MB per Table-I layer at
+// batch 16 on 32x32 tiles) stream through DRAM instead, and concurrent ranks
+// then contend for the shared LLC.
+constexpr std::int64_t kColBudgetBytes = std::int64_t{1} << 20;
 
 ConvGeometry batched_geometry(const Tensor& x, const Tensor& w,
                               std::int64_t pad, const char* what) {
@@ -111,9 +114,17 @@ void conv2d_backward_weights(const Tensor& x, const Tensor& dy, std::int64_t pad
 }
 
 std::int64_t conv2d_batch_group(const ConvGeometry& g, std::int64_t batch) {
-  const std::int64_t per_sample = g.col_rows() * g.col_cols();
-  if (per_sample <= 0) return 1;
-  return std::clamp<std::int64_t>(kMaxWorkspaceFloats / per_sample, 1, batch);
+  const std::int64_t plane = g.col_cols();
+  const std::int64_t per_sample_bytes =
+      g.col_rows() * plane * static_cast<std::int64_t>(sizeof(float));
+  if (per_sample_bytes <= 0) return 1;
+  const std::int64_t fit = kColBudgetBytes / per_sample_bytes;
+  if (fit >= batch) return batch;
+  // Smallest sample count whose column width is a multiple of the GEMM
+  // k-block, so every group but the last ends on a k-block boundary of the
+  // whole-batch dW reduction (see kGemmKBlock).
+  const std::int64_t align = kGemmKBlock / std::gcd(plane, kGemmKBlock);
+  return std::min(batch, std::max(align, fit - fit % align));
 }
 
 void conv2d_forward_batched(const Tensor& x, const Tensor& w, const Tensor& b,
@@ -146,7 +157,8 @@ void conv2d_forward_batched(const Tensor& x, const Tensor& w, const Tensor& b,
     ws.out.resize(static_cast<std::size_t>(cout * wide));
     im2col_batched(x.data() + g0 * in_stride, gn, g, ws.col.data());
     // out [Cout x gn*plane] = W [Cout x Cin*k*k] * col: one wide GEMM for the
-    // whole group instead of gn narrow ones.
+    // whole group instead of gn narrow ones. Each element's k order does not
+    // depend on the matrix width, so grouping cannot change the bits.
     gemm(w.data(), ws.col.data(), ws.out.data(), cout, g.col_rows(), wide);
     // Scatter the channel-major GEMM output into NCHW order, fusing the bias
     // add. Planes are disjoint, so the parallel loop is deterministic.
@@ -192,8 +204,25 @@ void conv2d_backward_batched(const Tensor& x, const Tensor& dy,
     dx.fill(0.0f);
   }
 
-  const std::int64_t group = conv2d_batch_group(g, n);
   auto& pool = util::ThreadPool::global();
+  // db[c] += one sum over the whole batch, sample-major then pixel: the same
+  // addition sequence as summing a gathered whole-batch channel row, however
+  // the batch is grouped below. Channels are independent and each is summed
+  // by one thread, so the result is deterministic at any worker count.
+  if (!db.empty()) {
+    pool.parallel_for(cout, 1, [&](std::int64_t begin, std::int64_t end) {
+      for (std::int64_t c = begin; c < end; ++c) {
+        float acc = 0.0f;
+        for (std::int64_t s = 0; s < n; ++s) {
+          const float* p = dy.data() + s * out_stride + c * plane;
+          for (std::int64_t i = 0; i < plane; ++i) acc += p[i];
+        }
+        db[c] += acc;
+      }
+    });
+  }
+
+  const std::int64_t group = conv2d_batch_group(g, n);
   for (std::int64_t g0 = 0; g0 < n; g0 += group) {
     const std::int64_t gn = std::min(group, n - g0);
     const std::int64_t wide = gn * plane;
@@ -209,25 +238,15 @@ void conv2d_backward_batched(const Tensor& x, const Tensor& dy,
                     static_cast<std::size_t>(plane) * sizeof(float));
       }
     });
-    // db[c] += sum over the channel's row. Channels are independent and each
-    // row is summed left-to-right by one thread: deterministic at any worker
-    // count.
-    if (!db.empty()) {
-      pool.parallel_for(cout, 1, [&](std::int64_t begin, std::int64_t end) {
-        for (std::int64_t c = begin; c < end; ++c) {
-          const float* row = ws.dy.data() + c * wide;
-          float acc = 0.0f;
-          for (std::int64_t i = 0; i < wide; ++i) acc += row[i];
-          db[c] += acc;
-        }
-      });
-    }
-    // dW += dY [Cout x wide] * col^T: the k-reduction over all gn*plane
-    // columns stays on a single thread per dW element inside the GEMM.
+    // dW += dY [Cout x wide] * col^T. The group's columns are a slice of the
+    // whole-batch k-reduction; every group but the last is a whole number of
+    // k-blocks wide (conv2d_batch_group), so the consecutive accumulating
+    // calls add the same k-block partials in the same order as one call.
     im2col_batched(x.data() + g0 * in_stride, gn, g, ws.col.data());
     gemm_bt_acc(ws.dy.data(), ws.col.data(), dw.data(), cout, wide,
                 g.col_rows());
-    // dcol [Cin*k*k x wide] = W^T * dY, scattered back per sample.
+    // dcol [Cin*k*k x wide] = W^T * dY, scattered back per sample. Grouping
+    // splits only the width, never this GEMM's k (= Cout).
     gemm_at(w.data(), ws.dy.data(), ws.dcol.data(), g.col_rows(), cout, wide);
     col2im_batched(ws.dcol.data(), gn, g, dx.data() + g0 * in_stride);
   }

@@ -3,13 +3,16 @@
 // Convolution primitives (stride 1, square kernel, symmetric zero padding)
 // built on im2col + GEMM.
 //
-// The batched entry points lower a whole [N, C, H, W] batch into one wide
-// [Cin*k*k x N*OH*OW] column matrix and issue a single large GEMM per layer,
-// instead of N small ones — the GEMM gets enough columns to block and thread
-// well, and the per-layer Conv2dWorkspace keeps every buffer alive across
-// batches (no steady-state allocation). The single-sample versions remain for
-// recurrent cells (ConvLSTM) whose backward-through-time pass re-evaluates
-// per timestep.
+// The batched entry points lower an [N, C, H, W] batch in sample groups: each
+// group of G samples becomes one wide [Cin*k*k x G*OH*OW] column matrix and
+// one GEMM per operand, instead of G small ones, so the GEMM gets enough
+// columns to block and thread well. G is chosen so a group's column matrix
+// stays cache-resident between the im2col that writes it and the GEMM that
+// reads it (conv2d_batch_group); results are bit-identical to lowering the
+// whole batch at once. The per-layer Conv2dWorkspace keeps every buffer alive
+// across batches (no steady-state allocation). The single-sample versions
+// remain for recurrent cells (ConvLSTM) whose backward-through-time pass
+// re-evaluates per timestep.
 
 #include "tensor/im2col.hpp"
 #include "tensor/tensor.hpp"
@@ -17,20 +20,27 @@
 
 namespace parpde::nn {
 
-// Persistent per-layer scratch for the batched convolution path. Buffers only
-// grow; a layer reuses them for every batch of the same geometry. All buffers
-// are 64-byte aligned so the GEMM micro-kernels get clean vector loads.
+// Persistent per-layer scratch for the batched convolution path. Every buffer
+// holds one sample group (G = conv2d_batch_group samples), not the batch.
+// Buffers only grow; a layer reuses them for every batch of the same
+// geometry. All buffers are 64-byte aligned so the GEMM micro-kernels get
+// clean vector loads.
 struct Conv2dWorkspace {
-  util::AlignedVector<float> col;   // [Cin*k*k x G*OH*OW] batched im2col columns
+  util::AlignedVector<float> col;   // [Cin*k*k x G*OH*OW] group im2col columns
   util::AlignedVector<float> out;   // [Cout    x G*OH*OW] channel-major GEMM output
   util::AlignedVector<float> dy;    // [Cout    x G*OH*OW] channel-major gathered dY
   util::AlignedVector<float> dcol;  // [Cin*k*k x G*OH*OW] backward-data columns
 };
 
-// Number of samples lowered per wide GEMM: the whole batch when the column
-// matrix fits the workspace budget, otherwise the largest group that does.
-// Depends only on the problem geometry (never on thread count), so training
-// results are reproducible across machines.
+// Number of samples lowered per wide GEMM: the whole batch when its column
+// matrix fits a fixed 1 MiB budget, otherwise the largest group that does,
+// rounded down to (but never below) the alignment
+// a = kGemmKBlock / gcd(OH*OW, kGemmKBlock). The alignment makes each group's
+// column width a whole number of GEMM k-blocks, which keeps the grouped dW
+// reduction bit-identical to the whole-batch one; when one sample already
+// overflows the budget, a group holds a samples (at most the batch). Depends
+// only on the problem geometry (never on thread count), so training results
+// are reproducible across machines.
 std::int64_t conv2d_batch_group(const ConvGeometry& g, std::int64_t batch);
 
 // y [N, Cout, OH, OW] = w (*) x + b for x [N, Cin, H, W], w [Cout, Cin, k, k]

@@ -22,9 +22,10 @@ constexpr std::int64_t NR = 16;
 // touches one 4 KiB page per B row per step, so kc is what bounds the live
 // dTLB set — kc = 32 keeps it inside the L1 dTLB, which measures ~1.5x
 // faster than kc = 256 on the wide conv GEMM shapes (page-walk bound).
-// MC is a multiple of MR, NC of NR.
+// MC is a multiple of MR, NC of NR. KC is public as kGemmKBlock because the
+// k-split contract in gemm.hpp depends on it.
 constexpr std::int64_t MC = 120;
-constexpr std::int64_t KC = 32;
+constexpr std::int64_t KC = kGemmKBlock;
 constexpr std::int64_t NC = 512;
 
 constexpr std::int64_t ceil_div(std::int64_t a, std::int64_t b) {

@@ -19,6 +19,14 @@
 
 namespace parpde {
 
+// The k-block (KC) of the blocked kernels. Each C element's k-reduction is
+// computed one kGemmKBlock-deep register partial at a time and the partials
+// are added into C in ascending k order. Splitting k at multiples of
+// kGemmKBlock into consecutive accumulating calls (gemm_acc, gemm_bt_acc)
+// therefore performs exactly the same additions as one full-k call; the
+// batched conv backward relies on this to lower the batch in sample groups.
+inline constexpr std::int64_t kGemmKBlock = 32;
+
 // C[m x n] = A[m x k] * B[k x n], row-major, C overwritten.
 void gemm(const float* a, const float* b, float* c, std::int64_t m,
           std::int64_t k, std::int64_t n);

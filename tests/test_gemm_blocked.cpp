@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "core/trainer.hpp"
@@ -111,6 +112,50 @@ TEST(GemmBlocked, BitIdenticalAcrossWorkerCounts) {
 
   for (std::size_t i = 0; i < inline_c.size(); ++i) {
     ASSERT_EQ(inline_c[i], pooled_c[i]) << "at index " << i;
+  }
+}
+
+// The k-split contract of gemm.hpp: gemm_bt_acc over consecutive k-slices,
+// each a whole number of kGemmKBlock blocks (the last may be ragged), is
+// bitwise equal to one full-k call. The grouped conv backward accumulates dW
+// this way, so a change to the k-block that breaks it fails here rather than
+// silently changing training losses.
+TEST(GemmBlocked, BtAccKSplitAtKBlockMultiplesIsBitIdentical) {
+  const std::int64_t m = 16, n = 150;
+  const std::int64_t slices[] = {2 * kGemmKBlock, kGemmKBlock,
+                                 3 * kGemmKBlock, 2 * kGemmKBlock + 7};
+  std::int64_t k = 0;
+  for (const std::int64_t s : slices) k += s;
+  const auto a = random_vec(m * k, 83);  // [m x k]
+  const auto b = random_vec(n * k, 89);  // stored [n x k]
+  const auto c0 = random_vec(m * n, 97);
+
+  for (int workers : {0, 3}) {
+    util::ThreadPool::configure_global(workers);
+    auto whole = c0;
+    gemm_bt_acc(a.data(), b.data(), whole.data(), m, k, n);
+
+    // Slice p0..p0+s of k: A's columns and B's columns, repacked densely.
+    auto split = c0;
+    std::int64_t p0 = 0;
+    for (const std::int64_t s : slices) {
+      std::vector<float> as(static_cast<std::size_t>(m * s));
+      std::vector<float> bs(static_cast<std::size_t>(n * s));
+      for (std::int64_t i = 0; i < m; ++i) {
+        for (std::int64_t p = 0; p < s; ++p) as[i * s + p] = a[i * k + p0 + p];
+      }
+      for (std::int64_t j = 0; j < n; ++j) {
+        for (std::int64_t p = 0; p < s; ++p) bs[j * s + p] = b[j * k + p0 + p];
+      }
+      gemm_bt_acc(as.data(), bs.data(), split.data(), m, s, n);
+      p0 += s;
+    }
+    util::ThreadPool::configure_global(0);
+
+    for (std::size_t i = 0; i < whole.size(); ++i) {
+      ASSERT_EQ(std::memcmp(&whole[i], &split[i], sizeof(float)), 0)
+          << "at index " << i << " with " << workers << " workers";
+    }
   }
 }
 

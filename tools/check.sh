@@ -7,7 +7,9 @@
 #   * tsan:  ThreadSanitizer over the mini-MPI runtime and the intra-rank
 #            thread pool — the tests that exercise cross-thread mailboxes,
 #            collectives, concurrent rank training, the blocked GEMM's
-#            parallel_for fan-out, the overlapped rollout engine's
+#            parallel_for fan-out, the grouped batched conv path
+#            (bit-identity with a whole-batch lowering at 0 and 3 pool
+#            workers), the overlapped rollout engine's
 #            begin/finish halo split (bit-identity under races), the
 #            cross-rank trace collector's concurrent event buffers, the
 #            int8 quantized rollout path, and the SurrogateServer's
@@ -40,10 +42,11 @@ cmake -S "$root" -B "$build_root/tsan" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread" >/dev/null
 cmake --build "$build_root/tsan" -j "$jobs" --target \
   test_minimpi_p2p test_minimpi_collectives test_minimpi_collectives2 \
-  test_minimpi_cart test_gemm_blocked test_core_parallel test_fault \
-  test_rollout_overlap test_trace test_quant_rollout test_serve >/dev/null
+  test_minimpi_cart test_gemm_blocked test_conv_ops test_core_parallel \
+  test_fault test_rollout_overlap test_trace test_quant_rollout \
+  test_serve >/dev/null
 (cd "$build_root/tsan" && ctest --output-on-failure -R \
-  'test_minimpi_p2p|test_minimpi_collectives|test_minimpi_collectives2|test_minimpi_cart|test_gemm_blocked|test_core_parallel|test_fault|test_rollout_overlap|test_trace|test_quant_rollout|test_serve')
+  'test_minimpi_p2p|test_minimpi_collectives|test_minimpi_collectives2|test_minimpi_cart|test_gemm_blocked|test_conv_ops|test_core_parallel|test_fault|test_rollout_overlap|test_trace|test_quant_rollout|test_serve')
 
 echo "== Address/UB sanitizer + checked tensor accessors: full test suite =="
 cmake -S "$root" -B "$build_root/asan" \
