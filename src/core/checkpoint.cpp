@@ -1,41 +1,25 @@
 #include "core/checkpoint.hpp"
 
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 
 #include "tensor/serialize.hpp"
-#include "util/crc32.hpp"
+#include "util/framed_file.hpp"
 
 namespace parpde::core {
 
 namespace {
 
-constexpr char kMagic[4] = {'P', 'P', 'D', 'E'};
-// v2 frames the body with a length + CRC-32 directly after the version word,
-// so truncation and corruption are reported instead of parsed; v1 (bare
-// body) files remain readable.
+using util::FormatError;
+using util::read_pod;
+using util::write_pod;
+
+constexpr char kMagic[] = "PPDE";
 constexpr std::uint32_t kVersion = 2;
 
-template <typename T>
-void write_pod(std::ostream& out, const T& value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-T read_pod(std::istream& in) {
-  T value{};
-  in.read(reinterpret_cast<char*>(&value), sizeof(T));
-  if (!in) throw std::runtime_error("read_ensemble: truncated stream");
-  return value;
-}
-
-}  // namespace
-
-namespace {
-
-void write_body(std::ostream& out, const EnsembleCheckpoint& checkpoint) {
+std::string encode(const EnsembleCheckpoint& checkpoint) {
+  std::ostringstream out(std::ios::binary);
   const auto& report = checkpoint.report;
   const auto& net = checkpoint.network;
   write_pod(out, static_cast<std::uint32_t>(net.channels.size()));
@@ -53,16 +37,17 @@ void write_body(std::ostream& out, const EnsembleCheckpoint& checkpoint) {
     write_pod(out, outcome.block.h1);
     write_pod(out, outcome.block.w0);
     write_pod(out, outcome.block.w1);
-    write_pod(out, static_cast<std::uint32_t>(outcome.parameters.size()));
-    for (const auto& t : outcome.parameters) write_tensor(out, t);
+    write_tensors(out, outcome.parameters);
   }
+  if (!out) throw std::runtime_error("write_ensemble: stream failure");
+  return util::frame(kMagic, kVersion, std::move(out).str());
 }
 
 EnsembleCheckpoint read_body(std::istream& in) {
   EnsembleCheckpoint checkpoint;
   const auto n_channels = read_pod<std::uint32_t>(in);
   if (n_channels < 2 || n_channels > 64) {
-    throw std::runtime_error("read_ensemble: implausible channel count");
+    throw FormatError("read_ensemble: implausible channel count");
   }
   checkpoint.network.channels.resize(n_channels);
   for (auto& c : checkpoint.network.channels) c = read_pod<std::int64_t>(in);
@@ -71,7 +56,7 @@ EnsembleCheckpoint read_body(std::istream& in) {
   checkpoint.network.final_activation = read_pod<std::uint8_t>(in) != 0;
   const auto border = read_pod<std::uint8_t>(in);
   if (border > static_cast<std::uint8_t>(BorderMode::kDeconv)) {
-    throw std::runtime_error("read_ensemble: bad border mode");
+    throw FormatError("read_ensemble: bad border mode");
   }
   checkpoint.border = static_cast<BorderMode>(border);
 
@@ -79,23 +64,20 @@ EnsembleCheckpoint read_body(std::istream& in) {
   report.ranks = read_pod<std::int32_t>(in);
   report.dims.px = read_pod<std::int32_t>(in);
   report.dims.py = read_pod<std::int32_t>(in);
-  if (report.ranks <= 0 || report.dims.px * report.dims.py != report.ranks) {
-    throw std::runtime_error("read_ensemble: inconsistent topology");
+  if (report.ranks <= 0 ||
+      std::int64_t{report.dims.px} * report.dims.py != report.ranks) {
+    throw FormatError("read_ensemble: inconsistent topology");
   }
-  report.rank_outcomes.resize(static_cast<std::size_t>(report.ranks));
+  // Grown rank by rank (no reserve): the stream runs out before a lying rank
+  // count can cost memory.
   for (int r = 0; r < report.ranks; ++r) {
-    auto& outcome = report.rank_outcomes[static_cast<std::size_t>(r)];
+    auto& outcome = report.rank_outcomes.emplace_back();
     outcome.rank = r;
     outcome.block.h0 = read_pod<std::int64_t>(in);
     outcome.block.h1 = read_pod<std::int64_t>(in);
     outcome.block.w0 = read_pod<std::int64_t>(in);
     outcome.block.w1 = read_pod<std::int64_t>(in);
-    const auto count = read_pod<std::uint32_t>(in);
-    if (count > 1024) throw std::runtime_error("read_ensemble: implausible count");
-    outcome.parameters.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-      outcome.parameters.push_back(read_tensor(in));
-    }
+    outcome.parameters = read_tensors(in, 1024);
   }
   return checkpoint;
 }
@@ -103,55 +85,21 @@ EnsembleCheckpoint read_body(std::istream& in) {
 }  // namespace
 
 void write_ensemble(std::ostream& out, const EnsembleCheckpoint& checkpoint) {
-  std::ostringstream body_stream(std::ios::binary);
-  write_body(body_stream, checkpoint);
-  const std::string body = std::move(body_stream).str();
-
-  out.write(kMagic, sizeof(kMagic));
-  write_pod(out, kVersion);
-  write_pod(out, static_cast<std::uint64_t>(body.size()));
-  write_pod(out, util::crc32(body.data(), body.size()));
-  out.write(body.data(), static_cast<std::streamsize>(body.size()));
+  const std::string bytes = encode(checkpoint);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   if (!out) throw std::runtime_error("write_ensemble: stream failure");
 }
 
 EnsembleCheckpoint read_ensemble(std::istream& in) {
-  char magic[4];
-  in.read(magic, sizeof(magic));
-  if (!in || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    throw std::runtime_error("read_ensemble: bad magic");
-  }
-  const auto version = read_pod<std::uint32_t>(in);
-  if (version == 1) return read_body(in);  // unframed legacy layout
-  if (version != kVersion) {
-    throw std::runtime_error("read_ensemble: unsupported version " +
-                             std::to_string(version));
-  }
-  const auto body_len = read_pod<std::uint64_t>(in);
-  const auto crc = read_pod<std::uint32_t>(in);
-  if (body_len > (1ull << 33)) {
-    throw std::runtime_error("read_ensemble: implausible body length");
-  }
-  std::string body(static_cast<std::size_t>(body_len), '\0');
-  in.read(body.data(), static_cast<std::streamsize>(body_len));
-  if (!in || in.gcount() != static_cast<std::streamsize>(body_len)) {
-    throw std::runtime_error(
-        "read_ensemble: truncated body — the checkpoint was cut short (torn "
-        "write or incomplete copy)");
-  }
-  if (util::crc32(body.data(), body.size()) != crc) {
-    throw std::runtime_error(
-        "read_ensemble: CRC mismatch — the checkpoint is corrupt; refusing "
-        "to load garbage weights");
-  }
-  std::istringstream body_in(body, std::ios::binary);
-  return read_body(body_in);
+  std::istringstream body(util::read_verified(in, kMagic, {kVersion}).payload,
+                          std::ios::binary);
+  auto checkpoint = read_body(body);
+  util::expect_end(body);
+  return checkpoint;
 }
 
 void save_ensemble(const std::string& path, const EnsembleCheckpoint& checkpoint) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw std::runtime_error("save_ensemble: cannot open " + path);
-  write_ensemble(out, checkpoint);
+  util::write_atomic(path, encode(checkpoint));
 }
 
 EnsembleCheckpoint load_ensemble(const std::string& path) {

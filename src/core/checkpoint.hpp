@@ -5,14 +5,15 @@
 // a ParallelTrainReport, so inference can resume in a later process (or the
 // CLI) without retraining.
 //
-// Layout (little-endian):
-//   magic "PPDE" | u32 version | u64 body_len | u32 crc32(body) | body
+// "PPDE" files use the shared envelope of util/framed_file.hpp:
+//   magic "PPDE" | u32 version (2) | u64 body_len | u32 crc32(body) | body
 //   body:
 //     u32 n_channels | i64 channels[] | i64 kernel | f32 leaky | u8 final_act
 //     u8 border | i32 ranks | i32 px | i32 py
 //     per rank: i64 h0 h1 w0 w1 | u32 tensor_count | tensors (tensor format)
-// Version 2 added the length + CRC frame so truncated or corrupt files fail
-// with a diagnostic; version-1 files (bare body) are still readable.
+// Reading throws util::FormatError on a bad envelope or a body that is
+// inconsistent or not fully consumed; save_ensemble replaces its file
+// atomically (util::write_atomic).
 
 #include <istream>
 #include <ostream>

@@ -1,12 +1,7 @@
 #include "core/train_checkpoint.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -14,7 +9,7 @@
 #include <vector>
 
 #include "tensor/serialize.hpp"
-#include "util/crc32.hpp"
+#include "util/framed_file.hpp"
 #include "util/log.hpp"
 #include "util/telemetry.hpp"
 
@@ -24,21 +19,12 @@ namespace {
 
 namespace fs = std::filesystem;
 
-constexpr char kMagic[4] = {'P', 'P', 'T', 'C'};
+using util::FormatError;
+using util::read_pod;
+using util::write_pod;
+
+constexpr char kMagic[] = "PPTC";
 constexpr std::uint32_t kVersion = 1;
-
-template <typename T>
-void write_pod(std::ostream& out, const T& value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-T read_pod(std::istream& in) {
-  T value{};
-  in.read(reinterpret_cast<char*>(&value), sizeof(T));
-  if (!in) throw std::runtime_error("truncated payload");
-  return value;
-}
 
 void write_string(std::ostream& out, const std::string& s) {
   write_pod(out, static_cast<std::uint32_t>(s.size()));
@@ -47,26 +33,15 @@ void write_string(std::ostream& out, const std::string& s) {
 
 std::string read_string(std::istream& in) {
   const auto len = read_pod<std::uint32_t>(in);
-  if (len > (1u << 20)) throw std::runtime_error("implausible string length");
+  if (len > util::remaining_bytes(in).value_or(0)) {
+    throw FormatError("truncated: string runs past the payload");
+  }
   std::string s(len, '\0');
   in.read(s.data(), static_cast<std::streamsize>(len));
-  if (!in) throw std::runtime_error("truncated payload");
   return s;
 }
 
-void write_tensors(std::ostream& out, const std::vector<Tensor>& tensors) {
-  write_pod(out, static_cast<std::uint32_t>(tensors.size()));
-  for (const auto& t : tensors) write_tensor(out, t);
-}
-
-std::vector<Tensor> read_tensors(std::istream& in) {
-  const auto count = read_pod<std::uint32_t>(in);
-  if (count > 4096) throw std::runtime_error("implausible tensor count");
-  std::vector<Tensor> tensors;
-  tensors.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) tensors.push_back(read_tensor(in));
-  return tensors;
-}
+constexpr std::uint32_t kMaxTensors = 4096;
 
 std::string serialize_payload(int rank, const TrainerSnapshot& snap) {
   std::ostringstream out(std::ios::binary);
@@ -102,12 +77,13 @@ void parse_payload(const std::string& payload, int* rank,
   snap->optimizer.name = read_string(in);
   snap->optimizer.step_count = read_pod<std::int64_t>(in);
   snap->optimizer.learning_rate = read_pod<double>(in);
-  snap->optimizer.slots = read_tensors(in);
-  snap->parameters = read_tensors(in);
+  snap->optimizer.slots = read_tensors(in, kMaxTensors);
+  snap->parameters = read_tensors(in, kMaxTensors);
   const auto n_epochs = read_pod<std::uint32_t>(in);
-  if (n_epochs > (1u << 20)) throw std::runtime_error("implausible epoch count");
-  snap->epochs.resize(n_epochs);
-  for (auto& e : snap->epochs) {
+  snap->epochs.clear();
+  // Grown entry by entry: a lying count runs out of payload before memory.
+  for (std::uint32_t i = 0; i < n_epochs; ++i) {
+    auto& e = snap->epochs.emplace_back();
     e.loss = read_pod<double>(in);
     e.val_loss = read_pod<double>(in);
     e.seconds = read_pod<double>(in);
@@ -115,8 +91,9 @@ void parse_payload(const std::string& payload, int* rank,
   snap->best_monitored = read_pod<double>(in);
   snap->epochs_since_best = read_pod<std::int32_t>(in);
   snap->best_epoch = read_pod<std::int32_t>(in);
-  snap->best_params = read_tensors(in);
+  snap->best_params = read_tensors(in, kMaxTensors);
   snap->schedule_epochs = read_pod<std::int32_t>(in);
+  util::expect_end(in);
 }
 
 std::string checkpoint_name(int rank, int next_epoch) {
@@ -129,47 +106,6 @@ std::string manifest_name(int rank) {
   return "rank" + std::to_string(rank) + ".latest";
 }
 
-// Writes `data` to `dir/name` with crash consistency: tmp file, fsync,
-// rename into place, fsync the directory so the rename itself is durable.
-void atomic_write(const fs::path& dir, const std::string& name,
-                  const std::string& data) {
-  const fs::path final_path = dir / name;
-  const fs::path tmp_path = dir / (name + ".tmp");
-  const int fd = ::open(tmp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) {
-    throw std::runtime_error("checkpoint: cannot open " + tmp_path.string() +
-                             ": " + std::strerror(errno));
-  }
-  std::size_t written = 0;
-  while (written < data.size()) {
-    const ssize_t n = ::write(fd, data.data() + written, data.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const int err = errno;
-      ::close(fd);
-      throw std::runtime_error("checkpoint: write to " + tmp_path.string() +
-                               " failed: " + std::strerror(err));
-    }
-    written += static_cast<std::size_t>(n);
-  }
-  if (::fsync(fd) != 0) {
-    const int err = errno;
-    ::close(fd);
-    throw std::runtime_error("checkpoint: fsync of " + tmp_path.string() +
-                             " failed: " + std::strerror(err));
-  }
-  ::close(fd);
-  if (::rename(tmp_path.c_str(), final_path.c_str()) != 0) {
-    throw std::runtime_error("checkpoint: rename to " + final_path.string() +
-                             " failed: " + std::strerror(errno));
-  }
-  const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (dir_fd >= 0) {
-    ::fsync(dir_fd);  // best effort: persist the rename
-    ::close(dir_fd);
-  }
-}
-
 }  // namespace
 
 std::string save_rank_checkpoint(const std::string& dir, int rank,
@@ -179,19 +115,13 @@ std::string save_rank_checkpoint(const std::string& dir, int rank,
   }
   fs::create_directories(dir);
   const std::string payload = serialize_payload(rank, snapshot);
-
-  std::ostringstream framed(std::ios::binary);
-  framed.write(kMagic, sizeof(kMagic));
-  write_pod(framed, kVersion);
-  write_pod(framed, static_cast<std::uint64_t>(payload.size()));
-  write_pod(framed, util::crc32(payload.data(), payload.size()));
-  framed.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-
   const std::string name = checkpoint_name(rank, snapshot.next_epoch);
-  atomic_write(dir, name, std::move(framed).str());
+  util::write_atomic((fs::path(dir) / name).string(),
+                     util::frame(kMagic, kVersion, payload));
   // The manifest points at the newest file; it is advisory (the loader can
   // always fall back to scanning), so writing it after the data is safe.
-  atomic_write(dir, manifest_name(rank), name + "\n");
+  util::write_atomic((fs::path(dir) / manifest_name(rank)).string(),
+                     name + "\n");
 
   static telemetry::Counter& writes = telemetry::counter("checkpoint.writes");
   static telemetry::Counter& bytes =
@@ -212,34 +142,11 @@ bool read_rank_checkpoint(const std::string& path, int* rank,
   };
   std::ifstream in(path, std::ios::binary);
   if (!in) return fail("cannot open");
-  char magic[4];
-  in.read(magic, sizeof(magic));
-  if (!in || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    return fail("bad magic (not a training checkpoint)");
-  }
-  std::uint32_t version = 0;
-  std::uint64_t payload_len = 0;
-  std::uint32_t crc = 0;
-  in.read(reinterpret_cast<char*>(&version), sizeof(version));
-  in.read(reinterpret_cast<char*>(&payload_len), sizeof(payload_len));
-  in.read(reinterpret_cast<char*>(&crc), sizeof(crc));
-  if (!in) return fail("truncated header");
-  if (version != kVersion) {
-    return fail("unsupported version " + std::to_string(version));
-  }
-  if (payload_len > (1ull << 32)) return fail("implausible payload length");
-  std::string payload(static_cast<std::size_t>(payload_len), '\0');
-  in.read(payload.data(), static_cast<std::streamsize>(payload_len));
-  if (!in || in.gcount() != static_cast<std::streamsize>(payload_len)) {
-    return fail("truncated payload (torn write?)");
-  }
-  if (util::crc32(payload.data(), payload.size()) != crc) {
-    return fail("CRC mismatch (corrupt file)");
-  }
   try {
-    parse_payload(payload, rank, out);
-  } catch (const std::exception& e) {
-    return fail(std::string("malformed payload: ") + e.what());
+    parse_payload(util::read_verified(in, kMagic, {kVersion}).payload, rank,
+                  out);
+  } catch (const FormatError& e) {
+    return fail(e.what());
   }
   return true;
 }

@@ -3,14 +3,14 @@
 // Crash-consistent per-rank training checkpoints (the restart half of the
 // fault-tolerance layer; docs/robustness.md).
 //
-// Each checkpoint is one file `rank<R>_epoch<E>.ckpt` holding a framed
-// TrainerSnapshot:
+// Each checkpoint is one file `rank<R>_epoch<E>.ckpt` holding a
+// TrainerSnapshot in the shared envelope of util/framed_file.hpp:
 //
-//   magic "PPTC" | u32 version | u64 payload_len | u32 crc32(payload) | payload
+//   magic "PPTC" | u32 version (1) | u64 payload_len | u32 crc32 | payload
 //
-// and is written atomically: serialize to `<name>.tmp`, fsync, rename over
-// the final name, fsync the directory. A crash mid-write therefore leaves
-// either the previous checkpoint set intact or a `.tmp` that readers ignore;
+// and is replaced atomically by util::write_atomic, so a crash mid-write
+// leaves either the previous checkpoint set intact or a `.tmp` that readers
+// ignore;
 // a torn or bit-rotted file fails its length/CRC check and is skipped with a
 // warning rather than resurrecting garbage weights. A per-rank manifest
 // `rank<R>.latest` (also renamed into place) names the newest file; loading

@@ -1,11 +1,12 @@
 #include "data/dataset.hpp"
 
 #include <algorithm>
-#include <cstring>
+#include <array>
 #include <fstream>
 #include <stdexcept>
 
 #include "tensor/serialize.hpp"
+#include "util/framed_file.hpp"
 
 namespace parpde::data {
 
@@ -42,43 +43,29 @@ Split FrameDataset::chronological_split(double train_fraction) const {
 }
 
 namespace {
-constexpr char kFrameMagic[4] = {'P', 'P', 'F', 'R'};
+constexpr std::array<char, 4> kFrameMagic = {'P', 'P', 'F', 'R'};
 constexpr std::uint32_t kFrameVersion = 1;
 }  // namespace
 
 void save_frames(const std::string& path, std::span<const Tensor> frames) {
   std::ofstream out(path, std::ios::binary);
   if (!out) throw std::runtime_error("save_frames: cannot open " + path);
-  out.write(kFrameMagic, sizeof(kFrameMagic));
-  out.write(reinterpret_cast<const char*>(&kFrameVersion), sizeof(kFrameVersion));
-  const auto count = static_cast<std::uint32_t>(frames.size());
-  out.write(reinterpret_cast<const char*>(&count), sizeof(count));
-  for (const auto& f : frames) write_tensor(out, f);
+  util::write_pod(out, kFrameMagic);
+  util::write_pod(out, kFrameVersion);
+  write_tensors(out, frames);
   if (!out) throw std::runtime_error("save_frames: stream failure");
 }
 
 std::vector<Tensor> load_frames(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("load_frames: cannot open " + path);
-  char magic[4];
-  in.read(magic, sizeof(magic));
-  if (!in || std::memcmp(magic, kFrameMagic, sizeof(kFrameMagic)) != 0) {
-    throw std::runtime_error("load_frames: bad magic in " + path);
+  if (util::read_pod<std::array<char, 4>>(in) != kFrameMagic) {
+    throw util::FormatError("load_frames: bad magic in " + path);
   }
-  std::uint32_t version = 0;
-  in.read(reinterpret_cast<char*>(&version), sizeof(version));
-  if (!in || version != kFrameVersion) {
-    throw std::runtime_error("load_frames: unsupported version");
+  if (util::read_pod<std::uint32_t>(in) != kFrameVersion) {
+    throw util::FormatError("load_frames: unsupported version");
   }
-  std::uint32_t count = 0;
-  in.read(reinterpret_cast<char*>(&count), sizeof(count));
-  if (!in || count > (1u << 20)) {
-    throw std::runtime_error("load_frames: implausible frame count");
-  }
-  std::vector<Tensor> frames;
-  frames.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) frames.push_back(read_tensor(in));
-  return frames;
+  return read_tensors(in, 1u << 20);
 }
 
 }  // namespace parpde::data

@@ -1,18 +1,13 @@
 #include "elastic/state_checkpoint.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 
 #include "tensor/serialize.hpp"
-#include "util/crc32.hpp"
+#include "util/framed_file.hpp"
 #include "util/telemetry.hpp"
 
 namespace parpde::elastic {
@@ -21,54 +16,16 @@ namespace {
 
 namespace fs = std::filesystem;
 
-constexpr char kMagic[4] = {'P', 'P', 'E', 'S'};
+using util::read_pod;
+using util::write_pod;
+
+constexpr char kMagic[] = "PPES";
 constexpr std::uint32_t kVersion = 1;
 
 std::string state_name(int task, int step) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "task%03d_step%06d.ppes", task, step);
   return buf;
-}
-
-// Same crash-consistency protocol as core/train_checkpoint.cpp: tmp file,
-// fsync, rename into place, fsync the directory.
-void atomic_write(const fs::path& dir, const std::string& name,
-                  const std::string& data) {
-  const fs::path final_path = dir / name;
-  const fs::path tmp_path = dir / (name + ".tmp");
-  const int fd = ::open(tmp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) {
-    throw std::runtime_error("task state: cannot open " + tmp_path.string() +
-                             ": " + std::strerror(errno));
-  }
-  std::size_t written = 0;
-  while (written < data.size()) {
-    const ssize_t n = ::write(fd, data.data() + written, data.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const int err = errno;
-      ::close(fd);
-      throw std::runtime_error("task state: write to " + tmp_path.string() +
-                               " failed: " + std::strerror(err));
-    }
-    written += static_cast<std::size_t>(n);
-  }
-  if (::fsync(fd) != 0) {
-    const int err = errno;
-    ::close(fd);
-    throw std::runtime_error("task state: fsync of " + tmp_path.string() +
-                             " failed: " + std::strerror(err));
-  }
-  ::close(fd);
-  if (::rename(tmp_path.c_str(), final_path.c_str()) != 0) {
-    throw std::runtime_error("task state: rename to " + final_path.string() +
-                             " failed: " + std::strerror(errno));
-  }
-  const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (dir_fd >= 0) {
-    ::fsync(dir_fd);  // best effort: persist the rename
-    ::close(dir_fd);
-  }
 }
 
 }  // namespace
@@ -81,24 +38,12 @@ std::string save_task_state(const std::string& dir, int task, int step,
   fs::create_directories(dir);
 
   std::ostringstream body(std::ios::binary);
-  const auto task32 = static_cast<std::int32_t>(task);
-  const auto step32 = static_cast<std::int32_t>(step);
-  body.write(reinterpret_cast<const char*>(&task32), sizeof(task32));
-  body.write(reinterpret_cast<const char*>(&step32), sizeof(step32));
+  write_pod(body, static_cast<std::int32_t>(task));
+  write_pod(body, static_cast<std::int32_t>(step));
   write_tensor(body, interior);
   const std::string payload = std::move(body).str();
-
-  std::ostringstream framed(std::ios::binary);
-  framed.write(kMagic, sizeof(kMagic));
-  framed.write(reinterpret_cast<const char*>(&kVersion), sizeof(kVersion));
-  const auto len = static_cast<std::uint64_t>(payload.size());
-  const std::uint32_t crc = util::crc32(payload.data(), payload.size());
-  framed.write(reinterpret_cast<const char*>(&len), sizeof(len));
-  framed.write(reinterpret_cast<const char*>(&crc), sizeof(crc));
-  framed.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-
-  const std::string name = state_name(task, step);
-  atomic_write(dir, name, std::move(framed).str());
+  const std::string path = (fs::path(dir) / state_name(task, step)).string();
+  util::write_atomic(path, util::frame(kMagic, kVersion, payload));
 
   static telemetry::Counter& writes =
       telemetry::counter("checkpoint.state_writes");
@@ -106,7 +51,7 @@ std::string save_task_state(const std::string& dir, int task, int step,
       telemetry::counter("checkpoint.state_bytes_written");
   writes.add(1);
   bytes.add(payload.size());
-  return (fs::path(dir) / name).string();
+  return path;
 }
 
 bool load_task_state(const std::string& dir, int task, int step, Tensor* out,
@@ -121,45 +66,21 @@ bool load_task_state(const std::string& dir, int task, int step, Tensor* out,
   };
   std::ifstream in(path, std::ios::binary);
   if (!in) return fail("cannot open");
-  char magic[4];
-  in.read(magic, sizeof(magic));
-  if (!in || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    return fail("bad magic (not a task state snapshot)");
-  }
-  std::uint32_t version = 0;
-  std::uint64_t payload_len = 0;
-  std::uint32_t crc = 0;
-  in.read(reinterpret_cast<char*>(&version), sizeof(version));
-  in.read(reinterpret_cast<char*>(&payload_len), sizeof(payload_len));
-  in.read(reinterpret_cast<char*>(&crc), sizeof(crc));
-  if (!in) return fail("truncated header");
-  if (version != kVersion) {
-    return fail("unsupported version " + std::to_string(version));
-  }
-  if (payload_len > (1ull << 32)) return fail("implausible payload length");
-  std::string payload(static_cast<std::size_t>(payload_len), '\0');
-  in.read(payload.data(), static_cast<std::streamsize>(payload_len));
-  if (!in || in.gcount() != static_cast<std::streamsize>(payload_len)) {
-    return fail("truncated payload (torn write?)");
-  }
-  if (util::crc32(payload.data(), payload.size()) != crc) {
-    return fail("CRC mismatch (corrupt file)");
-  }
   try {
-    std::istringstream body(payload, std::ios::binary);
-    std::int32_t file_task = -1;
-    std::int32_t file_step = -1;
-    body.read(reinterpret_cast<char*>(&file_task), sizeof(file_task));
-    body.read(reinterpret_cast<char*>(&file_step), sizeof(file_step));
-    if (!body) return fail("truncated payload");
+    std::istringstream body(util::read_verified(in, kMagic, {kVersion}).payload,
+                            std::ios::binary);
+    const auto file_task = read_pod<std::int32_t>(body);
+    const auto file_step = read_pod<std::int32_t>(body);
     if (file_task != task || file_step != step) {
       return fail("snapshot names task " + std::to_string(file_task) +
                   " step " + std::to_string(file_step) + ", expected task " +
                   std::to_string(task) + " step " + std::to_string(step));
     }
-    *out = read_tensor(body);
-  } catch (const std::exception& e) {
-    return fail(std::string("malformed payload: ") + e.what());
+    Tensor interior = read_tensor(body);
+    util::expect_end(body);
+    *out = std::move(interior);
+  } catch (const util::FormatError& e) {
+    return fail(e.what());
   }
   return true;
 }

@@ -1,8 +1,9 @@
 #pragma once
 
-// Per-task rollout state checkpoints for the elastic runtime ("PPES" family,
-// same CRC32 + length envelope and tmp/fsync/rename discipline as the PPTC
-// training checkpoints in core/train_checkpoint.hpp).
+// Per-task rollout state checkpoints for the elastic runtime. "PPES" files
+// use the shared envelope and atomic write of util/framed_file.hpp:
+//   magic "PPES" | u32 version (1) | u64 payload_len | u32 crc32 | payload
+//   payload: i32 task | i32 step | interior (tensor format)
 //
 // During an elastic rollout every task's interior field is snapshotted at
 // fixed step boundaries; after a rank death the survivors roll every task

@@ -1,168 +1,82 @@
 #include "nn/serialize.hpp"
 
 #include <cstdint>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 
 #include "tensor/serialize.hpp"
-#include "util/crc32.hpp"
+#include "util/framed_file.hpp"
 
 namespace parpde::nn {
 
 namespace {
 
-// Framed "PPNN" layout:
-//   magic "PPNN" | u32 version | u64 payload_len | u32 crc32(payload) | payload
-//   v2 payload: u32 tensor_count | tensors (tensor format)
-//   v3 payload: v2 payload | u32 range_count | range_count f32 ranges
-// The length + CRC turn a truncated or bit-rotted checkpoint into a clear
-// diagnostic instead of garbage weights. The v1 format was the bare payload
-// (no magic); load_parameters still reads it — a u32 tensor count can never
-// collide with the magic bytes. v3 appends the int8 activation-calibration
-// ranges (per-conv-layer input max-abs) and is only written when there are
-// ranges to store, so checkpoints without quantization state stay v2.
-constexpr char kMagic[4] = {'P', 'P', 'N', 'N'};
+using util::read_pod;
+using util::write_pod;
+
+constexpr char kMagic[] = "PPNN";
 constexpr std::uint32_t kVersion = 2;
 constexpr std::uint32_t kVersionQuant = 3;
+constexpr std::uint32_t kMaxTensors = 4096;
 
-void parse_tensors(std::istream& in, std::uint32_t count, Module& module) {
-  auto params = module.parameters();
-  if (count != params.size()) {
-    throw std::runtime_error("load_parameters: parameter count mismatch (file "
-                             "has " + std::to_string(count) + ", model has " +
-                             std::to_string(params.size()) + ")");
+std::string encode(Module& module, const std::vector<float>& calibration) {
+  const auto params = module.parameters();
+  std::ostringstream payload(std::ios::binary);
+  write_pod(payload, static_cast<std::uint32_t>(params.size()));
+  for (const auto& p : params) write_tensor(payload, *p.value);
+  if (!calibration.empty()) {
+    write_pod(payload, static_cast<std::uint32_t>(calibration.size()));
+    payload.write(
+        reinterpret_cast<const char*>(calibration.data()),
+        static_cast<std::streamsize>(calibration.size() * sizeof(float)));
   }
-  for (auto& p : params) {
-    Tensor t = read_tensor(in);
-    if (!t.same_shape(*p.value)) {
-      throw std::runtime_error("load_parameters: shape mismatch for " + p.name);
-    }
-    *p.value = std::move(t);
-  }
+  if (!payload) throw std::runtime_error("save_parameters: stream failure");
+  return util::frame(kMagic, calibration.empty() ? kVersion : kVersionQuant,
+                     std::move(payload).str());
 }
 
 }  // namespace
 
-void save_parameters(std::ostream& out, Module& module) {
-  save_parameters(out, module, {});
-}
-
 void save_parameters(std::ostream& out, Module& module,
                      const std::vector<float>& calibration) {
-  const auto params = module.parameters();
-  std::ostringstream payload_stream(std::ios::binary);
-  const auto count = static_cast<std::uint32_t>(params.size());
-  payload_stream.write(reinterpret_cast<const char*>(&count), sizeof(count));
-  for (const auto& p : params) write_tensor(payload_stream, *p.value);
-  if (!calibration.empty()) {
-    const auto ranges = static_cast<std::uint32_t>(calibration.size());
-    payload_stream.write(reinterpret_cast<const char*>(&ranges),
-                         sizeof(ranges));
-    payload_stream.write(
-        reinterpret_cast<const char*>(calibration.data()),
-        static_cast<std::streamsize>(calibration.size() * sizeof(float)));
-  }
-  const std::string payload = std::move(payload_stream).str();
-  const std::uint32_t version = calibration.empty() ? kVersion : kVersionQuant;
-
-  out.write(kMagic, sizeof(kMagic));
-  out.write(reinterpret_cast<const char*>(&version), sizeof(version));
-  const auto len = static_cast<std::uint64_t>(payload.size());
-  out.write(reinterpret_cast<const char*>(&len), sizeof(len));
-  const std::uint32_t crc = util::crc32(payload.data(), payload.size());
-  out.write(reinterpret_cast<const char*>(&crc), sizeof(crc));
-  out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
+  const std::string bytes = encode(module, calibration);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   if (!out) throw std::runtime_error("save_parameters: stream failure");
-}
-
-void load_parameters(std::istream& in, Module& module) {
-  load_parameters(in, module, nullptr);
 }
 
 void load_parameters(std::istream& in, Module& module,
                      std::vector<float>* calibration) {
   if (calibration != nullptr) calibration->clear();
-  char head[4];
-  in.read(head, sizeof(head));
-  if (!in) throw std::runtime_error("load_parameters: empty or unreadable stream");
-
-  if (std::memcmp(head, kMagic, sizeof(kMagic)) != 0) {
-    // v1 compatibility: the bare format opened directly with the u32 tensor
-    // count — the four bytes just consumed.
-    std::uint32_t count = 0;
-    std::memcpy(&count, head, sizeof(count));
-    parse_tensors(in, count, module);
-    return;
+  auto framed = util::read_verified(in, kMagic, {kVersion, kVersionQuant});
+  std::istringstream payload(std::move(framed.payload), std::ios::binary);
+  auto params = module.parameters();
+  auto values = read_tensors(payload, kMaxTensors);
+  if (values.size() != params.size()) {
+    throw std::runtime_error("load_parameters: parameter count mismatch (file "
+                             "has " + std::to_string(values.size()) +
+                             ", model has " + std::to_string(params.size()) + ")");
   }
-
-  std::uint32_t version = 0;
-  std::uint64_t payload_len = 0;
-  std::uint32_t crc = 0;
-  in.read(reinterpret_cast<char*>(&version), sizeof(version));
-  in.read(reinterpret_cast<char*>(&payload_len), sizeof(payload_len));
-  in.read(reinterpret_cast<char*>(&crc), sizeof(crc));
-  if (!in) throw std::runtime_error("load_parameters: truncated header");
-  if (version != kVersion && version != kVersionQuant) {
-    throw std::runtime_error("load_parameters: unsupported format version " +
-                             std::to_string(version));
-  }
-  if (payload_len > (1ull << 32)) {
-    throw std::runtime_error("load_parameters: implausible payload length");
-  }
-  std::string payload(static_cast<std::size_t>(payload_len), '\0');
-  in.read(payload.data(), static_cast<std::streamsize>(payload_len));
-  if (!in || in.gcount() != static_cast<std::streamsize>(payload_len)) {
-    throw std::runtime_error(
-        "load_parameters: truncated payload — the checkpoint was cut short "
-        "(torn write or incomplete copy)");
-  }
-  if (util::crc32(payload.data(), payload.size()) != crc) {
-    throw std::runtime_error(
-        "load_parameters: CRC mismatch — the checkpoint is corrupt (bit rot "
-        "or partial overwrite); refusing to load garbage weights");
-  }
-  std::istringstream payload_in(payload, std::ios::binary);
-  std::uint32_t count = 0;
-  payload_in.read(reinterpret_cast<char*>(&count), sizeof(count));
-  if (!payload_in) throw std::runtime_error("load_parameters: empty payload");
-  parse_tensors(payload_in, count, module);
-  if (version == kVersionQuant) {
-    std::uint32_t ranges = 0;
-    payload_in.read(reinterpret_cast<char*>(&ranges), sizeof(ranges));
-    if (!payload_in) {
-      throw std::runtime_error(
-          "load_parameters: v3 checkpoint missing its calibration section");
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    if (!values[i].same_shape(*params[i].value)) {
+      throw std::runtime_error("load_parameters: shape mismatch for " + params[i].name);
     }
-    std::vector<float> stored(ranges);
-    payload_in.read(reinterpret_cast<char*>(stored.data()),
-                    static_cast<std::streamsize>(ranges * sizeof(float)));
-    if (!payload_in) {
-      throw std::runtime_error(
-          "load_parameters: truncated calibration section");
-    }
-    if (calibration != nullptr) *calibration = std::move(stored);
   }
-}
-
-void save_checkpoint(const std::string& path, Module& module) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw std::runtime_error("save_checkpoint: cannot open " + path);
-  save_parameters(out, module);
-}
-
-void load_checkpoint(const std::string& path, Module& module) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("load_checkpoint: cannot open " + path);
-  load_parameters(in, module);
+  std::vector<float> ranges;
+  if (framed.version == kVersionQuant) {
+    const auto n = read_pod<std::uint32_t>(payload);
+    for (std::uint32_t i = 0; i < n; ++i) ranges.push_back(read_pod<float>(payload));
+  }
+  util::expect_end(payload);
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    *params[i].value = std::move(values[i]);
+  }
+  if (calibration != nullptr) *calibration = std::move(ranges);
 }
 
 void save_checkpoint(const std::string& path, Module& module,
                      const std::vector<float>& calibration) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw std::runtime_error("save_checkpoint: cannot open " + path);
-  save_parameters(out, module, calibration);
+  util::write_atomic(path, encode(module, calibration));
 }
 
 void load_checkpoint(const std::string& path, Module& module,

@@ -4,6 +4,16 @@
 // declaration order. The architecture itself is rebuilt by the caller (the
 // checkpoint stores values, not structure), matching the common
 // "state_dict"-style workflow.
+//
+// "PPNN" files use the shared envelope of util/framed_file.hpp:
+//   magic "PPNN" | u32 version | u64 payload_len | u32 crc32(payload) | payload
+//   v2 payload: u32 tensor_count | tensors (tensor format)
+//   v3 payload: v2 payload | u32 range_count | range_count f32 ranges
+// v3 is written only for a non-empty `calibration`: the int8 activation
+// ranges of ForwardPlan::calibration(), so a quantized rollout can start
+// without an fp32 calibration pass. Loading accepts v2 and v3 (anything else,
+// or a payload that does not match its version, throws util::FormatError)
+// and fills `calibration`, if non-null, with the stored ranges.
 
 #include <istream>
 #include <ostream>
@@ -14,27 +24,15 @@
 
 namespace parpde::nn {
 
-void save_parameters(std::ostream& out, Module& module);
-void load_parameters(std::istream& in, Module& module);
-
-// With a non-empty `calibration` (one activation max-abs range per conv
-// layer, the quantity ForwardPlan::calibration() records and the int8
-// backend turns into fixed input scales) the file gains a v3 trailer after
-// the weight tensors, so a quantized rollout can start without re-running
-// the fp32 calibration pass. An empty vector writes the plain v2 format —
-// older readers keep working on checkpoints that carry no quantization
-// state. On load, `calibration` (if non-null) receives the stored ranges,
-// or is cleared when the file predates v3 / carries none.
 void save_parameters(std::ostream& out, Module& module,
-                     const std::vector<float>& calibration);
+                     const std::vector<float>& calibration = {});
 void load_parameters(std::istream& in, Module& module,
-                     std::vector<float>* calibration);
+                     std::vector<float>* calibration = nullptr);
 
-void save_checkpoint(const std::string& path, Module& module);
-void load_checkpoint(const std::string& path, Module& module);
+// Whole-file forms; saving replaces `path` atomically (util::write_atomic).
 void save_checkpoint(const std::string& path, Module& module,
-                     const std::vector<float>& calibration);
+                     const std::vector<float>& calibration = {});
 void load_checkpoint(const std::string& path, Module& module,
-                     std::vector<float>* calibration);
+                     std::vector<float>* calibration = nullptr);
 
 }  // namespace parpde::nn

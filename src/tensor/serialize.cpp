@@ -1,34 +1,29 @@
 #include "tensor/serialize.hpp"
 
+#include <array>
 #include <cstdint>
-#include <cstring>
 #include <fstream>
-#include <stdexcept>
+#include <limits>
+
+#include "util/framed_file.hpp"
 
 namespace parpde {
 
 namespace {
 
-constexpr char kMagic[4] = {'P', 'P', 'D', 'T'};
+using util::FormatError;
+using util::read_pod;
+using util::write_pod;
+
+constexpr std::array<char, 4> kMagic = {'P', 'P', 'D', 'T'};
 constexpr std::uint32_t kVersion = 1;
-
-template <typename T>
-void write_pod(std::ostream& out, const T& value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-T read_pod(std::istream& in) {
-  T value{};
-  in.read(reinterpret_cast<char*>(&value), sizeof(T));
-  if (!in) throw std::runtime_error("read_tensor: truncated stream");
-  return value;
-}
+constexpr std::int64_t kMaxElements =
+    std::numeric_limits<std::int64_t>::max() / sizeof(float);
 
 }  // namespace
 
 void write_tensor(std::ostream& out, const Tensor& t) {
-  out.write(kMagic, sizeof(kMagic));
+  write_pod(out, kMagic);
   write_pod(out, kVersion);
   write_pod(out, static_cast<std::uint32_t>(t.ndim()));
   for (int i = 0; i < t.ndim(); ++i) write_pod(out, t.dim(i));
@@ -38,22 +33,48 @@ void write_tensor(std::ostream& out, const Tensor& t) {
 }
 
 Tensor read_tensor(std::istream& in) {
-  char magic[4];
-  in.read(magic, sizeof(magic));
-  if (!in || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    throw std::runtime_error("read_tensor: bad magic");
+  if (read_pod<std::array<char, 4>>(in) != kMagic) {
+    throw FormatError("read_tensor: bad magic");
   }
   const auto version = read_pod<std::uint32_t>(in);
-  if (version != kVersion) throw std::runtime_error("read_tensor: bad version");
+  if (version != kVersion) throw FormatError("read_tensor: bad version");
   const auto ndim = read_pod<std::uint32_t>(in);
-  if (ndim > 8) throw std::runtime_error("read_tensor: implausible rank");
+  if (ndim > 8) throw FormatError("read_tensor: implausible rank");
+  // Validate the shape against the bytes actually left before allocating
+  // for it: a corrupt extent must fail here, not as a huge allocation.
   Shape shape(ndim);
-  for (auto& d : shape) d = read_pod<std::int64_t>(in);
-  Tensor t(shape);
+  std::int64_t count = 1;
+  for (auto& d : shape) {
+    d = read_pod<std::int64_t>(in);
+    if (d < 0 || (d > 0 && count > kMaxElements / d)) {
+      throw FormatError("read_tensor: implausible shape");
+    }
+    count *= d;
+  }
+  const auto bytes = static_cast<std::uint64_t>(count) * sizeof(float);
+  const auto left = util::remaining_bytes(in);
+  if (left && bytes > *left) {
+    throw FormatError("read_tensor: truncated data for shape " +
+                      shape_to_string(shape));
+  }
+  Tensor t(std::move(shape));
   in.read(reinterpret_cast<char*>(t.data()),
-          static_cast<std::streamsize>(t.size() * sizeof(float)));
-  if (!in) throw std::runtime_error("read_tensor: truncated data");
+          static_cast<std::streamsize>(bytes));
+  if (!in) throw FormatError("read_tensor: truncated data");
   return t;
+}
+
+void write_tensors(std::ostream& out, std::span<const Tensor> tensors) {
+  write_pod(out, static_cast<std::uint32_t>(tensors.size()));
+  for (const auto& t : tensors) write_tensor(out, t);
+}
+
+std::vector<Tensor> read_tensors(std::istream& in, std::uint32_t max_count) {
+  const auto count = read_pod<std::uint32_t>(in);
+  if (count > max_count) throw FormatError("read_tensors: implausible count");
+  std::vector<Tensor> tensors;
+  for (std::uint32_t i = 0; i < count; ++i) tensors.push_back(read_tensor(in));
+  return tensors;
 }
 
 void save_tensor(const std::string& path, const Tensor& t) {

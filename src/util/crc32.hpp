@@ -2,7 +2,7 @@
 
 // CRC-32 (IEEE 802.3, polynomial 0xEDB88320, the zlib/PNG variant): the
 // integrity check used by the message-corruption detector (minimpi/fault) and
-// the length+CRC framing of model and training checkpoints. Table-driven,
+// the checkpoint envelope (util/framed_file.hpp). Table-driven,
 // no dependencies; ~0.5 GB/s, fast enough for checkpoint-sized payloads.
 
 #include <cstddef>
@@ -14,18 +14,5 @@ namespace parpde::util {
 // crc32(b, nb, crc32(a, na)) == crc of a||b.
 [[nodiscard]] std::uint32_t crc32(const void* data, std::size_t size,
                                   std::uint32_t seed = 0) noexcept;
-
-// Incremental accumulator for streamed payloads.
-class Crc32 {
- public:
-  void update(const void* data, std::size_t size) noexcept {
-    value_ = crc32(data, size, value_);
-  }
-  [[nodiscard]] std::uint32_t value() const noexcept { return value_; }
-  void reset() noexcept { value_ = 0; }
-
- private:
-  std::uint32_t value_ = 0;
-};
 
 }  // namespace parpde::util
