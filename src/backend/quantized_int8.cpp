@@ -26,7 +26,7 @@
 //     s_x = max_abs * headroom / 127 from a one-time fp32 calibration pass.
 //     A fixed scale (never derived from the tile at hand) is what makes the
 //     overlapped engine's interior/rim sub-tile evaluation bit-identical to
-//     the serialized full-tile pass.
+//     a full-tile pass.
 //   - Accumulation: int32, exact. The zero-point correction
 //     corr[c] = 128 * sum_p qw[c][p] is folded in by the epilogue:
 //     y = (float)(acc - corr[c]) * (s_x * s_w[c]) + bias[c], then the fused
@@ -226,7 +226,7 @@ thread_local util::AlignedVector<std::int32_t> t_qacc;
 // the same cvt instruction (_mm_cvtss_si32) and mimics the packed path's
 // wrap-then-saturate, so an element quantizes to the same byte no matter
 // where the vector/tail boundary falls — the boundary shifts between the
-// overlapped engine's interior/rim sub-tiles and the serialized full tile.
+// overlapped engine's interior/rim sub-tiles and a full tile.
 void quantize_u8(const float* x, std::int64_t n, float inv_sx,
                  std::uint8_t* q) {
   // Health monitor: values the uint8 clamp actually clipped. Counted per

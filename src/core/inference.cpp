@@ -1,7 +1,6 @@
 #include "core/inference.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <deque>
 #include <optional>
 #include <stdexcept>
@@ -13,6 +12,7 @@
 #include "minimpi/collectives.hpp"
 #include "minimpi/environment.hpp"
 #include "nn/forward_plan.hpp"
+#include "nn/sequential.hpp"
 #include "tensor/ops.hpp"
 #include "util/telemetry.hpp"
 #include "util/thread_pool.hpp"
@@ -21,65 +21,6 @@
 namespace parpde::core {
 
 namespace {
-
-// Copies a dense [c, sh, sw] plane block into the (y0, x0) window of a
-// [c, h, w] tensor.
-void insert_window(Tensor& dst, std::int64_t y0, std::int64_t x0,
-                   const float* src, std::int64_t c, std::int64_t sh,
-                   std::int64_t sw) {
-  const auto h = dst.dim(1), w = dst.dim(2);
-  for (std::int64_t ic = 0; ic < c; ++ic) {
-    for (std::int64_t y = 0; y < sh; ++y) {
-      float* d = dst.data() + (ic * h + y0 + y) * w + x0;
-      std::copy(src, src + sw, d);
-      src += sw;
-    }
-  }
-}
-
-// Copies the (y0, x0) window of extent [rows, cols] out of a [c, h, w]
-// tensor into a dense staging tensor (resized on first use, reused after).
-void extract_window(const Tensor& src, std::int64_t y0, std::int64_t rows,
-                    std::int64_t x0, std::int64_t cols, Tensor& out,
-                    std::uint64_t* growths) {
-  const auto c = src.dim(0), h = src.dim(1), w = src.dim(2);
-  if (out.ndim() != 3 || out.dim(0) != c || out.dim(1) != rows ||
-      out.dim(2) != cols) {
-    out = Tensor({c, rows, cols});
-    if (growths != nullptr) ++*growths;
-  }
-  float* d = out.data();
-  for (std::int64_t ic = 0; ic < c; ++ic) {
-    for (std::int64_t y = 0; y < rows; ++y) {
-      const float* s = src.data() + (ic * h + y0 + y) * w + x0;
-      std::copy(s, s + cols, d);
-      d += cols;
-    }
-  }
-}
-
-// Health monitor: counts NaN/Inf floats via the exponent bits (all-ones
-// exponent = non-finite). Branch-free, no library calls, no allocation —
-// cheap enough to scan every rank's step output unconditionally.
-std::uint64_t count_nonfinite(const float* x, std::int64_t n) {
-  std::uint64_t bad = 0;
-  for (std::int64_t i = 0; i < n; ++i) {
-    std::uint32_t bits;
-    std::memcpy(&bits, &x[i], sizeof(bits));
-    bad += static_cast<std::uint64_t>((bits & 0x7f800000u) == 0x7f800000u);
-  }
-  return bad;
-}
-
-// Module-graph forward on a [C, bh, bw] tile (the plan-incompatible
-// fallback): reshapes in place around Sequential::forward, no input copy.
-Tensor module_forward(nn::Sequential& model, Tensor& input) {
-  input.reshape({1, input.dim(0), input.dim(1), input.dim(2)});
-  Tensor out = model.forward(input);
-  input.reshape({input.dim(1), input.dim(2), input.dim(3)});
-  out.reshape({out.dim(1), out.dim(2), out.dim(3)});
-  return out;
-}
 
 // Per-rank state of the deferred (double-buffered) frame recording: rank 0
 // stages a copy of its own interior when a recorded step is produced and
@@ -112,8 +53,8 @@ RolloutResult parallel_rollout(const TrainConfig& config,
                                const RolloutOptions& options) {
   if (options.elastic.enabled) {
     // Elastic runtime: tasks decoupled from ranks, lease-based failure
-    // detection, live adoption of orphaned subdomains. The default engines
-    // below are untouched when the flag is off.
+    // detection, live adoption of orphaned subdomains. The classic engine
+    // below is untouched when the flag is off.
     return elastic::elastic_rollout(config, trained, initial, steps, options);
   }
   if (config.border == BorderMode::kValidInner) {
@@ -132,11 +73,10 @@ RolloutResult parallel_rollout(const TrainConfig& config,
   const std::int64_t halo = config.border == BorderMode::kHaloPad
                                 ? config.network.receptive_halo()
                                 : 0;
-  const bool overlapped = options.engine == RolloutEngine::kOverlapped;
   const backend::KernelBackend* bk =
       options.backend != nullptr ? options.backend : &backend::blocked_f32();
-  // Anything but the reference backend must run through the plan — the
-  // module graph is the fp32 reference path by definition.
+  // Anything but the reference backend must run through the plan: only
+  // fp32 has a module-graph fallback.
   const bool non_reference = bk != &backend::blocked_f32();
 
   // A step is recorded every `record_every` steps, plus always the last one.
@@ -198,8 +138,7 @@ RolloutResult parallel_rollout(const TrainConfig& config,
     // Pre-size everything the steady-state step touches (ISSUE 5 tentpole):
     // the plan's activations + im2col workspaces for the largest geometry it
     // will see (the halo-padded tile), the halo staging, and the assembly
-    // buffers. Only the overlapped engine runs the plan — kSerialized is the
-    // module-graph reference loop.
+    // buffers.
     nn::ForwardPlan plan(*model, c, bh + 2 * halo, bw + 2 * halo, bk);
     if (non_reference && !plan.supported()) {
       throw std::invalid_argument(
@@ -207,35 +146,34 @@ RolloutResult parallel_rollout(const TrainConfig& config,
           " backend requires a plan-compatible model (deconv mode runs fp32 "
           "only)");
     }
-    // The serialized fp32 engine stays the module-graph reference loop; any
-    // other combination evaluates through the plan (and its backend).
-    const bool use_plan = plan.supported() && (overlapped || non_reference);
+    // Plan-incompatible graphs (deconv mode, fp32 only) step through the
+    // module graph instead.
+    const bool use_plan = plan.supported();
     // Interior/rim split needs a non-empty halo-independent interior.
-    const bool split = use_plan && overlapped && halo > 0 && bh > 2 * halo &&
-                       bw > 2 * halo;
+    const bool split = use_plan && halo > 0 && bh > 2 * halo && bw > 2 * halo;
     if (use_plan && plan.needs_calibration()) {
       // int8 activation-scale calibration: one fp32 reference pass over the
       // step-0 input at the geometry the plan will see. The interior sits in
       // a zero-extended halo frame (the physical-boundary treatment), so the
-      // pass is identical under both engines and any thread count.
+      // pass is identical at any thread count.
       if (halo > 0) {
         Tensor calib({c, bh + 2 * halo, bw + 2 * halo});
         calib.fill(0.0f);
-        insert_window(calib, halo, halo, interior.data(), c, bh, bw);
+        domain::copy_window(calib, halo, halo, interior.data(), c, bh, bw);
         plan.calibrate(calib.data(), calib.dim(1), calib.dim(2));
       } else {
         plan.calibrate(interior.data(), bh, bw);
       }
     }
     std::optional<domain::HaloExchange> exchange;
-    if (halo > 0 && overlapped) {
+    if (halo > 0) {
       exchange.emplace(cart, partition, halo, halo_options,
                        &health[static_cast<std::size_t>(rank)]);
     }
     Tensor padded;                    // [c, bh + 2 halo, bw + 2 halo]
     Tensor next({c, bh, bw});         // assembled step output
-    Tensor band_h;                    // horizontal rim staging [c, 3h, bw + 2h]
-    Tensor band_v;                    // vertical rim staging [c, bh, 3h]
+    std::vector<float> band_h;        // horizontal rim staging [c, 3h, bw + 2h]
+    std::vector<float> band_v;        // vertical rim staging [c, bh, 3h]
     std::uint64_t buffer_growths = 0;  // engine-side regrowth events
     DeferredGather gather;
 
@@ -258,19 +196,21 @@ RolloutResult parallel_rollout(const TrainConfig& config,
     // staging the matching halo-extended input band from `padded` and
     // assembling the result into `next`.
     auto run_rim = [&](std::int64_t y0, std::int64_t rows, std::int64_t x0,
-                       std::int64_t cols, Tensor& staging) {
-      extract_window(padded, y0, rows + 2 * halo, x0, cols + 2 * halo,
-                     staging, &buffer_growths);
+                       std::int64_t cols, std::vector<float>& staging) {
+      const std::size_t capacity = staging.capacity();
+      domain::pack_region_into(padded, y0, rows + 2 * halo, x0,
+                               cols + 2 * halo, staging);
+      if (staging.capacity() != capacity) ++buffer_growths;
       const nn::ForwardPlan::Output out =
           plan.run(staging.data(), rows + 2 * halo, cols + 2 * halo);
-      insert_window(next, y0, x0, out.data, out.channels, rows, cols);
+      domain::copy_window(next, y0, x0, out.data, out.channels, rows, cols);
     };
 
     for (int step = 0; step < steps; ++step) {
       telemetry::Span step_span("rollout.step", "rollout");
       util::WallTimer step_timer;
 
-      if (halo > 0 && overlapped) {
+      if (halo > 0) {
         // Sec. III: "extra data points must be received from the neighboring
         // processes" — post this step's border strips immediately, then run
         // the halo-independent compute while they are in flight.
@@ -289,8 +229,8 @@ RolloutResult parallel_rollout(const TrainConfig& config,
                                           mpi::CommPolicy::kForbidden);
             const nn::ForwardPlan::Output out =
                 plan.run(interior.data(), bh, bw);
-            insert_window(next, halo, halo, out.data, out.channels,
-                          bh - 2 * halo, bw - 2 * halo);
+            domain::copy_window(next, halo, halo, out.data, out.channels,
+                                bh - 2 * halo, bw - 2 * halo);
           }
           overlap += overlap_timer.seconds();
           compute_timer.stop();
@@ -313,42 +253,17 @@ RolloutResult parallel_rollout(const TrainConfig& config,
           } else if (use_plan) {
             const nn::ForwardPlan::Output out =
                 plan.run(padded.data(), bh + 2 * halo, bw + 2 * halo);
-            insert_window(next, 0, 0, out.data, out.channels, bh, bw);
+            domain::copy_window(next, 0, 0, out.data, out.channels, bh, bw);
           } else {
-            Tensor out = module_forward(*model, padded);
+            Tensor out = nn::module_forward(*model, padded);
             next = std::move(out);
           }
         }
         compute_timer.stop();
         std::swap(interior, next);
-      } else if (halo > 0) {
-        // Serialized reference: blocking exchange, then the forward.
-        const std::uint64_t sent_before = comm.bytes_sent();
-        const std::uint64_t recv_before = comm.bytes_received();
-        Tensor input = domain::exchange_halo(
-            cart, partition, interior, halo, &comm_timer, halo_options,
-            &health[static_cast<std::size_t>(rank)]);
-        exchange_bytes += comm.bytes_sent() - sent_before;
-        exchange_bytes_recv += comm.bytes_received() - recv_before;
-        compute_timer.start();
-        {
-          telemetry::Span forward_span("rollout.forward", "rollout");
-          mpi::PhaseScope forward_phase(comm, "rollout.forward",
-                                        mpi::CommPolicy::kForbidden);
-          if (use_plan) {
-            const nn::ForwardPlan::Output out =
-                plan.run(input.data(), bh + 2 * halo, bw + 2 * halo);
-            insert_window(next, 0, 0, out.data, out.channels, bh, bw);
-            std::swap(interior, next);
-          } else {
-            interior = module_forward(*model, input);
-          }
-        }
-        compute_timer.stop();
       } else {
         // Zero-pad (or deconv) mode: communication-free step on the bare
-        // interior — no input copy (the halo == 0 copy the serialized loop
-        // used to pay every step).
+        // interior, no input copy.
         compute_timer.start();
         {
           telemetry::Span forward_span("rollout.forward", "rollout");
@@ -356,22 +271,22 @@ RolloutResult parallel_rollout(const TrainConfig& config,
                                         mpi::CommPolicy::kForbidden);
           if (use_plan) {
             const nn::ForwardPlan::Output out = plan.run(interior.data(), bh, bw);
-            insert_window(next, 0, 0, out.data, out.channels, bh, bw);
+            domain::copy_window(next, 0, 0, out.data, out.channels, bh, bw);
             std::swap(interior, next);
           } else {
-            interior = module_forward(*model, interior);
+            interior = nn::module_forward(*model, interior);
           }
         }
         compute_timer.stop();
       }
 
       // Health monitor: scan this step's output for NaN/Inf. `interior`
-      // holds the freshly computed step on every engine path here. One pass
-      // over the rank's own tile, no allocation — the <2% overhead budget is
-      // verified by bench_rollout_latency's health section.
+      // holds the freshly computed step here. One pass over the rank's own
+      // tile, no allocation; its cost sits inside the rollout_64_int8
+      // benchmark workload's step time, which runs with the monitor on.
       if (options.monitor_health) {
         const std::uint64_t bad =
-            count_nonfinite(interior.data(), interior.size());
+            ops::count_nonfinite(interior.data(), interior.size());
         if (bad > 0) {
           nonfinite[static_cast<std::size_t>(rank)] += bad;
           nonfinite_counter.add(bad);
@@ -383,33 +298,26 @@ RolloutResult parallel_rollout(const TrainConfig& config,
 
       // Gather the predicted frame for validation/recording (not part of the
       // scheme's communication cost; a production run keeps fields
-      // distributed — record_every <= 0 skips this entirely). The overlapped
-      // engine defers rank 0's collection by one recorded step so the
-      // non-root strip sends overlap the next step's compute.
+      // distributed — record_every <= 0 skips this entirely). Rank 0's
+      // collection is deferred by one recorded step so the non-root strip
+      // sends overlap the next step's compute.
       if (recorded(step)) {
         telemetry::Span gather_span("rollout.gather", "rollout");
         const std::size_t frame_index = static_cast<std::size_t>(
             std::lower_bound(recorded_steps.begin(), recorded_steps.end(), step) -
             recorded_steps.begin());
-        if (!overlapped) {
-          Tensor full = domain::gather_field(cart, partition, interior);
-          if (rank == 0) {
-            result.frames[frame_index] = std::move(full);
+        domain::gather_field_send(cart, interior);
+        if (rank == 0) {
+          if (gather.pending.size() == 2) {
+            const DeferredGather::Round round = gather.pending.front();
+            gather.pending.pop_front();
+            domain::gather_field_collect(cart, partition,
+                                         gather.stages[round.stage_slot],
+                                         result.frames[round.frame_index]);
           }
-        } else {
-          domain::gather_field_send(cart, interior);
-          if (rank == 0) {
-            if (gather.pending.size() == 2) {
-              const DeferredGather::Round round = gather.pending.front();
-              gather.pending.pop_front();
-              domain::gather_field_collect(cart, partition,
-                                           gather.stages[round.stage_slot],
-                                           result.frames[round.frame_index]);
-            }
-            gather.stages[gather.next_slot] = interior;
-            gather.pending.push_back({frame_index, gather.next_slot});
-            gather.next_slot ^= 1;
-          }
+          gather.stages[gather.next_slot] = interior;
+          gather.pending.push_back({frame_index, gather.next_slot});
+          gather.next_slot ^= 1;
         }
       }
       if (step == 0) {
@@ -524,10 +432,10 @@ Tensor SubdomainEnsemble::predict(const Tensor& frame) const {
           if (plans_[i] != nullptr) {
             const nn::ForwardPlan::Output out = plans_[i]->run(
                 inputs_[i].data(), inputs_[i].dim(1), inputs_[i].dim(2));
-            insert_window(assembled, block.h0, block.w0, out.data,
-                          out.channels, block.height(), block.width());
+            domain::copy_window(assembled, block.h0, block.w0, out.data,
+                                out.channels, block.height(), block.width());
           } else {
-            Tensor out = module_forward(*models_[i], inputs_[i]);
+            Tensor out = nn::module_forward(*models_[i], inputs_[i]);
             domain::insert_interior(assembled, block, out);
           }
         }

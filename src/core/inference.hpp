@@ -22,21 +22,18 @@ class KernelBackend;
 
 namespace parpde::core {
 
-// Which rollout loop parallel_rollout runs.
+// The rollout loop parallel_rollout runs. There is exactly one (the elastic
+// runtime is selected by RolloutOptions::elastic, not by this enum).
 enum class RolloutEngine {
-  // Asynchronous pipeline (the default): border strips are posted the moment
-  // a step's output exists, the halo-independent interior of the next forward
-  // runs while they are in flight, and the rim is finished after the bounded
+  // Asynchronous pipeline: border strips are posted the moment a step's
+  // output exists, the halo-independent interior of the next forward runs
+  // while they are in flight, and the rim is finished after the bounded
   // receives land. All per-layer activations, im2col workspaces and halo
   // staging buffers are pre-sized at rollout start (ForwardPlan), so the
   // steady-state step performs zero heap allocations. Bit-identical to
-  // kSerialized (tests/test_rollout_overlap.cpp).
+  // stepping every subdomain network on halo-extended tiles of the previous
+  // full frame (the oracle in tests/helpers.hpp).
   kOverlapped,
-  // The straight-line reference loop: blocking halo exchange, then the
-  // module-graph forward, then the frame gather — halo latency sits on the
-  // critical path. Kept as the baseline for equivalence tests and the
-  // bench_rollout_latency speedup measurement.
-  kSerialized,
 };
 
 // Elastic runtime knobs (src/elastic/): over-decompose the grid into
@@ -45,7 +42,7 @@ enum class RolloutEngine {
 // adopt the orphaned tasks (deterministic rebalance + rollback to the newest
 // common PPES state snapshot), so a mid-rollout kill ends as a bounded blip
 // instead of a permanently degraded border. Disabled by default — the
-// default engines take the exact same path as before. See
+// classic engine takes the exact same path as before. See
 // docs/robustness.md ("Recovery protocol").
 struct ElasticOptions {
   bool enabled = false;
@@ -73,12 +70,12 @@ struct ElasticOptions {
 struct RolloutOptions {
   domain::HaloOptions halo;
   ElasticOptions elastic;
-  RolloutEngine engine = RolloutEngine::kOverlapped;
+  RolloutEngine engine = RolloutEngine::kOverlapped;  // the only engine
   // Gather the full frame on rank 0 every `record_every`-th step (the final
   // step is always recorded so callers get the end state); <= 0 disables
-  // recording entirely. With the overlapped engine the gather is deferred and
-  // double-buffered: non-root strip sends overlap the next step's compute and
-  // rank 0 collects one recorded step behind.
+  // recording entirely. The gather is deferred and double-buffered: non-root
+  // strip sends overlap the next step's compute and rank 0 collects one
+  // recorded step behind.
   int record_every = 1;
   // Execution provider for the per-step forward passes (see src/backend/):
   // nullptr = the reference fp32 backend. The int8 backend
@@ -89,8 +86,9 @@ struct RolloutOptions {
   const backend::KernelBackend* backend = nullptr;
   // Always-on health monitor (RolloutResult::health): per-step NaN/Inf scan
   // of each rank's output, interface-residual probes at subdomain seams, and
-  // int8 saturation accounting. Zero allocations and <2% step overhead
-  // (measured in bench_rollout_latency); off only for overhead benchmarking.
+  // int8 saturation accounting. Zero allocations; its per-step cost is part
+  // of the rollout_64_int8 benchmark workload's step time, which runs with
+  // the monitor on (perfbench/README.md).
   bool monitor_health = true;
 };
 
@@ -158,10 +156,10 @@ struct RolloutResult {
   // and fell back to the zero-padding treatment (docs/robustness.md). Zero /
   // empty on a healthy run.
   int degraded_borders = 0;
-  std::vector<std::string> degraded_detail;  // e.g. "rank 2: E,N"
+  std::vector<std::string> degraded_detail;  // e.g. "rank 2: e,n"
   // Max over ranks of the forward time that ran while that rank's halo strips
-  // were in flight (0 for the serialized engine): the hidden-latency window
-  // the overlap design section of docs/performance.md measures.
+  // were in flight: the hidden-latency window the overlap design section of
+  // docs/performance.md describes.
   double overlap_seconds = 0.0;
   // Total buffer regrowths after the first step, summed over ranks (plan
   // activations, im2col workspaces, halo staging). 0 means the steady-state
@@ -187,7 +185,8 @@ RolloutResult parallel_rollout(const TrainConfig& config,
                                const Tensor& initial, int steps,
                                const RolloutOptions& options);
 
-// Compatibility overload: overlapped engine, every step recorded.
+// Compatibility overload: default options (every step recorded) with the
+// given halo patience.
 RolloutResult parallel_rollout(const TrainConfig& config,
                                const ParallelTrainReport& trained,
                                const Tensor& initial, int steps,
@@ -200,7 +199,8 @@ std::vector<Tensor> sequential_rollout(NetworkTrainer& trainer,
 // Rebuilds one standalone network from a config plus exported parameter
 // values (the build_model + import_parameters idiom every inference consumer
 // kept re-rolling). The serving layer (serve::SurrogateServer), the CLI
-// `serve` command and bench_serving all load session models through this.
+// `serve` command and the serve_64_int8 benchmark workload all load session
+// models through this.
 [[nodiscard]] std::unique_ptr<nn::Sequential> rebuild_model(
     const TrainConfig& config, const std::vector<Tensor>& parameters);
 

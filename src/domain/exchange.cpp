@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "domain/halo.hpp"
 #include "minimpi/tags.hpp"
 #include "util/log.hpp"
 #include "util/telemetry.hpp"
@@ -23,59 +24,6 @@ constexpr int travel_tag(mpi::Direction d) {
 // opposite direction (our east halo is the neighbour's west-travelling strip).
 int arrival_tag(mpi::Direction side) {
   return travel_tag(mpi::opposite(side));
-}
-
-// Copies the [y0, y0+hh) x [x0, x0+ww) window of a [C, h, w] tensor into a
-// packed strip buffer (length C * hh * ww), reusing its capacity.
-void pack_region_into(const Tensor& t, std::int64_t y0, std::int64_t hh,
-                      std::int64_t x0, std::int64_t ww,
-                      std::vector<float>& out) {
-  const auto c = t.dim(0), h = t.dim(1), w = t.dim(2);
-  out.resize(static_cast<std::size_t>(c * hh * ww));
-  float* dst = out.data();
-  for (std::int64_t ic = 0; ic < c; ++ic) {
-    for (std::int64_t y = 0; y < hh; ++y) {
-      const float* src = t.data() + (ic * h + y0 + y) * w + x0;
-      std::copy(src, src + ww, dst);
-      dst += ww;
-    }
-  }
-}
-
-std::vector<float> pack_region(const Tensor& t, std::int64_t y0, std::int64_t hh,
-                               std::int64_t x0, std::int64_t ww) {
-  std::vector<float> out;
-  pack_region_into(t, y0, hh, x0, ww, out);
-  return out;
-}
-
-// Inverse of pack_region.
-void unpack_region(Tensor& t, std::int64_t y0, std::int64_t hh, std::int64_t x0,
-                   std::int64_t ww, const std::vector<float>& strip) {
-  const auto c = t.dim(0), h = t.dim(1), w = t.dim(2);
-  if (strip.size() != static_cast<std::size_t>(c * hh * ww)) {
-    throw std::runtime_error("halo exchange: strip size mismatch");
-  }
-  const float* src = strip.data();
-  for (std::int64_t ic = 0; ic < c; ++ic) {
-    for (std::int64_t y = 0; y < hh; ++y) {
-      float* dst = t.data() + (ic * h + y0 + y) * w + x0;
-      std::copy(src, src + ww, dst);
-      src += ww;
-    }
-  }
-}
-
-// Zeroes the [y0, y0+hh) x [x0, x0+ww) window of a [C, h, w] tensor.
-void zero_region(Tensor& t, std::int64_t y0, std::int64_t hh, std::int64_t x0,
-                 std::int64_t ww) {
-  const auto c = t.dim(0), h = t.dim(1), w = t.dim(2);
-  for (std::int64_t ic = 0; ic < c; ++ic) {
-    for (std::int64_t y = 0; y < hh; ++y) {
-      float* dst = t.data() + (ic * h + y0 + y) * w + x0;
-      std::fill(dst, dst + ww, 0.0f);
-    }
-  }
 }
 
 // Interface-residual probes for the health monitor: mean absolute difference
@@ -111,20 +59,6 @@ double col_residual(const Tensor& t, std::int64_t xa, std::int64_t xb) {
     }
   }
   return sum / static_cast<double>(c * h);
-}
-
-// Copies all of `src` ([C, sh, sw]) into `dst` ([C, h, w]) at (y0, x0).
-void copy_window(Tensor& dst, std::int64_t y0, std::int64_t x0,
-                 const Tensor& src) {
-  const auto c = src.dim(0), sh = src.dim(1), sw = src.dim(2);
-  const auto h = dst.dim(1), w = dst.dim(2);
-  for (std::int64_t ic = 0; ic < c; ++ic) {
-    for (std::int64_t y = 0; y < sh; ++y) {
-      const float* s = src.data() + (ic * sh + y) * sw;
-      float* d = dst.data() + (ic * h + y0 + y) * w + x0;
-      std::copy(s, s + sw, d);
-    }
-  }
 }
 
 }  // namespace
@@ -322,7 +256,7 @@ void HaloExchange::finish(const Tensor& interior, Tensor& padded,
       ext_x_.dim(2) != bw + 2 * halo_) {
     ext_x_ = Tensor({c, bh, bw + 2 * halo_});
   }
-  copy_window(ext_x_, 0, halo_, interior);
+  copy_window(ext_x_, 0, halo_, interior.data(), c, bh, bw);
   zero_region(ext_x_, 0, bh, 0, halo_);
   zero_region(ext_x_, 0, bh, halo_ + bw, halo_);
   // Health monitor: gauge the seam mismatch of each received strip (innermost
@@ -353,7 +287,7 @@ void HaloExchange::finish(const Tensor& interior, Tensor& padded,
       padded.dim(1) != bh + 2 * halo_ || padded.dim(2) != bw + 2 * halo_) {
     padded = Tensor({c, bh + 2 * halo_, bw + 2 * halo_});
   }
-  copy_window(padded, halo_, 0, ext_x_);
+  copy_window(padded, halo_, 0, ext_x_.data(), c, bh, bw + 2 * halo_);
   zero_region(padded, 0, halo_, 0, bw + 2 * halo_);
   zero_region(padded, halo_ + bh, halo_, 0, bw + 2 * halo_);
 
@@ -428,20 +362,9 @@ void gather_field_collect(mpi::CartComm& cart, const Partition& partition,
     full = Tensor({c, partition.grid_h(), partition.grid_w()});
   }
   // Rank 0's own block.
-  {
-    const BlockRange block = partition.block_of_rank(0);
-    float* base = full.data();
-    const float* src = root_interior.data();
-    for (std::int64_t ic = 0; ic < c; ++ic) {
-      for (std::int64_t y = 0; y < block.height(); ++y) {
-        float* dst = base + (ic * partition.grid_h() + block.h0 + y) *
-                                partition.grid_w() +
-                     block.w0;
-        std::copy(src, src + block.width(), dst);
-        src += block.width();
-      }
-    }
-  }
+  const BlockRange root = partition.block_of_rank(0);
+  copy_window(full, root.h0, root.w0, root_interior.data(), c, root.height(),
+              root.width());
   for (int r = 1; r < comm.size(); ++r) {
     const auto strip = comm.recv<float>(r, mpi::tags::kFieldGather.base);
     const BlockRange block = partition.block_of_rank(r);
@@ -449,16 +372,8 @@ void gather_field_collect(mpi::CartComm& cart, const Partition& partition,
         static_cast<std::size_t>(c * block.height() * block.width())) {
       throw std::runtime_error("gather_field: block size mismatch");
     }
-    const float* src = strip.data();
-    for (std::int64_t ic = 0; ic < c; ++ic) {
-      for (std::int64_t y = 0; y < block.height(); ++y) {
-        float* dst = full.data() + (ic * partition.grid_h() + block.h0 + y) *
-                                       partition.grid_w() +
-                     block.w0;
-        std::copy(src, src + block.width(), dst);
-        src += block.width();
-      }
-    }
+    copy_window(full, block.h0, block.w0, strip.data(), c, block.height(),
+                block.width());
   }
 }
 
@@ -471,18 +386,14 @@ Tensor scatter_field(mpi::CartComm& cart, const Partition& partition,
         full.dim(2) != partition.grid_w()) {
       throw std::invalid_argument("scatter_field: bad full field shape");
     }
-    const auto c = full.dim(0);
+    std::vector<float> strip;
     for (int r = 1; r < comm.size(); ++r) {
       const BlockRange block = partition.block_of_rank(r);
-      comm.send<float>(r, mpi::tags::kFieldScatter.base,
-                       pack_region(full, block.h0, block.height(), block.w0,
-                                   block.width()));
+      pack_region_into(full, block.h0, block.height(), block.w0, block.width(),
+                       strip);
+      comm.send<float>(r, mpi::tags::kFieldScatter.base, strip);
     }
-    Tensor mine_t({c, mine.height(), mine.width()});
-    unpack_region(mine_t, 0, mine.height(), 0, mine.width(),
-                  pack_region(full, mine.h0, mine.height(), mine.w0,
-                              mine.width()));
-    return mine_t;
+    return extract_interior(full, mine);
   }
   const auto strip = comm.recv<float>(0, mpi::tags::kFieldScatter.base);
   const std::int64_t c =

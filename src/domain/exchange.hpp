@@ -107,10 +107,10 @@ class BorderHealth {
 // send/receive the x-extended S/N strips so diagonal corners are correct)
 // and writes the [C, bh + 2 halo, bw + 2 halo] result into `padded` (resized
 // on first use, reused afterwards — the steady state allocates nothing
-// beyond the minimpi mailbox copies). The message sequence per neighbour
-// channel is identical to the serialized exchange_halo below, so seeded
-// fault injection draws the same faults on either path and degradation
-// outcomes are bit-reproducible across engines.
+// beyond the minimpi mailbox copies). exchange_halo below is begin() +
+// finish() back to back, so both send the same message sequence per
+// neighbour channel: seeded fault injection draws the same faults on either
+// and degradation outcomes are bit-reproducible.
 //
 // Receive semantics match exchange_halo: bounded by `options`, CRC-checked,
 // degrading the border into `health` (or throwing when health is null).

@@ -65,16 +65,58 @@ void insert_interior(Tensor& frame, const BlockRange& block,
       interior.dim(1) != block.height() || interior.dim(2) != block.width()) {
     throw std::invalid_argument("insert_interior: interior shape mismatch");
   }
-  const auto c = frame.dim(0), h = frame.dim(1), w = frame.dim(2);
-  if (block.h0 < 0 || block.h1 > h || block.w0 < 0 || block.w1 > w) {
+  if (block.h0 < 0 || block.h1 > frame.dim(1) || block.w0 < 0 ||
+      block.w1 > frame.dim(2)) {
     throw std::invalid_argument("insert_interior: block out of range");
   }
-  const auto bh = block.height(), bw = block.width();
+  copy_window(frame, block.h0, block.w0, interior.data(), interior.dim(0),
+              block.height(), block.width());
+}
+
+void pack_region_into(const Tensor& t, std::int64_t y0, std::int64_t hh,
+                      std::int64_t x0, std::int64_t ww,
+                      std::vector<float>& out) {
+  const auto c = t.dim(0), h = t.dim(1), w = t.dim(2);
+  out.resize(static_cast<std::size_t>(c * hh * ww));
+  float* dst = out.data();
   for (std::int64_t ic = 0; ic < c; ++ic) {
-    for (std::int64_t y = 0; y < bh; ++y) {
-      const float* src = interior.data() + (ic * bh + y) * bw;
-      float* dst = frame.data() + (ic * h + block.h0 + y) * w + block.w0;
-      std::copy(src, src + bw, dst);
+    for (std::int64_t y = 0; y < hh; ++y) {
+      const float* src = t.data() + (ic * h + y0 + y) * w + x0;
+      std::copy(src, src + ww, dst);
+      dst += ww;
+    }
+  }
+}
+
+void unpack_region(Tensor& t, std::int64_t y0, std::int64_t hh, std::int64_t x0,
+                   std::int64_t ww, const std::vector<float>& strip) {
+  const auto c = t.dim(0);
+  if (strip.size() != static_cast<std::size_t>(c * hh * ww)) {
+    throw std::runtime_error("unpack_region: strip size mismatch");
+  }
+  copy_window(t, y0, x0, strip.data(), c, hh, ww);
+}
+
+void zero_region(Tensor& t, std::int64_t y0, std::int64_t hh, std::int64_t x0,
+                 std::int64_t ww) {
+  const auto c = t.dim(0), h = t.dim(1), w = t.dim(2);
+  for (std::int64_t ic = 0; ic < c; ++ic) {
+    for (std::int64_t y = 0; y < hh; ++y) {
+      float* dst = t.data() + (ic * h + y0 + y) * w + x0;
+      std::fill(dst, dst + ww, 0.0f);
+    }
+  }
+}
+
+void copy_window(Tensor& dst, std::int64_t y0, std::int64_t x0,
+                 const float* src, std::int64_t c, std::int64_t sh,
+                 std::int64_t sw) {
+  const auto h = dst.dim(1), w = dst.dim(2);
+  for (std::int64_t ic = 0; ic < c; ++ic) {
+    for (std::int64_t y = 0; y < sh; ++y) {
+      float* d = dst.data() + (ic * h + y0 + y) * w + x0;
+      std::copy(src, src + sw, d);
+      src += sw;
     }
   }
 }

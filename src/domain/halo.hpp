@@ -6,6 +6,8 @@
 // neighbouring subdomains ("input data for neighboring processes are
 // overlapping"), while the target stays the bare interior.
 
+#include <vector>
+
 #include "domain/partition.hpp"
 #include "tensor/tensor.hpp"
 
@@ -28,5 +30,31 @@ void extract_with_halo_into(const Tensor& frame, const BlockRange& block,
 
 // Inserts a [C, bh, bw] interior tensor into a global [C, H, W] frame.
 void insert_interior(Tensor& frame, const BlockRange& block, const Tensor& interior);
+
+// Window plumbing on [C, h, w] tensors, shared by the halo exchange, the
+// rollout engines and the frame gather. A window is the rows [y0, y0 + hh)
+// and columns [x0, x0 + ww) of every channel. None of these allocate once
+// the destination has its size, so steady-state steps stay allocation-free.
+
+// Copies the window into a packed strip (length C * hh * ww), reusing the
+// capacity of `out`.
+void pack_region_into(const Tensor& t, std::int64_t y0, std::int64_t hh,
+                      std::int64_t x0, std::int64_t ww,
+                      std::vector<float>& out);
+
+// Inverse of pack_region_into; throws std::runtime_error when the strip
+// length does not match the window.
+void unpack_region(Tensor& t, std::int64_t y0, std::int64_t hh, std::int64_t x0,
+                   std::int64_t ww, const std::vector<float>& strip);
+
+// Zeroes the window.
+void zero_region(Tensor& t, std::int64_t y0, std::int64_t hh, std::int64_t x0,
+                 std::int64_t ww);
+
+// Copies a dense [c, sh, sw] block (e.g. a ForwardPlan output) into the
+// window of `dst` whose top-left corner is (y0, x0).
+void copy_window(Tensor& dst, std::int64_t y0, std::int64_t x0,
+                 const float* src, std::int64_t c, std::int64_t sh,
+                 std::int64_t sw);
 
 }  // namespace parpde::domain

@@ -4,7 +4,6 @@
 #include <array>
 #include <chrono>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -21,6 +20,8 @@
 #include "minimpi/fault.hpp"
 #include "minimpi/tags.hpp"
 #include "nn/forward_plan.hpp"
+#include "nn/sequential.hpp"
+#include "tensor/ops.hpp"
 #include "util/log.hpp"
 #include "util/random.hpp"
 #include "util/telemetry.hpp"
@@ -53,82 +54,6 @@ int neighbor_task(int cx, int cy, Direction d, int px, int py) {
 // tasks' channels without collisions.
 int strip_tag(int task, Direction travel) {
   return mpi::tags::elastic_halo_tag(task, static_cast<int>(travel));
-}
-
-// Packed-window plumbing (same layouts as domain/exchange.cpp, kept local so
-// the elastic engine has no private-header dependency on it).
-void pack_window(const Tensor& t, std::int64_t y0, std::int64_t hh,
-                 std::int64_t x0, std::int64_t ww, std::vector<float>& out) {
-  const auto c = t.dim(0), h = t.dim(1), w = t.dim(2);
-  out.resize(static_cast<std::size_t>(c * hh * ww));
-  float* dst = out.data();
-  for (std::int64_t ic = 0; ic < c; ++ic) {
-    for (std::int64_t y = 0; y < hh; ++y) {
-      const float* src = t.data() + (ic * h + y0 + y) * w + x0;
-      std::copy(src, src + ww, dst);
-      dst += ww;
-    }
-  }
-}
-
-void unpack_window(Tensor& t, std::int64_t y0, std::int64_t hh, std::int64_t x0,
-                   std::int64_t ww, const std::vector<float>& strip) {
-  const auto c = t.dim(0), h = t.dim(1), w = t.dim(2);
-  if (strip.size() != static_cast<std::size_t>(c * hh * ww)) {
-    throw std::runtime_error("elastic rollout: strip size mismatch");
-  }
-  const float* src = strip.data();
-  for (std::int64_t ic = 0; ic < c; ++ic) {
-    for (std::int64_t y = 0; y < hh; ++y) {
-      float* dst = t.data() + (ic * h + y0 + y) * w + x0;
-      std::copy(src, src + ww, dst);
-      src += ww;
-    }
-  }
-}
-
-void zero_window(Tensor& t, std::int64_t y0, std::int64_t hh, std::int64_t x0,
-                 std::int64_t ww) {
-  const auto c = t.dim(0), h = t.dim(1), w = t.dim(2);
-  for (std::int64_t ic = 0; ic < c; ++ic) {
-    for (std::int64_t y = 0; y < hh; ++y) {
-      float* dst = t.data() + (ic * h + y0 + y) * w + x0;
-      std::fill(dst, dst + ww, 0.0f);
-    }
-  }
-}
-
-// Copies a dense [c, sh, sw] plane block into the (y0, x0) window of dst.
-void insert_plane(Tensor& dst, std::int64_t y0, std::int64_t x0,
-                  const float* src, std::int64_t c, std::int64_t sh,
-                  std::int64_t sw) {
-  const auto h = dst.dim(1), w = dst.dim(2);
-  for (std::int64_t ic = 0; ic < c; ++ic) {
-    for (std::int64_t y = 0; y < sh; ++y) {
-      float* d = dst.data() + (ic * h + y0 + y) * w + x0;
-      std::copy(src, src + sw, d);
-      src += sw;
-    }
-  }
-}
-
-std::uint64_t count_nonfinite(const float* x, std::int64_t n) {
-  std::uint64_t bad = 0;
-  for (std::int64_t i = 0; i < n; ++i) {
-    std::uint32_t bits;
-    std::memcpy(&bits, &x[i], sizeof(bits));
-    bad += static_cast<std::uint64_t>((bits & 0x7f800000u) == 0x7f800000u);
-  }
-  return bad;
-}
-
-// Module-graph fallback for plan-incompatible models (deconv mode).
-Tensor module_forward(nn::Sequential& model, Tensor& input) {
-  input.reshape({1, input.dim(0), input.dim(1), input.dim(2)});
-  Tensor out = model.forward(input);
-  input.reshape({input.dim(1), input.dim(2), input.dim(3)});
-  out.reshape({out.dim(1), out.dim(2), out.dim(3)});
-  return out;
 }
 
 // One subdomain task hosted on this rank: its model + pre-sized plan, its
@@ -323,7 +248,8 @@ core::RolloutResult elastic_rollout(const core::TrainConfig& config,
         if (halo > 0) {
           Tensor calib({chans, bh + 2 * halo, bw + 2 * halo});
           calib.fill(0.0f);
-          insert_plane(calib, halo, halo, ts.interior.data(), chans, bh, bw);
+          domain::copy_window(calib, halo, halo, ts.interior.data(), chans, bh,
+                              bw);
           ts.plan->calibrate(calib.data(), calib.dim(1), calib.dim(2));
         } else {
           ts.plan->calibrate(ts.interior.data(), bh, bw);
@@ -452,9 +378,11 @@ core::RolloutResult elastic_rollout(const core::TrainConfig& config,
           const int dest = assign.owner(nt);
           if (!live[static_cast<std::size_t>(dest)] || dest == rank) continue;
           if (d == Direction::kWest) {
-            pack_window(ts.interior, 0, bh, 0, halo, ts.send_strip);
+            domain::pack_region_into(ts.interior, 0, bh, 0, halo,
+                                     ts.send_strip);
           } else {
-            pack_window(ts.interior, 0, bh, bw - halo, halo, ts.send_strip);
+            domain::pack_region_into(ts.interior, 0, bh, bw - halo, halo,
+                                     ts.send_strip);
           }
           comm.send<float>(dest, strip_tag(nt, d), ts.send_strip);
         }
@@ -469,9 +397,10 @@ core::RolloutResult elastic_rollout(const core::TrainConfig& config,
           ts.ext_x = Tensor({chans, bh, bw + 2 * halo});
           ++buffer_growths;
         }
-        insert_plane(ts.ext_x, 0, halo, ts.interior.data(), chans, bh, bw);
-        zero_window(ts.ext_x, 0, bh, 0, halo);
-        zero_window(ts.ext_x, 0, bh, halo + bw, halo);
+        domain::copy_window(ts.ext_x, 0, halo, ts.interior.data(), chans, bh,
+                            bw);
+        domain::zero_region(ts.ext_x, 0, bh, 0, halo);
+        domain::zero_region(ts.ext_x, 0, bh, halo + bw, halo);
         for (const Direction side : {Direction::kEast, Direction::kWest}) {
           const int nt = neighbor_task(ts.cx, ts.cy, side, px, py);
           if (nt < 0) continue;
@@ -483,18 +412,20 @@ core::RolloutResult elastic_rollout(const core::TrainConfig& config,
             // Our east halo is the east neighbour's west strip (and vice
             // versa) — copy it straight out of the co-resident task.
             if (side == Direction::kEast) {
-              pack_window(nb.interior, 0, bh, 0, halo, ts.recv_strip);
+              domain::pack_region_into(nb.interior, 0, bh, 0, halo,
+                                       ts.recv_strip);
             } else {
-              pack_window(nb.interior, 0, bh, nb_bw - halo, halo,
-                          ts.recv_strip);
+              domain::pack_region_into(nb.interior, 0, bh, nb_bw - halo, halo,
+                                       ts.recv_strip);
             }
           } else {
             strip_recv(src, strip_tag(t, opposite(side)), ts.recv_strip, step);
           }
           if (side == Direction::kEast) {
-            unpack_window(ts.ext_x, 0, bh, halo + bw, halo, ts.recv_strip);
+            domain::unpack_region(ts.ext_x, 0, bh, halo + bw, halo,
+                                  ts.recv_strip);
           } else {
-            unpack_window(ts.ext_x, 0, bh, 0, halo, ts.recv_strip);
+            domain::unpack_region(ts.ext_x, 0, bh, 0, halo, ts.recv_strip);
           }
         }
       }
@@ -510,20 +441,21 @@ core::RolloutResult elastic_rollout(const core::TrainConfig& config,
           ts.padded = Tensor({chans, bh + 2 * halo, bw + 2 * halo});
           ++buffer_growths;
         }
-        insert_plane(ts.padded, halo, 0, ts.ext_x.data(), chans, bh,
-                     bw + 2 * halo);
-        zero_window(ts.padded, 0, halo, 0, bw + 2 * halo);
-        zero_window(ts.padded, halo + bh, halo, 0, bw + 2 * halo);
+        domain::copy_window(ts.padded, halo, 0, ts.ext_x.data(), chans, bh,
+                            bw + 2 * halo);
+        domain::zero_region(ts.padded, 0, halo, 0, bw + 2 * halo);
+        domain::zero_region(ts.padded, halo + bh, halo, 0, bw + 2 * halo);
         for (const Direction d : {Direction::kSouth, Direction::kNorth}) {
           const int nt = neighbor_task(ts.cx, ts.cy, d, px, py);
           if (nt < 0) continue;
           const int dest = assign.owner(nt);
           if (!live[static_cast<std::size_t>(dest)] || dest == rank) continue;
           if (d == Direction::kSouth) {
-            pack_window(ts.ext_x, 0, halo, 0, bw + 2 * halo, ts.send_strip);
+            domain::pack_region_into(ts.ext_x, 0, halo, 0, bw + 2 * halo,
+                                     ts.send_strip);
           } else {
-            pack_window(ts.ext_x, bh - halo, halo, 0, bw + 2 * halo,
-                        ts.send_strip);
+            domain::pack_region_into(ts.ext_x, bh - halo, halo, 0,
+                                     bw + 2 * halo, ts.send_strip);
           }
           comm.send<float>(dest, strip_tag(nt, d), ts.send_strip);
         }
@@ -542,19 +474,21 @@ core::RolloutResult elastic_rollout(const core::TrainConfig& config,
           const std::int64_t nb_bh = nb.block.height();
           if (src == rank) {
             if (side == Direction::kNorth) {
-              pack_window(nb.ext_x, 0, halo, 0, bw + 2 * halo, ts.recv_strip);
+              domain::pack_region_into(nb.ext_x, 0, halo, 0, bw + 2 * halo,
+                                       ts.recv_strip);
             } else {
-              pack_window(nb.ext_x, nb_bh - halo, halo, 0, bw + 2 * halo,
-                          ts.recv_strip);
+              domain::pack_region_into(nb.ext_x, nb_bh - halo, halo, 0,
+                                       bw + 2 * halo, ts.recv_strip);
             }
           } else {
             strip_recv(src, strip_tag(t, opposite(side)), ts.recv_strip, step);
           }
           if (side == Direction::kNorth) {
-            unpack_window(ts.padded, halo + bh, halo, 0, bw + 2 * halo,
-                          ts.recv_strip);
+            domain::unpack_region(ts.padded, halo + bh, halo, 0,
+                                  bw + 2 * halo, ts.recv_strip);
           } else {
-            unpack_window(ts.padded, 0, halo, 0, bw + 2 * halo, ts.recv_strip);
+            domain::unpack_region(ts.padded, 0, halo, 0, bw + 2 * halo,
+                                  ts.recv_strip);
           }
         }
       }
@@ -715,10 +649,10 @@ core::RolloutResult elastic_rollout(const core::TrainConfig& config,
           if (ts.use_plan) {
             const nn::ForwardPlan::Output out =
                 ts.plan->run(input.data(), input.dim(1), input.dim(2));
-            insert_plane(ts.next, 0, 0, out.data, out.channels, bh, bw);
+            domain::copy_window(ts.next, 0, 0, out.data, out.channels, bh, bw);
             std::swap(ts.interior, ts.next);
           } else {
-            ts.interior = module_forward(*ts.model, input);
+            ts.interior = nn::module_forward(*ts.model, input);
           }
         }
       }
@@ -728,7 +662,7 @@ core::RolloutResult elastic_rollout(const core::TrainConfig& config,
         for (const int t : owned) {
           const TaskState& ts = task[static_cast<std::size_t>(t)];
           const std::uint64_t bad =
-              count_nonfinite(ts.interior.data(), ts.interior.size());
+              ops::count_nonfinite(ts.interior.data(), ts.interior.size());
           if (bad > 0) {
             nonfinite[ri] += bad;
             nonfinite_counter.add(bad);
@@ -776,8 +710,8 @@ core::RolloutResult elastic_rollout(const core::TrainConfig& config,
             if (!live[static_cast<std::size_t>(src)]) continue;
             const domain::BlockRange& b = ts.block;
             if (src == 0) {
-              insert_plane(full, b.h0, b.w0, ts.interior.data(), chans,
-                           b.height(), b.width());
+              domain::copy_window(full, b.h0, b.w0, ts.interior.data(), chans,
+                                  b.height(), b.width());
             } else {
               strip_recv(src, mpi::tags::elastic_gather_tag(t), gather_buf,
                          step);
@@ -786,8 +720,8 @@ core::RolloutResult elastic_rollout(const core::TrainConfig& config,
                 throw std::runtime_error(
                     "elastic rollout: gathered block size mismatch");
               }
-              insert_plane(full, b.h0, b.w0, gather_buf.data(), chans,
-                           b.height(), b.width());
+              domain::copy_window(full, b.h0, b.w0, gather_buf.data(), chans,
+                                  b.height(), b.width());
             }
           }
         }

@@ -29,7 +29,7 @@
 // Per-task forwards run through pre-sized ForwardPlans (zero-alloc steady
 // state); task-to-task halo traffic reuses the exact two-phase strip
 // geometry of domain/exchange.cpp, so an elastic rollout of an M-task
-// report produces bit-identical frames to the default engines rolling the
+// report produces bit-identical frames to the classic engine rolling the
 // same report on M ranks — the property the chaos and mc suites pin down.
 //
 // Deaths are supported at step boundaries (kill:rank=R,step=S and the

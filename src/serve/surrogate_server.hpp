@@ -15,8 +15,8 @@
 // one [B, C, H, W] staging buffer and advances all of them with a single
 // ForwardPlan::run_batched call — one wide im2col + GEMM per layer instead of
 // B narrow ones. With coalesce = false the scheduler dispatches one request
-// at a time through the solo ForwardPlan::run path (the serial baseline
-// bench_serving compares against).
+// at a time through the solo ForwardPlan::run path (the serial baseline,
+// `parpde_cli serve --serial`).
 //
 // Determinism contract (docs/serving.md): a session's trajectory is
 // bit-identical whether it ran solo or coalesced into any batch, on both the
@@ -61,7 +61,7 @@ struct ServerOptions {
   // 0 = dispatch whatever is queued immediately.
   double coalesce_window_ms = 0.2;
   // false = serial dispatch: one request per dispatch via the solo plan
-  // path. The bench's baseline; coalescing is the whole point otherwise.
+  // path. The baseline; coalescing is the whole point otherwise.
   bool coalesce = true;
 };
 

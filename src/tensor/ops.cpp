@@ -96,6 +96,16 @@ double l2_distance(const Tensor& a, const Tensor& b) {
   return std::sqrt(acc);
 }
 
+std::uint64_t count_nonfinite(const float* x, std::int64_t n) {
+  std::uint64_t bad = 0;
+  for (std::int64_t i = 0; i < n; ++i) {
+    std::uint32_t bits;
+    std::memcpy(&bits, &x[i], sizeof(bits));
+    bad += static_cast<std::uint64_t>((bits & 0x7f800000u) == 0x7f800000u);
+  }
+  return bad;
+}
+
 Tensor pad_nchw(const Tensor& x, std::int64_t pad, float value) {
   check_nchw(x, "pad_nchw");
   if (pad < 0) throw std::invalid_argument("pad_nchw: negative pad");

@@ -26,6 +26,10 @@ double max_abs(const Tensor& a);
 double rms(const Tensor& a);
 // L2 distance between two tensors of equal shape.
 double l2_distance(const Tensor& a, const Tensor& b);
+// Number of NaN/Inf values among x[0, n), read from the exponent bits:
+// branch-free and allocation-free, cheap enough for the rollout health
+// monitor to scan every step's output.
+std::uint64_t count_nonfinite(const float* x, std::int64_t n);
 
 // Spatial padding of an NCHW tensor with a constant value: adds `pad` rows and
 // columns on each side of H and W.

@@ -29,6 +29,13 @@ bool Options::has(const std::string& key) const {
   return values_.count(key) != 0;
 }
 
+std::vector<std::string> Options::keys() const {
+  std::vector<std::string> out;
+  out.reserve(values_.size());
+  for (const auto& [key, value] : values_) out.push_back(key);
+  return out;
+}
+
 std::optional<std::string> Options::lookup(const std::string& key) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return std::nullopt;

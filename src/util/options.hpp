@@ -31,6 +31,9 @@ class Options {
     return positional_;
   }
 
+  // Every --key given on the command line (or through set()), sorted.
+  [[nodiscard]] std::vector<std::string> keys() const;
+
  private:
   [[nodiscard]] std::optional<std::string> lookup(const std::string& key) const;
 

@@ -31,4 +31,16 @@ if "$CLI" eval --data=/nonexistent --model="$WORKDIR/model.ppde" 2>/dev/null; th
   exit 1
 fi
 
+# Options a command does not read are rejected (exit 2), never silently
+# ignored: a retired flag, and a misspelled key.
+for bad in serialized halo-timout-ms=20; do
+  rc=0
+  "$CLI" rollout --data="$WORKDIR/frames.ppfr" --model="$WORKDIR/model.ppde" \
+    --steps=2 "--$bad" > /dev/null 2>&1 || rc=$?
+  if [ "$rc" -ne 2 ]; then
+    echo "rollout --$bad exited $rc, want 2" >&2
+    exit 1
+  fi
+done
+
 echo "cli pipeline ok"

@@ -1,12 +1,20 @@
 #pragma once
 
-// Shared test utilities: finite-difference gradients and tensor comparisons.
+// Shared test utilities: finite-difference gradients, tensor comparisons and
+// the stepped rollout oracle every parallel_rollout engine is checked against.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <functional>
+#include <memory>
+#include <string>
+#include <vector>
 
+#include "backend/kernel_backend.hpp"
+#include "core/inference.hpp"
+#include "domain/halo.hpp"
+#include "nn/forward_plan.hpp"
 #include "tensor/tensor.hpp"
 
 namespace parpde::testing {
@@ -45,6 +53,87 @@ inline void expect_tensors_equal(const Tensor& a, const Tensor& b) {
   ASSERT_TRUE(a.same_shape(b));
   for (std::int64_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i], b[i]) << "at index " << i;
+  }
+}
+
+// The reference step loop for parallel_rollout, run serially in the test
+// (the monolithic-reference check of the decomposed network). Every block of
+// `report` gets its own network and ForwardPlan on `backend` (nullptr =
+// fp32); a plan that needs calibration (int8) is calibrated on the block's
+// zero-extended initial interior, exactly as parallel_rollout does. Each
+// step extracts every block with its halo from the previous full frame and
+// runs the plan on the whole halo-extended tile. Returns the full frame after
+// every step.
+//
+// `isolated_from[b]` (optional, one entry per block) is the first step from
+// which block b reads no neighbour data: its whole halo band stays zero, the
+// state of a block whose every interior border has degraded.
+inline std::vector<Tensor> stepped_rollout_oracle(
+    const core::TrainConfig& cfg, const core::ParallelTrainReport& report,
+    const Tensor& initial, int steps,
+    const backend::KernelBackend* backend = nullptr,
+    const std::vector<int>& isolated_from = {}) {
+  const domain::Partition partition(initial.dim(1), initial.dim(2),
+                                    report.dims.px, report.dims.py);
+  const std::int64_t halo = cfg.border == core::BorderMode::kHaloPad
+                                ? cfg.network.receptive_halo()
+                                : 0;
+  const std::int64_t c = initial.dim(0);
+  std::vector<std::unique_ptr<nn::Sequential>> models;
+  std::vector<std::unique_ptr<nn::ForwardPlan>> plans;
+  for (int b = 0; b < report.ranks; ++b) {
+    const domain::BlockRange block = partition.block_of_rank(b);
+    const std::int64_t bh = block.height(), bw = block.width();
+    models.push_back(core::rebuild_model(
+        cfg, report.rank_outcomes[static_cast<std::size_t>(b)].parameters));
+    plans.push_back(std::make_unique<nn::ForwardPlan>(
+        *models.back(), c, bh + 2 * halo, bw + 2 * halo, backend));
+    EXPECT_TRUE(plans.back()->supported());
+    if (plans.back()->needs_calibration()) {
+      Tensor calib({c, bh + 2 * halo, bw + 2 * halo});
+      calib.fill(0.0f);
+      const Tensor interior = domain::extract_interior(initial, block);
+      domain::copy_window(calib, halo, halo, interior.data(), c, bh, bw);
+      plans.back()->calibrate(calib.data(), calib.dim(1), calib.dim(2));
+    }
+  }
+  std::vector<Tensor> frames;
+  Tensor frame = initial;
+  Tensor input;
+  for (int step = 0; step < steps; ++step) {
+    Tensor next(frame.shape());
+    for (int b = 0; b < report.ranks; ++b) {
+      const domain::BlockRange block = partition.block_of_rank(b);
+      domain::extract_with_halo_into(frame, block, halo, input);
+      const auto ib = static_cast<std::size_t>(b);
+      if (ib < isolated_from.size() && step >= isolated_from[ib]) {
+        const std::int64_t h = input.dim(1), w = input.dim(2);
+        domain::zero_region(input, 0, halo, 0, w);
+        domain::zero_region(input, h - halo, halo, 0, w);
+        domain::zero_region(input, 0, h, 0, halo);
+        domain::zero_region(input, 0, h, w - halo, halo);
+      }
+      const nn::ForwardPlan::Output out =
+          plans[ib]->run(input.data(), input.dim(1), input.dim(2));
+      domain::copy_window(next, block.h0, block.w0, out.data, out.channels,
+                          block.height(), block.width());
+    }
+    frame = next;
+    frames.push_back(std::move(next));
+  }
+  return frames;
+}
+
+// Expects every recorded frame of `result` to equal, bit for bit, the oracle
+// frame of the same step.
+inline void expect_frames_match_oracle(const core::RolloutResult& result,
+                                       const std::vector<Tensor>& oracle) {
+  ASSERT_EQ(result.frames.size(), result.recorded_steps.size());
+  for (std::size_t i = 0; i < result.frames.size(); ++i) {
+    const auto step = static_cast<std::size_t>(result.recorded_steps[i]);
+    SCOPED_TRACE("step " + std::to_string(step));
+    ASSERT_LT(step, oracle.size());
+    expect_tensors_equal(result.frames[i], oracle[step]);
   }
 }
 

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 
 #include "core/inference.hpp"
@@ -234,6 +235,13 @@ TEST(Chaos, ElasticRolloutAdoptsKilledRankAndStaysBitIdentical) {
   EXPECT_GT(healed.health.degraded_during_recovery, 0);
   EXPECT_EQ(healed.degraded_borders, 0);
   EXPECT_EQ(healed.health.degraded_borders, 0);
+  // Recovery latency against the lease budget (25 ms x 8): survivors burn one
+  // budget before declaring the death (3x allowed for scheduler noise), and
+  // the rebalance is local work well under one budget; neither bound drops
+  // below a second.
+  const double budget_s = 0.025 * 8;
+  EXPECT_LE(healed.health.detection_seconds, std::max(1.0, 3.0 * budget_s));
+  EXPECT_LE(healed.health.rebalance_seconds, std::max(1.0, budget_s));
 }
 
 TEST(Chaos, ElasticRecoveryWithoutSnapshotsRecomputesFromInitial) {

@@ -2,7 +2,7 @@
 // Assignment map and its deterministic rebalance, the PPES rollout-state
 // checkpoints, the rollback-line arithmetic, and the placement-independence
 // property the self-healing rollout rests on — an elastic rollout of an
-// M-task ensemble is bit-identical to the default engines rolling the same
+// M-task ensemble is bit-identical to the classic engine rolling the same
 // report on M ranks, whatever P hosts the tasks. Death/recovery scenarios
 // live in test_chaos.cpp (label `chaos`).
 
@@ -174,6 +174,9 @@ TEST(ElasticRollout, MatchesDefaultEngineBitExactly) {
   EXPECT_EQ(elastic.degraded_borders, 0);
   EXPECT_EQ(elastic.health.recoveries, 0);
   EXPECT_EQ(elastic.health.assignment_epoch, 0);
+  // The heartbeat and recovery machinery leave the healthy steady state
+  // allocation-free.
+  EXPECT_EQ(elastic.steady_state_allocs, 0u);
 }
 
 TEST(ElasticRollout, PlacementIndependenceUnderOverDecomposition) {

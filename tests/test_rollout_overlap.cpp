@@ -1,7 +1,7 @@
-// Overlapped rollout engine (ISSUE 5): the asynchronous interior/rim pipeline
-// must be bit-identical to the serialized reference loop — healthy, under
-// injected message delay, and under message loss with degraded borders — and
-// its steady-state step must perform zero heap allocations (counting
+// Overlapped rollout engine: the asynchronous interior/rim pipeline must be
+// bit-identical to the stepped rollout oracle (tests/helpers.hpp) — healthy,
+// under injected message delay, and under message loss with degraded borders
+// — and its steady-state step must perform zero heap allocations (counting
 // allocator over the ForwardPlan, growth accounting over the engine).
 
 #include <gtest/gtest.h>
@@ -89,12 +89,6 @@ ParallelTrainReport shared_weight_report(const TrainConfig& /*cfg*/, int ranks,
   return report;
 }
 
-RolloutOptions engine_options(RolloutEngine engine) {
-  RolloutOptions options;
-  options.engine = engine;
-  return options;
-}
-
 void expect_frames_bit_identical(const RolloutResult& a,
                                  const RolloutResult& b) {
   ASSERT_EQ(a.frames.size(), b.frames.size());
@@ -104,7 +98,10 @@ void expect_frames_bit_identical(const RolloutResult& a,
   }
 }
 
-TEST(RolloutOverlap, BitIdenticalToSerializedHaloPad) {
+using parpde::testing::expect_frames_match_oracle;
+using parpde::testing::stepped_rollout_oracle;
+
+TEST(RolloutOverlap, BitIdenticalToOracleHaloPad) {
   const TrainConfig cfg = small_config(BorderMode::kHaloPad);
   const std::int64_t grid = 16;
   NetworkTrainer reference(cfg, 0);
@@ -113,20 +110,40 @@ TEST(RolloutOverlap, BitIdenticalToSerializedHaloPad) {
   const Tensor initial = random_frame(grid, 42);
   const int steps = 4;
 
-  const auto serialized = parallel_rollout(
-      cfg, report, initial, steps, engine_options(RolloutEngine::kSerialized));
-  const auto overlapped = parallel_rollout(
-      cfg, report, initial, steps, engine_options(RolloutEngine::kOverlapped));
+  const auto oracle = stepped_rollout_oracle(cfg, report, initial, steps);
+  // The fp32 oracle is stepping the SubdomainEnsemble, bit for bit.
+  const SubdomainEnsemble ensemble(cfg, report, grid, grid);
+  Tensor frame = initial;
+  for (int s = 0; s < steps; ++s) {
+    frame = ensemble.predict(frame);
+    parpde::testing::expect_tensors_equal(frame,
+                                          oracle[static_cast<std::size_t>(s)]);
+  }
 
-  expect_frames_bit_identical(serialized, overlapped);
-  EXPECT_EQ(serialized.halo_bytes, overlapped.halo_bytes);
+  const auto overlapped = parallel_rollout(cfg, report, initial, steps);
+  expect_frames_match_oracle(overlapped, oracle);
+  // 2x2 ranks of [4, 8, 8]: per step every rank sends one W/E strip
+  // [C, bh, halo] and one S/N strip of the x-extended staging
+  // [C, halo, bw + 2 halo].
+  const std::uint64_t c = 4, b = 8, halo = 2;
+  const std::uint64_t strip_floats = c * b * halo + c * halo * (b + 2 * halo);
+  EXPECT_EQ(overlapped.halo_bytes, 4 * steps * strip_floats * sizeof(float));
+  EXPECT_EQ(overlapped.halo_bytes_received, overlapped.halo_bytes);
   EXPECT_EQ(overlapped.degraded_borders, 0);
   EXPECT_EQ(overlapped.steady_state_allocs, 0u);
   EXPECT_GE(overlapped.overlap_seconds, 0.0);
   ASSERT_EQ(overlapped.step_seconds.size(), static_cast<std::size_t>(steps));
+
+  // The health monitor observes only: the same frames with it switched off,
+  // and no steady-state allocations either way.
+  RolloutOptions unmonitored;
+  unmonitored.monitor_health = false;
+  const auto quiet = parallel_rollout(cfg, report, initial, steps, unmonitored);
+  expect_frames_bit_identical(overlapped, quiet);
+  EXPECT_EQ(quiet.steady_state_allocs, 0u);
 }
 
-TEST(RolloutOverlap, BitIdenticalToSerializedZeroPad) {
+TEST(RolloutOverlap, BitIdenticalToOracleZeroPad) {
   const TrainConfig cfg = small_config(BorderMode::kZeroPad);
   const std::int64_t grid = 16;
   NetworkTrainer reference(cfg, 0);
@@ -134,12 +151,10 @@ TEST(RolloutOverlap, BitIdenticalToSerializedZeroPad) {
   const auto report = shared_weight_report(cfg, 4, params, grid);
   const Tensor initial = random_frame(grid, 7);
 
-  const auto serialized = parallel_rollout(
-      cfg, report, initial, 3, engine_options(RolloutEngine::kSerialized));
-  const auto overlapped = parallel_rollout(
-      cfg, report, initial, 3, engine_options(RolloutEngine::kOverlapped));
+  const auto overlapped = parallel_rollout(cfg, report, initial, 3);
 
-  expect_frames_bit_identical(serialized, overlapped);
+  expect_frames_match_oracle(overlapped,
+                             stepped_rollout_oracle(cfg, report, initial, 3));
   EXPECT_EQ(overlapped.halo_bytes, 0u);  // zero-pad is communication-free
   EXPECT_EQ(overlapped.steady_state_allocs, 0u);
 }
@@ -154,17 +169,14 @@ TEST(RolloutOverlap, BitIdenticalWithPoolWorkers) {
   const auto report = shared_weight_report(cfg, 9, params, grid);
   const Tensor initial = random_frame(grid, 11);
 
-  const auto inline_run = parallel_rollout(
-      cfg, report, initial, 3, engine_options(RolloutEngine::kOverlapped));
+  const auto inline_run = parallel_rollout(cfg, report, initial, 3);
   util::ThreadPool::configure_global(3);
-  const auto pooled = parallel_rollout(
-      cfg, report, initial, 3, engine_options(RolloutEngine::kOverlapped));
-  const auto serialized = parallel_rollout(
-      cfg, report, initial, 3, engine_options(RolloutEngine::kSerialized));
+  const auto pooled = parallel_rollout(cfg, report, initial, 3);
   util::ThreadPool::configure_global(0);
 
   expect_frames_bit_identical(inline_run, pooled);
-  expect_frames_bit_identical(pooled, serialized);
+  expect_frames_match_oracle(pooled,
+                             stepped_rollout_oracle(cfg, report, initial, 3));
 }
 
 TEST(RolloutOverlap, RecordEveryStrideMatchesFullRecording) {
@@ -176,9 +188,8 @@ TEST(RolloutOverlap, RecordEveryStrideMatchesFullRecording) {
   const Tensor initial = random_frame(grid, 3);
   const int steps = 5;
 
-  const auto full = parallel_rollout(cfg, report, initial, steps,
-                                     engine_options(RolloutEngine::kOverlapped));
-  RolloutOptions strided = engine_options(RolloutEngine::kOverlapped);
+  const auto full = parallel_rollout(cfg, report, initial, steps);
+  RolloutOptions strided;
   strided.record_every = 2;
   const auto sparse = parallel_rollout(cfg, report, initial, steps, strided);
 
@@ -192,7 +203,7 @@ TEST(RolloutOverlap, RecordEveryStrideMatchesFullRecording) {
         full.frames[static_cast<std::size_t>(sparse.recorded_steps[i])]);
   }
 
-  RolloutOptions none = engine_options(RolloutEngine::kOverlapped);
+  RolloutOptions none;
   none.record_every = 0;
   const auto silent = parallel_rollout(cfg, report, initial, steps, none);
   EXPECT_TRUE(silent.frames.empty());
@@ -201,7 +212,7 @@ TEST(RolloutOverlap, RecordEveryStrideMatchesFullRecording) {
 
 TEST(RolloutOverlap, InjectedDelayKeepsFramesBitIdentical) {
   // Strips arrive late but intact: the bounded receives absorb the delay and
-  // the frames must not change by a single bit on either engine.
+  // the frames must not change by a single bit.
   const TrainConfig cfg = small_config(BorderMode::kHaloPad);
   const std::int64_t grid = 16;
   NetworkTrainer reference(cfg, 0);
@@ -209,25 +220,18 @@ TEST(RolloutOverlap, InjectedDelayKeepsFramesBitIdentical) {
   const auto report = shared_weight_report(cfg, 4, params, grid);
   const Tensor initial = random_frame(grid, 9);
 
-  const auto baseline = parallel_rollout(
-      cfg, report, initial, 3, engine_options(RolloutEngine::kOverlapped));
-
   mpi::fault::Rule delay;
   delay.action = mpi::fault::Action::kDelay;
   delay.tag_lo = mpi::tags::kHalo.base;
   delay.tag_hi = mpi::tags::kHalo.base + mpi::tags::kHalo.count - 1;
   delay.delay_ms = 2;
   mpi::fault::install(mpi::fault::FaultPlan(5).add_rule(delay));
-  const auto delayed_over = parallel_rollout(
-      cfg, report, initial, 3, engine_options(RolloutEngine::kOverlapped));
-  mpi::fault::install(mpi::fault::FaultPlan(5).add_rule(delay));
-  const auto delayed_ser = parallel_rollout(
-      cfg, report, initial, 3, engine_options(RolloutEngine::kSerialized));
+  const auto delayed = parallel_rollout(cfg, report, initial, 3);
   mpi::fault::uninstall();
 
-  expect_frames_bit_identical(baseline, delayed_over);
-  expect_frames_bit_identical(baseline, delayed_ser);
-  EXPECT_EQ(delayed_over.degraded_borders, 0);
+  expect_frames_match_oracle(delayed,
+                             stepped_rollout_oracle(cfg, report, initial, 3));
+  EXPECT_EQ(delayed.degraded_borders, 0);
 }
 
 mpi::fault::Rule drop_halo_from(int source) {
@@ -239,20 +243,20 @@ mpi::fault::Rule drop_halo_from(int source) {
   return drop;
 }
 
-RolloutOptions degraded_options(RolloutEngine engine) {
-  RolloutOptions options = engine_options(engine);
+RolloutOptions degraded_options() {
+  RolloutOptions options;
   options.halo.recv_timeout = std::chrono::milliseconds(10);
   options.halo.max_retries = 1;
   return options;
 }
 
-TEST(RolloutOverlap, PartialDegradationBitIdenticalAcrossEngines) {
+TEST(RolloutOverlap, PartialDegradationMatchesIsolatedOracle) {
   // Two ranks, one shared border; every strip rank 1 sends is lost. Rank 0
   // degrades its only live border at step 0, stops talking to rank 1 (sticky),
   // and rank 1 therefore degrades the opposite side at step 1 — a protocol-
   // driven cascade with no third rank whose retry deadline could race the
-  // stalled sends. Both engines must produce the same degradation sequence
-  // and bit-identical frames.
+  // stalled sends. From its degradation step on, each rank steps on a zero
+  // halo.
   const TrainConfig cfg = small_config(BorderMode::kHaloPad);
   const std::int64_t grid = 16;
   NetworkTrainer reference(cfg, 0);
@@ -261,23 +265,20 @@ TEST(RolloutOverlap, PartialDegradationBitIdenticalAcrossEngines) {
   const Tensor initial = random_frame(grid, 21);
 
   mpi::fault::install(mpi::fault::FaultPlan(7).add_rule(drop_halo_from(1)));
-  const auto ser = parallel_rollout(cfg, report, initial, 3,
-                                    degraded_options(RolloutEngine::kSerialized));
-  mpi::fault::install(mpi::fault::FaultPlan(7).add_rule(drop_halo_from(1)));
-  const auto over = parallel_rollout(cfg, report, initial, 3,
-                                     degraded_options(RolloutEngine::kOverlapped));
+  const auto over = parallel_rollout(cfg, report, initial, 3, degraded_options());
   mpi::fault::uninstall();
 
-  EXPECT_EQ(ser.degraded_borders, 2);  // rank 0 then, one step later, rank 1
-  EXPECT_EQ(ser.degraded_borders, over.degraded_borders);
-  EXPECT_EQ(ser.degraded_detail, over.degraded_detail);
-  expect_frames_bit_identical(ser, over);
+  EXPECT_EQ(over.degraded_borders, 2);  // rank 0 then, one step later, rank 1
+  EXPECT_EQ(over.degraded_detail,
+            (std::vector<std::string>{"rank 0: e", "rank 1: w"}));
+  expect_frames_match_oracle(
+      over, stepped_rollout_oracle(cfg, report, initial, 3, nullptr, {0, 1}));
 }
 
-TEST(RolloutOverlap, TotalBlackoutBitIdenticalAcrossEngines) {
+TEST(RolloutOverlap, TotalBlackoutMatchesIsolatedOracle) {
   // Every halo strip in the whole grid is lost: all interior borders must
-  // degrade at step 0 on both engines (timing-independent — there is nothing
-  // left to arrive late) and the frames must match bit for bit.
+  // degrade at step 0 (timing-independent — there is nothing left to arrive
+  // late), and every rank steps on a zero halo from the start.
   const TrainConfig cfg = small_config(BorderMode::kHaloPad);
   const std::int64_t grid = 16;
   NetworkTrainer reference(cfg, 0);
@@ -286,18 +287,17 @@ TEST(RolloutOverlap, TotalBlackoutBitIdenticalAcrossEngines) {
   const Tensor initial = random_frame(grid, 23);
 
   mpi::fault::install(mpi::fault::FaultPlan(11).add_rule(drop_halo_from(-1)));
-  const auto ser = parallel_rollout(cfg, report, initial, 2,
-                                    degraded_options(RolloutEngine::kSerialized));
-  mpi::fault::install(mpi::fault::FaultPlan(11).add_rule(drop_halo_from(-1)));
-  const auto over = parallel_rollout(cfg, report, initial, 2,
-                                     degraded_options(RolloutEngine::kOverlapped));
+  const auto over = parallel_rollout(cfg, report, initial, 2, degraded_options());
   mpi::fault::uninstall();
 
   // 2x2 grid: every rank loses its two live borders.
-  EXPECT_EQ(ser.degraded_borders, 8);
-  EXPECT_EQ(ser.degraded_borders, over.degraded_borders);
-  EXPECT_EQ(ser.degraded_detail, over.degraded_detail);
-  expect_frames_bit_identical(ser, over);
+  EXPECT_EQ(over.degraded_borders, 8);
+  EXPECT_EQ(over.degraded_detail,
+            (std::vector<std::string>{"rank 0: e,n", "rank 1: w,n",
+                                      "rank 2: e,s", "rank 3: w,s"}));
+  expect_frames_match_oracle(
+      over,
+      stepped_rollout_oracle(cfg, report, initial, 2, nullptr, {0, 0, 0, 0}));
 }
 
 TEST(RolloutOverlap, SplitExchangeMatchesMonolithicAcrossSteps) {

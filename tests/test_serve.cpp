@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <latch>
 #include <new>
 #include <random>
 #include <stdexcept>
@@ -67,7 +68,7 @@ constexpr std::int64_t kFrame = kC * kH * kW;
 // a fixed geometry. Table-I weights damped toward a contractive map (the
 // test_quant_rollout idiom) keep the autoregressive trajectories bounded;
 // loading through core::rebuild_model exercises the same path the CLI `serve`
-// command and bench_serving use.
+// command and the serve benchmark workload use.
 core::TrainConfig serve_config() {
   core::TrainConfig cfg;
   cfg.border = core::BorderMode::kZeroPad;
@@ -223,6 +224,54 @@ TEST(Serve, CoalescedBitIdenticalWithPooledWorkers) {
   util::ThreadPool::configure_global(3);
   expect_server_matches_solo(&backend::blocked_f32(), /*coalesce=*/true);
   util::ThreadPool::configure_global(0);
+}
+
+TEST(Serve, ConcurrentSessionsActuallyCoalesce) {
+  // Eight sessions released together through a latch, max_batch = 8 and a
+  // 20 ms coalesce window: some dispatch must carry >= 2 requests, the mean
+  // batch must exceed 1, and nothing may be rejected.
+  const core::TrainConfig cfg = serve_config();
+  const auto model = damped_model(cfg);
+  const int kSessions = 8;
+  const int kSteps = 4;
+  const auto initials = session_initials(kSessions);
+
+  ServerOptions opt;
+  opt.max_batch = 8;
+  opt.coalesce = true;
+  opt.coalesce_window_ms = 20.0;
+  SurrogateServer server(*model, kC, kH, kW, opt);
+  std::vector<std::int64_t> ids;
+  for (const Tensor& ic : initials) ids.push_back(server.open_session(ic.data()));
+
+  std::latch start(kSessions);
+  std::atomic<int> failures{0};
+  std::vector<std::thread> clients;
+  for (int s = 0; s < kSessions; ++s) {
+    clients.emplace_back([&, s] {
+      start.arrive_and_wait();
+      for (int t = 0; t < kSteps; ++t) {
+        if (!server.step(ids[static_cast<std::size_t>(s)]).ok()) {
+          failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& c : clients) c.join();
+
+  EXPECT_EQ(failures.load(), 0);
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.requests, static_cast<std::uint64_t>(kSessions * kSteps));
+  EXPECT_EQ(stats.rejected, 0u);
+  std::uint64_t coalesced = 0;
+  for (std::size_t b = 2; b < stats.occupancy.size(); ++b) {
+    coalesced += stats.occupancy[b];
+  }
+  EXPECT_GT(coalesced, 0u) << "no dispatch carried two or more requests";
+  ASSERT_GT(stats.batches, 0u);
+  EXPECT_GT(static_cast<double>(stats.requests - stats.rejected) /
+                static_cast<double>(stats.batches),
+            1.0);
 }
 
 TEST(Serve, SteadyStateAllocationFree) {

@@ -10,6 +10,7 @@
 //   parpde_cli info     --model=model.ppde
 //   parpde_cli info     --data=frames.ppfr
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -36,9 +37,7 @@
 #include "util/table.hpp"
 #include "util/telemetry.hpp"
 
-// Shared percentile helpers (the same p50/p99 formula every BENCH_*.json
-// uses); header-only, so the tools target needs no bench library.
-#include "../bench/latency_stats.hpp"
+#include "latency_stats.hpp"
 
 using namespace parpde;
 using namespace parpde::core;
@@ -64,8 +63,6 @@ int usage() {
                "[--render]\n"
                "           [--halo-timeout-ms=N] [--halo-retries=N] "
                "[--record-every=N]\n"
-               "           [--serialized]   (reference engine; default is the\n"
-               "                             overlapped halo/compute pipeline)\n"
                "           [--backend=fp32|int8]   (execution provider; int8\n"
                "                             runs the quantized conv kernels,\n"
                "                             see docs/performance.md)\n"
@@ -394,9 +391,6 @@ int cmd_rollout(const util::Options& opts) {
   rollout_options.halo.recv_timeout =
       std::chrono::milliseconds(opts.get_int("halo-timeout-ms", 250));
   rollout_options.halo.max_retries = opts.get_int("halo-retries", 40);
-  rollout_options.engine = opts.get_bool("serialized", false)
-                               ? RolloutEngine::kSerialized
-                               : RolloutEngine::kOverlapped;
   rollout_options.record_every = opts.get_int("record-every", 1);
   rollout_options.elastic.enabled = opts.get_bool("elastic", false);
   rollout_options.elastic.tasks_per_rank = opts.get_int("tasks-per-rank", 1);
@@ -514,11 +508,7 @@ int cmd_rollout(const util::Options& opts) {
       summary.field("record", "rollout_summary")
           .field("steps", steps)
           .field("engine",
-                 rollout_options.elastic.enabled
-                     ? "elastic"
-                     : (rollout_options.engine == RolloutEngine::kSerialized
-                            ? "serialized"
-                            : "overlapped"))
+                 rollout_options.elastic.enabled ? "elastic" : "overlapped")
           .field("backend", result.backend)
           .field("record_every",
                  static_cast<std::int64_t>(rollout_options.record_every))
@@ -786,22 +776,63 @@ int cmd_info(const util::Options& opts) {
   return usage();
 }
 
-}  // namespace
+// Every subcommand with the options it reads. A key outside its list (a
+// typo, or a retired flag) is rejected with exit 2 instead of being silently
+// ignored; --trace, --metrics and --log-level are accepted by every command.
+struct Command {
+  const char* name;
+  int (*run)(const util::Options&);
+  std::vector<std::string> options;
+};
 
-int run_command(const std::string& command, const util::Options& opts) {
-  if (command == "simulate") return cmd_simulate(opts);
-  if (command == "train") return cmd_train(opts);
-  if (command == "eval") return cmd_eval(opts);
-  if (command == "rollout") return cmd_rollout(opts);
-  if (command == "serve") return cmd_serve(opts);
-  if (command == "info") return cmd_info(opts);
-  return usage();
+const std::vector<Command>& commands() {
+  static const std::vector<Command> table = {
+      {"simulate", cmd_simulate, {"out", "pde", "grid", "frames", "steps-per-frame"}},
+      {"train",
+       cmd_train,
+       {"data", "out", "ranks", "tasks-per-rank", "checkpoint-dir",
+        "checkpoint-every", "resume", "border", "loss", "optimizer", "lr", "epochs",
+        "batch-size", "train-fraction", "threads"}},
+      {"eval", cmd_eval, {"data", "model", "train-fraction"}},
+      {"rollout",
+       cmd_rollout,
+       {"data", "model", "steps", "start", "halo-timeout-ms", "halo-retries",
+        "record-every", "elastic", "tasks-per-rank", "no-recover", "lease-ms",
+        "missed-leases", "state-dir", "state-every", "backend", "health-report",
+        "render"}},
+      {"serve",
+       cmd_serve,
+       {"model", "sessions", "steps", "deadline-ms", "backend", "data", "start",
+        "grid", "max-batch", "queue-depth", "serial", "window-ms"}},
+      {"info", cmd_info, {"model", "data"}},
+  };
+  return table;
 }
+
+bool accepts(const Command& command, const std::string& key) {
+  if (key == "trace" || key == "metrics" || key == "log-level") return true;
+  return std::find(command.options.begin(), command.options.end(), key) !=
+         command.options.end();
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
-  const std::string command = argv[1];
+  const std::string name = argv[1];
   const util::Options opts(argc - 1, argv + 1);
+  const Command* command = nullptr;
+  for (const Command& c : commands()) {
+    if (name == c.name) command = &c;
+  }
+  if (command == nullptr) return usage();
+  for (const std::string& key : opts.keys()) {
+    if (!accepts(*command, key)) {
+      std::fprintf(stderr, "parpde_cli %s: unknown option --%s\n",
+                   command->name, key.c_str());
+      return 2;
+    }
+  }
 
   // --log-level beats the PARPDE_LOG_LEVEL environment fallback.
   std::string level_name = opts.get_string("log-level", "");
@@ -843,7 +874,7 @@ int main(int argc, char** argv) {
 
   int rc;
   try {
-    rc = run_command(command, opts);
+    rc = command->run(opts);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     rc = 1;

@@ -123,10 +123,8 @@ verify::Oracle make_rollout_oracle() {
   rng.fill_uniform(initial.values(), 0.5f, 1.5f);
 
   return [cfg, report = std::move(report), initial = std::move(initial)] {
-    core::RolloutOptions options;
-    options.engine = core::RolloutEngine::kOverlapped;
-    const auto result = core::parallel_rollout(cfg, report, initial,
-                                               /*steps=*/3, options);
+    const auto result =
+        core::parallel_rollout(cfg, report, initial, /*steps=*/3);
     if (result.degraded_borders != 0) {
       throw std::runtime_error("rollout degraded a border with no faults");
     }
@@ -191,10 +189,7 @@ verify::Oracle make_checkpoint_oracle() {
       throw std::runtime_error("checkpoint oracle: rank 1 was not retrained");
     }
     std::uint64_t h = hash_report(report);
-    core::RolloutOptions options;
-    options.engine = core::RolloutEngine::kOverlapped;
-    const auto rollout =
-        core::parallel_rollout(cfg, report, *initial, /*steps=*/2, options);
+    const auto rollout = core::parallel_rollout(cfg, report, *initial, /*steps=*/2);
     if (rollout.degraded_borders != 0) {
       throw std::runtime_error("checkpoint oracle: post-resume rollout "
                                "degraded a border with no faults");
