@@ -22,8 +22,7 @@
 // im2col workspaces), so nn::ForwardPlan keeps its zero-allocation
 // steady-state contract under any backend. Integer accumulation is exact and
 // the fp32 epilogue is elementwise, so each backend is bit-deterministic at
-// any thread count and whether a rollout evaluates whole tiles or the
-// overlapped engine's interior/rim sub-tiles.
+// any thread count and any batch size.
 
 #include <cstdint>
 #include <memory>

@@ -75,9 +75,6 @@ RolloutResult parallel_rollout(const TrainConfig& config,
                                 : 0;
   const backend::KernelBackend* bk =
       options.backend != nullptr ? options.backend : &backend::blocked_f32();
-  // Anything but the reference backend must run through the plan: only
-  // fp32 has a module-graph fallback.
-  const bool non_reference = bk != &backend::blocked_f32();
 
   // A step is recorded every `record_every` steps, plus always the last one.
   auto recorded = [&](int step) {
@@ -96,7 +93,6 @@ RolloutResult parallel_rollout(const TrainConfig& config,
   result.step_seconds.resize(static_cast<std::size_t>(steps), 0.0);
   std::vector<double> comm_seconds(static_cast<std::size_t>(ranks), 0.0);
   std::vector<double> compute_seconds(static_cast<std::size_t>(ranks), 0.0);
-  std::vector<double> overlap_seconds(static_cast<std::size_t>(ranks), 0.0);
   std::vector<std::uint64_t> steady_allocs(static_cast<std::size_t>(ranks), 0);
   std::vector<std::uint64_t> halo_bytes(static_cast<std::size_t>(ranks), 0);
   std::vector<std::uint64_t> halo_bytes_recv(static_cast<std::size_t>(ranks), 0);
@@ -135,23 +131,11 @@ RolloutResult parallel_rollout(const TrainConfig& config,
     Tensor interior = domain::extract_interior(initial, block);
     const std::int64_t c = interior.dim(0);
 
-    // Pre-size everything the steady-state step touches (ISSUE 5 tentpole):
-    // the plan's activations + im2col workspaces for the largest geometry it
-    // will see (the halo-padded tile), the halo staging, and the assembly
-    // buffers.
+    // Pre-size everything the steady-state step touches: the plan's
+    // activations + im2col workspaces for the geometry it will see (the
+    // halo-padded tile), the halo staging, and the assembly buffer.
     nn::ForwardPlan plan(*model, c, bh + 2 * halo, bw + 2 * halo, bk);
-    if (non_reference && !plan.supported()) {
-      throw std::invalid_argument(
-          std::string("parallel_rollout: the ") + bk->name() +
-          " backend requires a plan-compatible model (deconv mode runs fp32 "
-          "only)");
-    }
-    // Plan-incompatible graphs (deconv mode, fp32 only) step through the
-    // module graph instead.
-    const bool use_plan = plan.supported();
-    // Interior/rim split needs a non-empty halo-independent interior.
-    const bool split = use_plan && halo > 0 && bh > 2 * halo && bw > 2 * halo;
-    if (use_plan && plan.needs_calibration()) {
+    if (plan.needs_calibration()) {
       // int8 activation-scale calibration: one fp32 reference pass over the
       // step-0 input at the geometry the plan will see. The interior sits in
       // a zero-extended halo frame (the physical-boundary treatment), so the
@@ -170,17 +154,12 @@ RolloutResult parallel_rollout(const TrainConfig& config,
       exchange.emplace(cart, partition, halo, halo_options,
                        &health[static_cast<std::size_t>(rank)]);
     }
-    Tensor padded;                    // [c, bh + 2 halo, bw + 2 halo]
-    Tensor next({c, bh, bw});         // assembled step output
-    std::vector<float> band_h;        // horizontal rim staging [c, 3h, bw + 2h]
-    std::vector<float> band_v;        // vertical rim staging [c, bh, 3h]
-    std::uint64_t buffer_growths = 0;  // engine-side regrowth events
+    Tensor padded;             // [c, bh + 2 halo, bw + 2 halo]
+    Tensor next({c, bh, bw});  // assembled step output
     DeferredGather gather;
 
     static telemetry::Histogram& step_latency =
         telemetry::histogram("rollout.step_seconds");
-    static telemetry::Gauge& overlap_gauge =
-        telemetry::gauge("rollout.overlap_seconds");
     static telemetry::Counter& steady_counter =
         telemetry::counter("inference.steady_state_allocs");
 
@@ -190,95 +169,37 @@ RolloutResult parallel_rollout(const TrainConfig& config,
     std::uint64_t exchange_bytes = 0;
     std::uint64_t exchange_bytes_recv = 0;
     std::uint64_t warm_growths = 0;  // growth baseline after the first step
-    double overlap = 0.0;
-
-    // Runs the plan over the [rows x cols] output window at (y0, x0),
-    // staging the matching halo-extended input band from `padded` and
-    // assembling the result into `next`.
-    auto run_rim = [&](std::int64_t y0, std::int64_t rows, std::int64_t x0,
-                       std::int64_t cols, std::vector<float>& staging) {
-      const std::size_t capacity = staging.capacity();
-      domain::pack_region_into(padded, y0, rows + 2 * halo, x0,
-                               cols + 2 * halo, staging);
-      if (staging.capacity() != capacity) ++buffer_growths;
-      const nn::ForwardPlan::Output out =
-          plan.run(staging.data(), rows + 2 * halo, cols + 2 * halo);
-      domain::copy_window(next, y0, x0, out.data, out.channels, rows, cols);
-    };
 
     for (int step = 0; step < steps; ++step) {
       telemetry::Span step_span("rollout.step", "rollout");
       util::WallTimer step_timer;
 
-      if (halo > 0) {
+      // The plan's input: the halo-padded tile, or the bare interior when
+      // the border mode exchanges nothing (zero-pad, deconv).
+      const Tensor* input = &interior;
+      if (exchange) {
         // Sec. III: "extra data points must be received from the neighboring
-        // processes" — post this step's border strips immediately, then run
-        // the halo-independent compute while they are in flight.
+        // processes" — post this step's border strips, then receive the
+        // neighbours' into the padded tile.
         const std::uint64_t sent_before = comm.bytes_sent();
         const std::uint64_t recv_before = comm.bytes_received();
         exchange->begin(interior, &comm_timer);
-        if (split) {
-          compute_timer.start();
-          util::WallTimer overlap_timer;
-          {
-            // The halo-independent pass that hides the strip latency; the
-            // critical-path analyzer buckets it as interior compute.
-            telemetry::Span forward_span("rollout.forward.interior",
-                                         "rollout");
-            mpi::PhaseScope forward_phase(comm, "rollout.forward",
-                                          mpi::CommPolicy::kForbidden);
-            const nn::ForwardPlan::Output out =
-                plan.run(interior.data(), bh, bw);
-            domain::copy_window(next, halo, halo, out.data, out.channels,
-                                bh - 2 * halo, bw - 2 * halo);
-          }
-          overlap += overlap_timer.seconds();
-          compute_timer.stop();
-        }
         exchange->finish(interior, padded, &comm_timer);
         exchange_bytes += comm.bytes_sent() - sent_before;
         exchange_bytes_recv += comm.bytes_received() - recv_before;
-        compute_timer.start();
-        {
-          telemetry::Span forward_span(
-              split ? "rollout.forward.rim" : "rollout.forward", "rollout");
-          mpi::PhaseScope forward_phase(comm, "rollout.forward",
-                                        mpi::CommPolicy::kForbidden);
-          if (split) {
-            // Finish the rim: four thin bands of the halo-padded input.
-            run_rim(0, halo, 0, bw, band_h);                     // top
-            run_rim(bh - halo, halo, 0, bw, band_h);             // bottom
-            run_rim(halo, bh - 2 * halo, 0, halo, band_v);       // left
-            run_rim(halo, bh - 2 * halo, bw - halo, halo, band_v);  // right
-          } else if (use_plan) {
-            const nn::ForwardPlan::Output out =
-                plan.run(padded.data(), bh + 2 * halo, bw + 2 * halo);
-            domain::copy_window(next, 0, 0, out.data, out.channels, bh, bw);
-          } else {
-            Tensor out = nn::module_forward(*model, padded);
-            next = std::move(out);
-          }
-        }
-        compute_timer.stop();
-        std::swap(interior, next);
-      } else {
-        // Zero-pad (or deconv) mode: communication-free step on the bare
-        // interior, no input copy.
-        compute_timer.start();
-        {
-          telemetry::Span forward_span("rollout.forward", "rollout");
-          mpi::PhaseScope forward_phase(comm, "rollout.forward",
-                                        mpi::CommPolicy::kForbidden);
-          if (use_plan) {
-            const nn::ForwardPlan::Output out = plan.run(interior.data(), bh, bw);
-            domain::copy_window(next, 0, 0, out.data, out.channels, bh, bw);
-            std::swap(interior, next);
-          } else {
-            interior = nn::module_forward(*model, interior);
-          }
-        }
-        compute_timer.stop();
+        input = &padded;
       }
+      compute_timer.start();
+      {
+        telemetry::Span forward_span("rollout.forward", "rollout");
+        mpi::PhaseScope forward_phase(comm, "rollout.forward",
+                                      mpi::CommPolicy::kForbidden);
+        const nn::ForwardPlan::Output out =
+            plan.run(input->data(), input->dim(1), input->dim(2));
+        domain::copy_window(next, 0, 0, out.data, out.channels, bh, bw);
+      }
+      compute_timer.stop();
+      std::swap(interior, next);
 
       // Health monitor: scan this step's output for NaN/Inf. `interior`
       // holds the freshly computed step here. One pass over the rank's own
@@ -320,10 +241,7 @@ RolloutResult parallel_rollout(const TrainConfig& config,
           gather.next_slot ^= 1;
         }
       }
-      if (step == 0) {
-        warm_growths = plan.supported() ? plan.growth_events() : 0;
-        warm_growths += buffer_growths;
-      }
+      if (step == 0) warm_growths = plan.growth_events();
       if (rank == 0) {
         const double seconds = step_timer.seconds();
         result.step_seconds[static_cast<std::size_t>(step)] = seconds;
@@ -339,12 +257,9 @@ RolloutResult parallel_rollout(const TrainConfig& config,
                                    result.frames[round.frame_index]);
     }
 
-    const std::uint64_t total_growths =
-        (plan.supported() ? plan.growth_events() : 0) + buffer_growths;
-    steady_allocs[static_cast<std::size_t>(rank)] = total_growths - warm_growths;
-    steady_counter.add(total_growths - warm_growths);
-    overlap_gauge.add(overlap);
-    overlap_seconds[static_cast<std::size_t>(rank)] = overlap;
+    const std::uint64_t steady = plan.growth_events() - warm_growths;
+    steady_allocs[static_cast<std::size_t>(rank)] = steady;
+    steady_counter.add(steady);
     comm_seconds[static_cast<std::size_t>(rank)] = comm_timer.seconds();
     compute_seconds[static_cast<std::size_t>(rank)] = compute_timer.seconds();
     halo_bytes[static_cast<std::size_t>(rank)] = exchange_bytes;
@@ -373,8 +288,6 @@ RolloutResult parallel_rollout(const TrainConfig& config,
         std::max(result.comm_seconds, comm_seconds[static_cast<std::size_t>(r)]);
     result.compute_seconds = std::max(
         result.compute_seconds, compute_seconds[static_cast<std::size_t>(r)]);
-    result.overlap_seconds = std::max(
-        result.overlap_seconds, overlap_seconds[static_cast<std::size_t>(r)]);
     result.steady_state_allocs += steady_allocs[static_cast<std::size_t>(r)];
     result.halo_bytes += halo_bytes[static_cast<std::size_t>(r)];
     result.halo_bytes_received += halo_bytes_recv[static_cast<std::size_t>(r)];
@@ -401,12 +314,10 @@ SubdomainEnsemble::SubdomainEnsemble(const TrainConfig& config,
     auto model = build_model(config.network, config.border, rng);
     import_parameters(*model, trained.rank_outcomes[r].parameters);
     const auto block = partition_.block_of_rank(static_cast<int>(r));
-    auto plan = std::make_unique<nn::ForwardPlan>(
+    plans_.push_back(std::make_unique<nn::ForwardPlan>(
         *model, config.network.channels.front(), block.height() + 2 * halo_,
-        block.width() + 2 * halo_);
-    if (!plan->supported()) plan.reset();
+        block.width() + 2 * halo_));
     models_.push_back(std::move(model));
-    plans_.push_back(std::move(plan));
   }
   inputs_.resize(models_.size());
 }
@@ -429,15 +340,10 @@ Tensor SubdomainEnsemble::predict(const Tensor& frame) const {
           const auto block = partition_.block_of_rank(static_cast<int>(r));
           const auto i = static_cast<std::size_t>(r);
           domain::extract_with_halo_into(frame, block, halo_, inputs_[i]);
-          if (plans_[i] != nullptr) {
-            const nn::ForwardPlan::Output out = plans_[i]->run(
-                inputs_[i].data(), inputs_[i].dim(1), inputs_[i].dim(2));
-            domain::copy_window(assembled, block.h0, block.w0, out.data,
-                                out.channels, block.height(), block.width());
-          } else {
-            Tensor out = nn::module_forward(*models_[i], inputs_[i]);
-            domain::insert_interior(assembled, block, out);
-          }
+          const nn::ForwardPlan::Output out = plans_[i]->run(
+              inputs_[i].data(), inputs_[i].dim(1), inputs_[i].dim(2));
+          domain::copy_window(assembled, block.h0, block.w0, out.data,
+                              out.channels, block.height(), block.width());
         }
       });
   return assembled;

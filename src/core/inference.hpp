@@ -23,16 +23,18 @@ class KernelBackend;
 namespace parpde::core {
 
 // The rollout loop parallel_rollout runs. There is exactly one (the elastic
-// runtime is selected by RolloutOptions::elastic, not by this enum).
+// runtime is selected by RolloutOptions::elastic, not by this enum); the enum
+// and RolloutOptions::engine remain only because the frozen perfbench/
+// sources assign them, and go the next time perfbench/ changes.
 enum class RolloutEngine {
-  // Asynchronous pipeline: border strips are posted the moment a step's
-  // output exists, the halo-independent interior of the next forward runs
-  // while they are in flight, and the rim is finished after the bounded
-  // receives land. All per-layer activations, im2col workspaces and halo
-  // staging buffers are pre-sized at rollout start (ForwardPlan), so the
-  // steady-state step performs zero heap allocations. Bit-identical to
-  // stepping every subdomain network on halo-extended tiles of the previous
-  // full frame (the oracle in tests/helpers.hpp).
+  // One step: post the border strips (HaloExchange::begin), receive the
+  // neighbours' into the halo-padded tile (finish), run the pre-sized
+  // ForwardPlan once on that whole tile, and hand the output to the deferred
+  // frame gather. All per-layer activations, im2col workspaces and halo
+  // staging buffers are pre-sized at rollout start, so the steady-state step
+  // performs zero heap allocations. Bit-identical to stepping every
+  // subdomain network on halo-extended tiles of the previous full frame (the
+  // oracle in tests/helpers.hpp).
   kOverlapped,
 };
 
@@ -80,8 +82,8 @@ struct RolloutOptions {
   // Execution provider for the per-step forward passes (see src/backend/):
   // nullptr = the reference fp32 backend. The int8 backend
   // (backend::quantized_int8()) calibrates activation scales from the initial
-  // frame on each rank before the first step and requires a plan-compatible
-  // model (not deconv mode). Halo exchange always stages fp32 either way —
+  // frame on each rank before the first step and rejects deconv mode (its
+  // transpose conv runs on fp32 only). Halo exchange always stages fp32 —
   // quantization is internal to the conv kernels, never on the wire.
   const backend::KernelBackend* backend = nullptr;
   // Always-on health monitor (RolloutResult::health): per-step NaN/Inf scan
@@ -157,9 +159,9 @@ struct RolloutResult {
   // empty on a healthy run.
   int degraded_borders = 0;
   std::vector<std::string> degraded_detail;  // e.g. "rank 2: e,n"
-  // Max over ranks of the forward time that ran while that rank's halo strips
-  // were in flight: the hidden-latency window the overlap design section of
-  // docs/performance.md describes.
+  // Always 0: the step runs its forward after the halo strips land, so no
+  // compute overlaps them. Kept only because the frozen perfbench/ sources
+  // read it; it goes, with RolloutEngine, the next time perfbench/ changes.
   double overlap_seconds = 0.0;
   // Total buffer regrowths after the first step, summed over ranks (plan
   // activations, im2col workspaces, halo staging). 0 means the steady-state
@@ -227,8 +229,7 @@ class SubdomainEnsemble {
   domain::Partition partition_;
   std::int64_t halo_;
   std::vector<std::unique_ptr<nn::Sequential>> models_;
-  // Per-subdomain pre-sized forward plans (null where the model graph is not
-  // plan-compatible, e.g. deconv mode) and input staging, reused across
+  // Per-subdomain pre-sized forward plans and input staging, reused across
   // predict() calls.
   std::vector<std::unique_ptr<nn::ForwardPlan>> plans_;
   mutable std::vector<Tensor> inputs_;

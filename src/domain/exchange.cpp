@@ -139,9 +139,9 @@ void HaloExchange::timed_send(mpi::Direction side,
 // forever). Returns false when the border just degraded; the caller leaves
 // its halo zero. Timeout choices never touch the send-side fault engine, so
 // per-channel fault-draw sequences are unchanged by any backoff schedule.
-// Threading (src/minimpi/README.md): the overlapped engine may run this on a
-// pool worker, but one side's receives are strictly sequential through this
-// object, so each halo channel (and recv_strip_) keeps a single consumer.
+// Threading (src/minimpi/README.md): one side's receives are strictly
+// sequential through this object, so each halo channel (and recv_strip_)
+// keeps a single consumer.
 bool HaloExchange::robust_recv(mpi::Direction side,
                                util::AccumulatingTimer* comm_time) {
   static telemetry::Counter& retries = telemetry::counter("comm.retries");

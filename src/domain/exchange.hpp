@@ -91,15 +91,15 @@ class BorderHealth {
   double max_residual_ = 0.0;
 };
 
-// Split halo exchange with persistent staging buffers, the building block of
-// the overlapped rollout engine (docs/performance.md):
+// Split halo exchange with persistent staging buffers, the exchange half of
+// every parallel_rollout step (docs/performance.md, "The rollout step"):
 //
 //   HaloExchange hx(cart, partition, halo, options, &health);
 //   for (step ...) {
 //     hx.begin(interior);            // posts W/E border strips (buffered
 //                                    //  sends — returns immediately)
-//     ... compute on the interior while the strips are in flight ...
 //     hx.finish(interior, padded);   // bounded receives + S/N corner phase
+//     ... one ForwardPlan::run on the whole padded tile ...
 //   }
 //
 // begin() posts this rank's west/east strips the moment the step's interior
@@ -129,7 +129,7 @@ class HaloExchange {
 
   // Completes the exchange begun with the same `interior` and assembles the
   // halo-padded tensor into `padded`. Wall time spent in receives/sends
-  // accumulates into `comm_time` (the overlapped engine's "wait" share).
+  // accumulates into `comm_time` (the rollout step's "wait" share).
   void finish(const Tensor& interior, Tensor& padded,
               util::AccumulatingTimer* comm_time = nullptr);
 

@@ -66,7 +66,6 @@ struct TaskState {
   int cy = 0;
   domain::BlockRange block{};
   bool active = false;
-  bool use_plan = false;
   std::unique_ptr<nn::Sequential> model;
   std::unique_ptr<nn::ForwardPlan> plan;
   Tensor interior;  // [c, bh, bw], the task's current field
@@ -135,7 +134,6 @@ core::RolloutResult elastic_rollout(const core::TrainConfig& config,
   const std::int64_t chans = initial.dim(0);
   const backend::KernelBackend* bk =
       options.backend != nullptr ? options.backend : &backend::blocked_f32();
-  const bool non_reference = bk != &backend::blocked_f32();
 
   auto recorded = [&](int step) {
     if (options.record_every <= 0) return false;
@@ -237,14 +235,7 @@ core::RolloutResult elastic_rollout(const core::TrainConfig& config,
       ts.plan = std::make_unique<nn::ForwardPlan>(*ts.model, chans,
                                                   bh + 2 * halo, bw + 2 * halo,
                                                   bk);
-      if (non_reference && !ts.plan->supported()) {
-        throw std::invalid_argument(
-            std::string("elastic_rollout: the ") + bk->name() +
-            " backend requires a plan-compatible model (deconv mode runs fp32 "
-            "only)");
-      }
-      ts.use_plan = ts.plan->supported();
-      if (ts.use_plan && ts.plan->needs_calibration()) {
+      if (ts.plan->needs_calibration()) {
         if (halo > 0) {
           Tensor calib({chans, bh + 2 * halo, bw + 2 * halo});
           calib.fill(0.0f);
@@ -594,8 +585,7 @@ core::RolloutResult elastic_rollout(const core::TrainConfig& config,
     auto total_growths = [&] {
       std::uint64_t g = buffer_growths;
       for (const int t : owned) {
-        const TaskState& ts = task[static_cast<std::size_t>(t)];
-        if (ts.plan != nullptr && ts.use_plan) g += ts.plan->growth_events();
+        g += task[static_cast<std::size_t>(t)].plan->growth_events();
       }
       return g;
     };
@@ -645,15 +635,11 @@ core::RolloutResult elastic_rollout(const core::TrainConfig& config,
           TaskState& ts = task[static_cast<std::size_t>(t)];
           const std::int64_t bh = ts.block.height();
           const std::int64_t bw = ts.block.width();
-          Tensor& input = halo > 0 ? ts.padded : ts.interior;
-          if (ts.use_plan) {
-            const nn::ForwardPlan::Output out =
-                ts.plan->run(input.data(), input.dim(1), input.dim(2));
-            domain::copy_window(ts.next, 0, 0, out.data, out.channels, bh, bw);
-            std::swap(ts.interior, ts.next);
-          } else {
-            ts.interior = nn::module_forward(*ts.model, input);
-          }
+          const Tensor& input = halo > 0 ? ts.padded : ts.interior;
+          const nn::ForwardPlan::Output out =
+              ts.plan->run(input.data(), input.dim(1), input.dim(2));
+          domain::copy_window(ts.next, 0, 0, out.data, out.channels, bh, bw);
+          std::swap(ts.interior, ts.next);
         }
       }
       compute_timer.stop();

@@ -36,8 +36,8 @@ Tensor ConvTranspose2d::forward(const Tensor& x) {
   const std::int64_t n = x.dim(0), h = x.dim(2), w = x.dim(3);
   const std::int64_t oh = h + kernel_ - 1, ow = w + kernel_ - 1;
   Tensor y({n, out_channels_, oh, ow});
-  // The scatter loop nest lives in the backend now (same kernel both the
-  // module graph and any future fused deconv path share).
+  // The scatter loop nest lives in the backend: ForwardPlan replays the
+  // same kernel, so plan and module graph agree bit for bit.
   backend::blocked_f32().conv_transpose2d_forward(
       x.data(), weight_.data(), bias_.data(), n, in_channels_, out_channels_,
       h, w, kernel_, y.data());

@@ -23,6 +23,9 @@ class ConvTranspose2d final : public Module {
   std::vector<ParamRef> parameters() override;
   [[nodiscard]] std::string name() const override;
 
+  [[nodiscard]] std::int64_t in_channels() const { return in_channels_; }
+  [[nodiscard]] std::int64_t out_channels() const { return out_channels_; }
+  [[nodiscard]] std::int64_t kernel() const { return kernel_; }
   Tensor& weight() { return weight_; }
   Tensor& bias() { return bias_; }
 

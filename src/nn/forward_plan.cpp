@@ -3,29 +3,16 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "nn/activation.hpp"
 #include "nn/conv2d.hpp"
+#include "nn/conv_transpose2d.hpp"
 #include "tensor/im2col.hpp"
 
 namespace parpde::nn {
 
 namespace {
-
-// Walks the fused step list once and returns the largest activation buffer
-// (in floats) any step writes for an input of [in_channels, h, w].
-std::int64_t peak_plane_floats(const std::vector<backend::ConvLayerDesc>& descs,
-                               std::int64_t in_channels, std::int64_t h,
-                               std::int64_t w, bool activation_first) {
-  std::int64_t peak = activation_first ? in_channels * h * w : 0;
-  for (const backend::ConvLayerDesc& l : descs) {
-    const ConvGeometry g{l.in_channels, h, w, l.kernel, l.pad};
-    h = g.out_height();
-    w = g.out_width();
-    peak = std::max(peak, l.out_channels * h * w);
-  }
-  return peak;
-}
 
 float max_abs(const float* x, std::int64_t n) {
   float m = 0.0f;
@@ -49,10 +36,15 @@ ForwardPlan::ForwardPlan(Sequential& model, std::int64_t in_channels,
   std::int64_t w = max_w;
   for (std::size_t i = 0; i < model.layer_count(); ++i) {
     Module& layer = model.layer(i);
+    auto reject = [&](const std::string& why) {
+      throw std::invalid_argument("ForwardPlan: layer " + std::to_string(i) +
+                                  " (" + layer.name() + ") " + why);
+    };
+    Step step;
     if (auto* conv = dynamic_cast<Conv2d*>(&layer)) {
       if (conv->in_channels() != ch) {
-        supported_ = false;
-        return;
+        reject("expects " + std::to_string(conv->in_channels()) +
+               " input channels, gets " + std::to_string(ch));
       }
       backend::ConvLayerDesc desc;
       desc.weight = conv->weight().data();
@@ -61,80 +53,99 @@ ForwardPlan::ForwardPlan(Sequential& model, std::int64_t in_channels,
       desc.out_channels = conv->out_channels();
       desc.kernel = conv->kernel();
       desc.pad = conv->pad();
-      const ConvGeometry g{ch, h, w, desc.kernel, desc.pad};
-      if (g.out_height() <= 0 || g.out_width() <= 0) {
-        supported_ = false;
-        return;
-      }
-      ch = desc.out_channels;
-      h = g.out_height();
-      w = g.out_width();
-      Step step;
-      step.op = Op::kConv;
       step.conv = static_cast<int>(descs_.size());
       descs_.push_back(desc);
-      steps_.push_back(step);
-      continue;
-    }
-    // Pointwise layer: fuse into the preceding conv's epilogue when there is
-    // one (the Table-I net is conv/act pairs throughout); otherwise keep it
-    // as a standalone step.
-    backend::Fused fused = backend::Fused::kNone;
-    float slope = 0.0f;
-    if (auto* leaky = dynamic_cast<LeakyReLU*>(&layer)) {
-      fused = backend::Fused::kLeakyReLU;
-      slope = leaky->negative_slope();
-    } else if (dynamic_cast<ReLU*>(&layer) != nullptr) {
-      fused = backend::Fused::kReLU;
-    } else if (dynamic_cast<Tanh*>(&layer) != nullptr) {
-      fused = backend::Fused::kTanh;
+    } else if (auto* deconv = dynamic_cast<ConvTranspose2d*>(&layer)) {
+      // The transpose conv has one kernel, the fp32 scatter loop; a
+      // low-precision backend must not silently run part of the net in fp32.
+      if (backend_ != &backend::blocked_f32()) {
+        reject(std::string("has no ") + backend_->name() +
+               " kernel (transpose convs run on fp32 only)");
+      }
+      if (deconv->in_channels() != ch) {
+        reject("expects " + std::to_string(deconv->in_channels()) +
+               " input channels, gets " + std::to_string(ch));
+      }
+      step.op = Op::kDeconv;
+      step.deconv = deconv;
     } else {
-      supported_ = false;  // e.g. ConvTranspose2d in deconv mode
-      return;
-    }
-    if (!steps_.empty() && steps_.back().op == Op::kConv &&
-        descs_[static_cast<std::size_t>(steps_.back().conv)].fused ==
-            backend::Fused::kNone) {
-      backend::ConvLayerDesc& prev =
-          descs_[static_cast<std::size_t>(steps_.back().conv)];
-      prev.fused = fused;
-      prev.slope = slope;
-      continue;
-    }
-    Step step;
-    switch (fused) {
-      case backend::Fused::kLeakyReLU:
+      // Pointwise layer: fuse into the preceding conv's epilogue when there
+      // is one (the Table-I net is conv/act pairs throughout); otherwise keep
+      // it as a standalone step.
+      backend::Fused fused = backend::Fused::kNone;
+      if (auto* leaky = dynamic_cast<LeakyReLU*>(&layer)) {
+        fused = backend::Fused::kLeakyReLU;
         step.op = Op::kLeakyReLU;
-        step.slope = slope;
-        break;
-      case backend::Fused::kReLU:
+        step.slope = leaky->negative_slope();
+      } else if (dynamic_cast<ReLU*>(&layer) != nullptr) {
+        fused = backend::Fused::kReLU;
         step.op = Op::kReLU;
-        break;
-      case backend::Fused::kTanh:
+      } else if (dynamic_cast<Tanh*>(&layer) != nullptr) {
+        fused = backend::Fused::kTanh;
         step.op = Op::kTanh;
-        break;
-      case backend::Fused::kNone:
-        break;  // unreachable
+      } else {
+        reject("is not a layer ForwardPlan can replay");
+      }
+      if (!steps_.empty() && steps_.back().op == Op::kConv &&
+          descs_[static_cast<std::size_t>(steps_.back().conv)].fused ==
+              backend::Fused::kNone) {
+        backend::ConvLayerDesc& prev =
+            descs_[static_cast<std::size_t>(steps_.back().conv)];
+        prev.fused = fused;
+        prev.slope = step.slope;
+        continue;
+      }
+    }
+    advance(step, ch, h, w);
+    if (h <= 0 || w <= 0) {
+      reject("leaves an empty output for a [" + std::to_string(max_h) + ", " +
+             std::to_string(max_w) + "] input");
     }
     steps_.push_back(step);
   }
   out_channels_ = ch;
   shrink_ = max_h - h;
   if (shrink_ != max_w - w) {
-    supported_ = false;  // non-square shrink; no caller needs it
-    return;
+    throw std::invalid_argument(
+        "ForwardPlan: the model shrinks height and width unequally");
   }
-  const bool activation_first = !steps_.empty() && steps_.front().op != Op::kConv;
-  const std::int64_t peak_plane =
-      peak_plane_floats(descs_, in_channels, max_h, max_w, activation_first);
-  ping_.resize(static_cast<std::size_t>(max_batch_ * peak_plane));
-  pong_.resize(static_cast<std::size_t>(max_batch_ * peak_plane));
+  const auto peak = static_cast<std::size_t>(peak_plane(max_h, max_w));
+  act_.ping.resize(static_cast<std::size_t>(max_batch_) * peak);
+  act_.pong.resize(static_cast<std::size_t>(max_batch_) * peak);
   if (max_batch_ > 1) {
     stack_.resize(static_cast<std::size_t>(
         max_batch_ * out_channels_ * (max_h - shrink_) * (max_w - shrink_)));
   }
   ctx_ = backend_->make_plan_context(descs_, max_h, max_w, max_batch_);
   growth_events_ = 0;
+}
+
+void ForwardPlan::advance(const Step& step, std::int64_t& ch, std::int64_t& h,
+                          std::int64_t& w) const {
+  if (step.op == Op::kConv) {
+    const backend::ConvLayerDesc& l =
+        descs_[static_cast<std::size_t>(step.conv)];
+    const ConvGeometry g{l.in_channels, h, w, l.kernel, l.pad};
+    ch = l.out_channels;
+    h = g.out_height();
+    w = g.out_width();
+  } else if (step.op == Op::kDeconv) {
+    ch = step.deconv->out_channels();
+    h += step.deconv->kernel() - 1;
+    w += step.deconv->kernel() - 1;
+  }
+}
+
+std::int64_t ForwardPlan::peak_plane(std::int64_t h, std::int64_t w) const {
+  // A pointwise step writes a buffer of its input's size, so an
+  // activation-first model needs room for the input plane too.
+  std::int64_t ch = in_channels_;
+  std::int64_t peak = 0;
+  for (const Step& step : steps_) {
+    advance(step, ch, h, w);
+    peak = std::max(peak, ch * h * w);
+  }
+  return peak;
 }
 
 float* ForwardPlan::ensure(util::AlignedVector<float>& buf,
@@ -147,65 +158,22 @@ float* ForwardPlan::ensure(util::AlignedVector<float>& buf,
 }
 
 bool ForwardPlan::needs_calibration() const {
-  return supported_ && backend_->needs_calibration(*ctx_);
+  return backend_->needs_calibration(*ctx_);
 }
 
 void ForwardPlan::calibrate(const float* x, std::int64_t h, std::int64_t w) {
-  if (!supported_) {
-    throw std::logic_error("ForwardPlan::calibrate on an unsupported model");
-  }
-  // One fp32 reference pass through a throwaway context, recording each conv
-  // layer's input max-abs. Runs on the reference backend regardless of the
-  // plan's own, so calibration is backend-independent and deterministic.
+  // One fp32 reference pass through a throwaway context and buffers,
+  // recording each conv layer's input max-abs. Runs on the reference backend
+  // regardless of the plan's own, so calibration is backend-independent and
+  // deterministic, and leaves the plan's own state untouched.
   const backend::KernelBackend& ref = backend::blocked_f32();
   auto ctx = ref.make_plan_context(descs_, h, w);
-  const bool activation_first = !steps_.empty() && steps_.front().op != Op::kConv;
-  const std::int64_t peak =
-      peak_plane_floats(descs_, in_channels_, h, w, activation_first);
-  util::AlignedVector<float> ping(static_cast<std::size_t>(peak));
-  util::AlignedVector<float> pong(static_cast<std::size_t>(peak));
+  const auto peak = static_cast<std::size_t>(peak_plane(h, w));
+  Buffers buf{util::AlignedVector<float>(peak),
+              util::AlignedVector<float>(peak)};
   std::vector<float> ranges;
   ranges.reserve(descs_.size());
-
-  const float* cur = x;
-  float* cur_buf = nullptr;
-  std::int64_t ch = in_channels_;
-  std::int64_t th = h, tw = w;
-  for (const Step& step : steps_) {
-    if (step.op == Op::kConv) {
-      const backend::ConvLayerDesc& l =
-          descs_[static_cast<std::size_t>(step.conv)];
-      ranges.push_back(max_abs(cur, ch * th * tw));
-      const ConvGeometry g{ch, th, tw, l.kernel, l.pad};
-      float* dst = (cur_buf == ping.data() && cur_buf != nullptr)
-                       ? pong.data()
-                       : ping.data();
-      ref.conv_forward(*ctx, step.conv, cur, th, tw, dst);
-      cur = dst;
-      cur_buf = dst;
-      ch = l.out_channels;
-      th = g.out_height();
-      tw = g.out_width();
-      continue;
-    }
-    const std::int64_t n = ch * th * tw;
-    float* dst = cur_buf != nullptr ? cur_buf : ping.data();
-    switch (step.op) {
-      case Op::kLeakyReLU:
-        ref.leaky_relu(cur, dst, n, step.slope);
-        break;
-      case Op::kReLU:
-        ref.relu(cur, dst, n);
-        break;
-      case Op::kTanh:
-        ref.tanh(cur, dst, n);
-        break;
-      case Op::kConv:
-        break;  // unreachable
-    }
-    cur = dst;
-    cur_buf = dst;
-  }
+  (void)walk(ref, *ctx, buf, x, 1, h, w, nullptr, &ranges);
   set_calibration(std::move(ranges));
 }
 
@@ -220,64 +188,12 @@ void ForwardPlan::set_calibration(std::vector<float> ranges) {
 
 ForwardPlan::Output ForwardPlan::run(const float* x, std::int64_t h,
                                      std::int64_t w) {
-  if (!supported_) {
-    throw std::logic_error("ForwardPlan::run on an unsupported model");
-  }
-  const float* cur = x;
-  float* cur_buf = nullptr;  // non-null iff `cur` is one of our buffers
-  std::int64_t ch = in_channels_;
-
-  for (const Step& step : steps_) {
-    if (step.op == Op::kConv) {
-      const backend::ConvLayerDesc& l =
-          descs_[static_cast<std::size_t>(step.conv)];
-      const ConvGeometry g{ch, h, w, l.kernel, l.pad};
-      const std::int64_t oh = g.out_height();
-      const std::int64_t ow = g.out_width();
-      if (oh <= 0 || ow <= 0) {
-        throw std::invalid_argument("ForwardPlan::run: input below kernel size");
-      }
-      // Write the other ping-pong buffer than the one `cur` lives in.
-      util::AlignedVector<float>& out_vec =
-          (cur_buf == ping_.data() && cur_buf != nullptr) ? pong_ : ping_;
-      float* dst = ensure(out_vec, l.out_channels * oh * ow);
-      backend_->conv_forward(*ctx_, step.conv, cur, h, w, dst);
-      cur = dst;
-      cur_buf = dst;
-      ch = l.out_channels;
-      h = oh;
-      w = ow;
-      continue;
-    }
-    // Standalone pointwise activation: in place when `cur` is already ours,
-    // otherwise into a buffer (only possible for an activation-first model).
-    const std::int64_t n = ch * h * w;
-    float* dst = cur_buf != nullptr ? cur_buf : ensure(ping_, n);
-    switch (step.op) {
-      case Op::kLeakyReLU:
-        backend_->leaky_relu(cur, dst, n, step.slope);
-        break;
-      case Op::kReLU:
-        backend_->relu(cur, dst, n);
-        break;
-      case Op::kTanh:
-        backend_->tanh(cur, dst, n);
-        break;
-      case Op::kConv:
-        break;  // unreachable
-    }
-    cur = dst;
-    cur_buf = dst;
-  }
-  return Output{cur, ch, h, w};
+  return walk(*backend_, *ctx_, act_, x, 1, h, w, nullptr, nullptr);
 }
 
 ForwardPlan::Output ForwardPlan::run_batched(const float* x,
                                              std::int64_t batch,
                                              std::int64_t h, std::int64_t w) {
-  if (!supported_) {
-    throw std::logic_error("ForwardPlan::run_batched on an unsupported model");
-  }
   if (batch <= 0) {
     throw std::invalid_argument("ForwardPlan::run_batched: batch must be > 0");
   }
@@ -292,16 +208,12 @@ ForwardPlan::Output ForwardPlan::run_batched(const float* x,
   // are untouched (the batched-vs-solo identity tests in tests/test_serve.cpp
   // cover exactly this).
   constexpr std::int64_t kGroupBudgetBytes = std::int64_t{2} << 20;
-  const bool activation_first =
-      !steps_.empty() && steps_.front().op != Op::kConv;
-  const std::int64_t peak =
-      peak_plane_floats(descs_, in_channels_, h, w, activation_first);
   const std::int64_t per_sample_bytes =
-      2 * peak * static_cast<std::int64_t>(sizeof(float));
+      2 * peak_plane(h, w) * static_cast<std::int64_t>(sizeof(float));
   const std::int64_t group = std::min(
       batch, std::max<std::int64_t>(1, kGroupBudgetBytes / per_sample_bytes));
   if (group >= batch) {
-    return run_group(x, batch, h, w, nullptr);
+    return walk(*backend_, *ctx_, act_, x, batch, h, w, nullptr, nullptr);
   }
   const std::int64_t oh = h - shrink_;
   const std::int64_t ow = w - shrink_;
@@ -310,65 +222,73 @@ ForwardPlan::Output ForwardPlan::run_batched(const float* x,
   Output last{};
   for (std::int64_t s0 = 0; s0 < batch; s0 += group) {
     const std::int64_t gb = std::min(group, batch - s0);
-    last = run_group(x + s0 * in_channels_ * h * w, gb, h, w,
-                     out + s0 * out_floats);
+    last = walk(*backend_, *ctx_, act_, x + s0 * in_channels_ * h * w, gb, h,
+                w, out + s0 * out_floats, nullptr);
   }
   return Output{out, last.channels, last.height, last.width};
 }
 
-ForwardPlan::Output ForwardPlan::run_group(const float* x, std::int64_t batch,
-                                           std::int64_t h, std::int64_t w,
-                                           float* final_dst) {
+ForwardPlan::Output ForwardPlan::walk(const backend::KernelBackend& bk,
+                                      backend::PlanContext& ctx, Buffers& buf,
+                                      const float* x, std::int64_t batch,
+                                      std::int64_t h, std::int64_t w,
+                                      float* final_dst,
+                                      std::vector<float>* ranges) {
   const float* cur = x;
   float* cur_buf = nullptr;  // non-null iff `cur` is one of our buffers
   std::int64_t ch = in_channels_;
 
   for (const Step& step : steps_) {
-    const bool last = &step == &steps_.back();
-    if (step.op == Op::kConv) {
-      const backend::ConvLayerDesc& l =
-          descs_[static_cast<std::size_t>(step.conv)];
-      const ConvGeometry g{ch, h, w, l.kernel, l.pad};
-      const std::int64_t oh = g.out_height();
-      const std::int64_t ow = g.out_width();
-      if (oh <= 0 || ow <= 0) {
-        throw std::invalid_argument(
-            "ForwardPlan::run_batched: input below kernel size");
-      }
-      util::AlignedVector<float>& out_vec =
-          (cur_buf == ping_.data() && cur_buf != nullptr) ? pong_ : ping_;
-      float* dst = (last && final_dst != nullptr)
-                       ? final_dst
-                       : ensure(out_vec, batch * l.out_channels * oh * ow);
-      backend_->conv_forward_batched(*ctx_, step.conv, cur, batch, h, w, dst);
-      cur = dst;
-      cur_buf = dst;
-      ch = l.out_channels;
-      h = oh;
-      w = ow;
-      continue;
+    std::int64_t oc = ch;
+    std::int64_t oh = h;
+    std::int64_t ow = w;
+    advance(step, oc, oh, ow);
+    if (oh <= 0 || ow <= 0) {
+      throw std::invalid_argument("ForwardPlan: input below kernel size");
     }
-    // Standalone pointwise activation over the whole stacked batch: the ops
-    // are elementwise, so per-sample results cannot depend on the batch.
+    const bool pointwise = step.op != Op::kConv && step.op != Op::kDeconv;
+    float* dst = nullptr;
+    if (&step == &steps_.back() && final_dst != nullptr) {
+      dst = final_dst;
+    } else if (pointwise && cur_buf != nullptr) {
+      dst = cur_buf;  // in place
+    } else {
+      // Write the other ping-pong buffer than the one `cur` lives in.
+      util::AlignedVector<float>& out_vec =
+          (cur_buf != nullptr && cur_buf == buf.ping.data()) ? buf.pong
+                                                              : buf.ping;
+      dst = ensure(out_vec, batch * oc * oh * ow);
+    }
     const std::int64_t n = batch * ch * h * w;
-    float* dst = (last && final_dst != nullptr)
-                     ? final_dst
-                     : (cur_buf != nullptr ? cur_buf : ensure(ping_, n));
     switch (step.op) {
+      case Op::kConv:
+        if (ranges != nullptr) ranges->push_back(max_abs(cur, n));
+        if (batch == 1) {
+          bk.conv_forward(ctx, step.conv, cur, h, w, dst);
+        } else {
+          bk.conv_forward_batched(ctx, step.conv, cur, batch, h, w, dst);
+        }
+        break;
+      case Op::kDeconv:
+        bk.conv_transpose2d_forward(cur, step.deconv->weight().data(),
+                                    step.deconv->bias().data(), batch, ch, oc,
+                                    h, w, step.deconv->kernel(), dst);
+        break;
       case Op::kLeakyReLU:
-        backend_->leaky_relu(cur, dst, n, step.slope);
+        bk.leaky_relu(cur, dst, n, step.slope);
         break;
       case Op::kReLU:
-        backend_->relu(cur, dst, n);
+        bk.relu(cur, dst, n);
         break;
       case Op::kTanh:
-        backend_->tanh(cur, dst, n);
+        bk.tanh(cur, dst, n);
         break;
-      case Op::kConv:
-        break;  // unreachable
     }
     cur = dst;
     cur_buf = dst;
+    ch = oc;
+    h = oh;
+    w = ow;
   }
   return Output{cur, ch, h, w};
 }

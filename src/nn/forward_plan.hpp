@@ -1,22 +1,24 @@
 #pragma once
 
-// Pre-sized inference plan for a Sequential of Conv2d + pointwise activation
-// layers (the paper's Table-I subdomain network). The plan walks the model
-// once at construction, pre-allocates every per-layer activation buffer, asks
-// the selected KernelBackend for a PlanContext holding the backend-side state
-// (im2col workspace for fp32; quantized weights and int8 workspaces for
-// int8), and then evaluates forward passes into those buffers: the
-// steady-state step performs zero heap allocations on either backend
-// (verified by the counting-allocator tests in tests/test_rollout_overlap.cpp
-// and tests/test_quant_rollout.cpp).
+// Pre-sized inference plan for a Sequential of Conv2d, ConvTranspose2d and
+// pointwise activation layers (the paper's Table-I subdomain network and its
+// deconv border-mode variant). The plan walks the model once at construction,
+// pre-allocates every per-layer activation buffer, asks the selected
+// KernelBackend for a PlanContext holding the backend-side state (im2col
+// workspace for fp32; quantized weights and int8 workspaces for int8), and
+// then evaluates forward passes into those buffers: the steady-state step
+// performs zero heap allocations on either backend (verified by the
+// counting-allocator tests in tests/test_rollout_overlap.cpp and
+// tests/test_quant_rollout.cpp).
 //
-// run() accepts any input no larger than the pre-sized maximum, which is what
-// lets the overlapped rollout engine evaluate the same plan on the bare
-// interior tile (while halo strips are in flight) and afterwards on the four
-// thin rim bands — see docs/performance.md. On the fp32 backend results are
-// bit-identical to Module::forward: the convs lower to the same im2col + GEMM
-// kernels (whose per-element k-reduction order is independent of the matrix
-// width and the worker count) and the fused bias/activation epilogue applies
+// Every inference path (parallel_rollout, the elastic engine,
+// SubdomainEnsemble, SurrogateServer) runs one plan pass per step on the
+// whole input tile; run() accepts any input no larger than the pre-sized
+// maximum. On the fp32 backend results are bit-identical to Module::forward:
+// the convs lower to the same im2col + GEMM kernels (whose per-element
+// k-reduction order is independent of the matrix width and the worker
+// count), transpose convs call the same scatter kernel as
+// ConvTranspose2d::forward, and the fused bias/activation epilogue applies
 // the layers' exact per-element formulas. On the int8 backend results are
 // bit-deterministic (integer accumulation is exact; activation scales are
 // fixed by calibration, not derived per call) but intentionally differ from
@@ -34,22 +36,24 @@
 
 namespace parpde::nn {
 
+class ConvTranspose2d;
+
 class ForwardPlan {
  public:
   // Walks `model` and pre-sizes all buffers for inputs up to
-  // [in_channels, max_h, max_w]. If the model contains a layer type the plan
-  // cannot replay (anything but Conv2d / LeakyReLU / ReLU / Tanh), the plan
-  // is marked unsupported and run() must not be called — callers fall back
-  // to Module::forward. `backend` selects the execution provider
+  // [in_channels, max_h, max_w]. `backend` selects the execution provider
   // (nullptr = the reference fp32 backend). `max_batch` additionally
   // pre-sizes the plan for run_batched() calls of up to that many stacked
-  // samples (1 = the classic single-sample plan).
+  // samples (1 = the classic single-sample plan). Throws
+  // std::invalid_argument naming the offending layer when the plan cannot
+  // replay the model: a layer other than Conv2d / ConvTranspose2d /
+  // LeakyReLU / ReLU / Tanh, an input channel mismatch, an empty output at
+  // the maximum geometry, a ConvTranspose2d on any backend but fp32, or a
+  // non-square total shrink.
   ForwardPlan(Sequential& model, std::int64_t in_channels, std::int64_t max_h,
               std::int64_t max_w,
               const backend::KernelBackend* backend = nullptr,
               std::int64_t max_batch = 1);
-
-  [[nodiscard]] bool supported() const noexcept { return supported_; }
 
   [[nodiscard]] const backend::KernelBackend& backend() const noexcept {
     return *backend_;
@@ -85,9 +89,10 @@ class ForwardPlan {
   // True when the backend quantizes activations and no input ranges have been
   // installed yet; run() must not be called in that state.
   [[nodiscard]] bool needs_calibration() const;
-  // One fp32 reference pass over a representative tile [in_channels, h, w]:
-  // records each conv layer's input max-abs and installs the ranges into the
-  // backend context. Allocates (calibration happens before steady state).
+  // One fp32 reference pass over a representative tile [in_channels, h, w]
+  // (at most the pre-sized geometry): records each conv layer's input
+  // max-abs and installs the ranges into the backend context. Allocates
+  // (calibration happens before steady state).
   void calibrate(const float* x, std::int64_t h, std::int64_t w);
   // Installs externally recorded ranges (e.g. the quantized-weights section
   // of a serialized model); one entry per conv layer.
@@ -104,7 +109,7 @@ class ForwardPlan {
     return out_channels_;
   }
   // Total spatial shrink of the stack: output is [out_channels, h - s, w - s]
-  // for input height/width h, w (0 for "same"-padded nets).
+  // for input height/width h, w (0 for "same"-padded and deconv-mode nets).
   [[nodiscard]] std::int64_t shrink() const noexcept { return shrink_; }
   // Largest batch the plan pre-sized run_batched() for.
   [[nodiscard]] std::int64_t max_batch() const noexcept { return max_batch_; }
@@ -112,31 +117,51 @@ class ForwardPlan {
   // Buffer regrowths since construction (plan activation buffers plus the
   // backend context's workspaces); 0 in a pre-sized steady state.
   [[nodiscard]] std::uint64_t growth_events() const noexcept {
-    return growth_events_ +
-           (ctx_ != nullptr ? ctx_->growth_events() : std::uint64_t{0});
+    return growth_events_ + ctx_->growth_events();
   }
 
  private:
-  enum class Op { kConv, kLeakyReLU, kReLU, kTanh };
+  enum class Op { kConv, kDeconv, kLeakyReLU, kReLU, kTanh };
 
   // Post-fusion step list: a kConv step indexes the ConvLayerDesc (which may
   // carry a fused activation); the pointwise ops only appear standalone when
-  // they have no conv to fuse into (e.g. an activation-first model).
+  // they have no conv to fuse into (an activation-first model, or the
+  // activation after a transpose conv).
   struct Step {
     Op op = Op::kConv;
-    int conv = -1;       // kConv: index into descs_
-    float slope = 0.0f;  // kLeakyReLU only
+    int conv = -1;                      // kConv: index into descs_
+    ConvTranspose2d* deconv = nullptr;  // kDeconv
+    float slope = 0.0f;                 // kLeakyReLU only
+  };
+
+  // Activation ping-pong pair a pass writes its layer outputs into.
+  struct Buffers {
+    util::AlignedVector<float> ping;
+    util::AlignedVector<float> pong;
   };
 
   float* ensure(util::AlignedVector<float>& buf, std::int64_t floats);
 
-  // One wide pass over `batch` stacked samples through every step. When
-  // `final_dst` is non-null the last step writes its [batch, out_channels,
-  // oh, ow] result there instead of into a ping-pong buffer, which is what
-  // lets run_batched() evaluate a large batch in cache-sized sample groups
-  // while still returning one contiguous stacked output.
-  Output run_group(const float* x, std::int64_t batch, std::int64_t h,
-                   std::int64_t w, float* final_dst);
+  // Shape [ch, h, w] after `step` (pointwise steps keep it).
+  void advance(const Step& step, std::int64_t& ch, std::int64_t& h,
+               std::int64_t& w) const;
+  // Largest activation buffer (in floats) any step writes for one sample of
+  // [in_channels, h, w].
+  [[nodiscard]] std::int64_t peak_plane(std::int64_t h, std::int64_t w) const;
+
+  // One pass of `batch` stacked samples through every step on `bk`/`ctx`,
+  // writing intermediate activations into `buf` (batch 1 takes the solo
+  // conv_forward, larger batches lower into one wide GEMM per conv). When
+  // `final_dst` is non-null the last step writes its
+  // [batch, out_channels, oh, ow] result there instead of into a ping-pong
+  // buffer, which is what lets run_batched() evaluate a large batch in
+  // cache-sized sample groups while still returning one contiguous stacked
+  // output. When `ranges` is non-null each conv layer's input max-abs is
+  // appended to it (calibrate()).
+  Output walk(const backend::KernelBackend& bk, backend::PlanContext& ctx,
+              Buffers& buf, const float* x, std::int64_t batch,
+              std::int64_t h, std::int64_t w, float* final_dst,
+              std::vector<float>* ranges);
 
   const backend::KernelBackend* backend_ = nullptr;
   std::vector<Step> steps_;
@@ -149,11 +174,9 @@ class ForwardPlan {
   std::int64_t max_w_ = 0;
   std::int64_t max_batch_ = 1;
   std::int64_t shrink_ = 0;
-  bool supported_ = true;
   std::uint64_t growth_events_ = 0;
 
-  util::AlignedVector<float> ping_;  // activation ping-pong buffers
-  util::AlignedVector<float> pong_;
+  Buffers act_;  // activation ping-pong buffers
   // Stacked final output for the grouped run_batched() path (only sized when
   // max_batch > 1): sample groups write their last-layer result here at their
   // batch offset so the returned Output spans the whole batch contiguously.

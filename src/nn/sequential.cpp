@@ -51,12 +51,4 @@ std::string Sequential::name() const {
   return s;
 }
 
-Tensor module_forward(Sequential& model, Tensor& input) {
-  input.reshape({1, input.dim(0), input.dim(1), input.dim(2)});
-  Tensor out = model.forward(input);
-  input.reshape({input.dim(1), input.dim(2), input.dim(3)});
-  out.reshape({out.dim(1), out.dim(2), out.dim(3)});
-  return out;
-}
-
 }  // namespace parpde::nn

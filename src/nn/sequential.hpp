@@ -37,9 +37,4 @@ class Sequential final : public Module {
   std::vector<ModulePtr> layers_;
 };
 
-// Module-graph forward on one [C, h, w] tile: reshapes `input` in place
-// around Sequential::forward (no input copy) and returns [C', h', w']. The
-// inference fallback for graphs a ForwardPlan cannot run (deconv mode).
-Tensor module_forward(Sequential& model, Tensor& input);
-
 }  // namespace parpde::nn

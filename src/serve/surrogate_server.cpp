@@ -52,10 +52,6 @@ SurrogateServer::SurrogateServer(nn::Sequential& model, std::int64_t channels,
         "SurrogateServer: max_batch, queue_depth and max_sessions must be "
         "positive");
   }
-  if (!plan_.supported()) {
-    throw std::invalid_argument(
-        "SurrogateServer: model contains layers ForwardPlan cannot replay");
-  }
   if (plan_.shrink() != 0) {
     throw std::invalid_argument(
         "SurrogateServer: sessions are autoregressive on a fixed geometry — "

@@ -95,10 +95,11 @@ struct ServerStats {
 
 class SurrogateServer {
  public:
-  // The model must be a plan-supported Sequential with zero spatial shrink
-  // ("same"-padded, BorderMode::kZeroPad): sessions are autoregressive on a
-  // fixed [channels, height, width] geometry. The model must outlive the
-  // server. Throws std::invalid_argument otherwise.
+  // The model must be a Sequential ForwardPlan can replay on
+  // options.backend, with zero spatial shrink (BorderMode::kZeroPad, or the
+  // deconv-mode net on fp32): sessions are autoregressive on a fixed
+  // [channels, height, width] geometry. The model must outlive the server.
+  // Throws std::invalid_argument otherwise.
   SurrogateServer(nn::Sequential& model, std::int64_t channels,
                   std::int64_t height, std::int64_t width,
                   const ServerOptions& options = {});

@@ -27,6 +27,7 @@
 #include "minimpi/tags.hpp"
 #include "nn/forward_plan.hpp"
 #include "nn/serialize.hpp"
+#include "serve/surrogate_server.hpp"
 #include "util/random.hpp"
 #include "util/thread_pool.hpp"
 
@@ -184,9 +185,9 @@ TEST(QuantRollout, HundredStepDivergenceWithinBudget) {
 }
 
 TEST(QuantRollout, BitDeterministicAcrossWorkersAndOracle) {
-  // Fixed calibrated scales + exact integer accumulation: the overlapped
-  // interior/rim evaluation, the oracle's whole-tile evaluation, and any
-  // pool worker count must produce identical bits.
+  // Fixed calibrated scales + exact integer accumulation: the rollout, the
+  // oracle's serial per-block evaluation, and any pool worker count must
+  // produce identical bits.
   const TrainConfig cfg = fig3_config();
   const std::int64_t grid = 48;
   const auto params = contractive_params(cfg);
@@ -262,17 +263,36 @@ TEST(QuantRollout, DegradedBordersMatchFp32Behavior) {
 }
 
 TEST(QuantRollout, DeconvModeRejectsInt8) {
-  // The deconv model graph is not plan-compatible; the int8 backend cannot
-  // silently fall back to fp32 module_forward — it must refuse.
+  // The transpose conv has no int8 kernel; the int8 backend cannot silently
+  // run part of the deconv net in fp32 — the ForwardPlan constructor refuses
+  // it, and with it every engine and the server.
   TrainConfig cfg = fig3_config();
   cfg.border = BorderMode::kDeconv;
   const std::int64_t grid = 48;
   const auto params = contractive_params(cfg);
   const auto report = shared_weight_report(4, params, grid);
   const Tensor initial = random_frame(grid, 5);
+  const auto* int8 = &backend::quantized_int8();
 
-  EXPECT_THROW(parallel_rollout(cfg, report, initial, 2,
-                                backend_options(&backend::quantized_int8())),
+  const auto model = rebuild_model(cfg, params);
+  try {
+    const nn::ForwardPlan plan(*model, 4, grid, grid, int8);
+    ADD_FAILURE() << "int8 ForwardPlan accepted a deconv model";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("conv_transpose2d"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(
+      parallel_rollout(cfg, report, initial, 2, backend_options(int8)),
+      std::invalid_argument);
+  RolloutOptions elastic = backend_options(int8);
+  elastic.elastic.enabled = true;
+  EXPECT_THROW(parallel_rollout(cfg, report, initial, 2, elastic),
+               std::invalid_argument);
+  serve::ServerOptions serving;
+  serving.backend = int8;
+  EXPECT_THROW(serve::SurrogateServer(*model, 4, grid, grid, serving),
                std::invalid_argument);
 }
 
@@ -287,7 +307,6 @@ TEST(QuantPlan, CalibrationRoundTripAndUncalibratedThrows) {
   data_rng.fill_uniform(x.values(), -1.0f, 1.0f);
 
   nn::ForwardPlan calibrated(*model, 4, h, w, &backend::quantized_int8());
-  ASSERT_TRUE(calibrated.supported());
   EXPECT_TRUE(calibrated.needs_calibration());
   EXPECT_THROW((void)calibrated.run(x.data(), h, w), std::logic_error);
   calibrated.calibrate(x.data(), h, w);
@@ -399,7 +418,6 @@ TEST(QuantPlan, SteadyStateAllocationFree) {
   auto model = build_model(cfg.network, cfg.border, rng);
   const std::int64_t h = 40, w = 36;
   nn::ForwardPlan plan(*model, 4, h, w, &backend::quantized_int8());
-  ASSERT_TRUE(plan.supported());
 
   Tensor x({4, h, w});
   util::Rng data_rng(17);

@@ -1,8 +1,10 @@
-// Overlapped rollout engine: the asynchronous interior/rim pipeline must be
-// bit-identical to the stepped rollout oracle (tests/helpers.hpp) — healthy,
-// under injected message delay, and under message loss with degraded borders
-// — and its steady-state step must perform zero heap allocations (counting
-// allocator over the ForwardPlan, growth accounting over the engine).
+// Rollout engine: the split halo exchange followed by one whole-tile
+// ForwardPlan run per step must be bit-identical to the stepped rollout
+// oracle (tests/helpers.hpp) — healthy, under injected message delay, and
+// under message loss with degraded borders — and its steady-state step must
+// perform zero heap allocations (counting allocator over the ForwardPlan,
+// growth accounting over the engine). ForwardPlan itself, deconv mode
+// included, must match the module graph bit for bit.
 
 #include <gtest/gtest.h>
 
@@ -160,7 +162,7 @@ TEST(RolloutOverlap, BitIdenticalToOracleZeroPad) {
 }
 
 TEST(RolloutOverlap, BitIdenticalWithPoolWorkers) {
-  // The interior/rim split fans out over the intra-rank pool; the values must
+  // Each rank's forward fans out over the intra-rank pool; the values must
   // not depend on the worker count (the k-reduction never splits).
   const TrainConfig cfg = small_config(BorderMode::kHaloPad);
   const std::int64_t grid = 24;
@@ -350,50 +352,146 @@ TEST(RolloutOverlap, SplitExchangeMatchesMonolithicAcrossSteps) {
 }
 
 TEST(ForwardPlan, BitIdenticalToModuleForwardAndAllocationFree) {
-  const TrainConfig cfg = small_config(BorderMode::kHaloPad);
-  util::Rng rng(cfg.seed);
-  auto model = build_model(cfg.network, cfg.border, rng);
-  const std::int64_t h = 20, w = 18;
-  nn::ForwardPlan plan(*model, 4, h, w);
-  ASSERT_TRUE(plan.supported());
-  EXPECT_EQ(plan.shrink(), 2 * cfg.network.receptive_halo());
+  // The halo-pad net (conv steps with fused activations) and the deconv-mode
+  // net with a final activation (a transpose-conv step followed by a
+  // standalone activation step).
+  TrainConfig deconv = small_config(BorderMode::kDeconv);
+  deconv.network.final_activation = true;
+  for (const TrainConfig& cfg :
+       {small_config(BorderMode::kHaloPad), deconv}) {
+    SCOPED_TRACE(border_mode_name(cfg.border));
+    util::Rng rng(cfg.seed);
+    auto model = build_model(cfg.network, cfg.border, rng);
+    if (cfg.border == BorderMode::kDeconv) {
+      // Nonzero biases, so a plan that dropped one would show.
+      for (const nn::ParamRef& p : model->parameters()) {
+        if (p.value->ndim() == 1) {
+          rng.fill_uniform(p.value->values(), -0.3f, 0.3f);
+        }
+      }
+    }
+    const std::int64_t h = 20, w = 18;
+    nn::ForwardPlan plan(*model, 4, h, w);
+    EXPECT_EQ(plan.shrink(), cfg.border == BorderMode::kHaloPad
+                                 ? 2 * cfg.network.receptive_halo()
+                                 : 0);
 
-  Tensor x({4, h, w});
-  util::Rng data_rng(99);
-  data_rng.fill_uniform(x.values(), -1.0f, 1.0f);
+    Tensor x({4, h, w});
+    util::Rng data_rng(99);
+    data_rng.fill_uniform(x.values(), -1.0f, 1.0f);
 
-  // Reference through the module graph.
-  Tensor x4 = x;
-  x4.reshape({1, 4, h, w});
-  Tensor expected = model->forward(x4);
-  expected.reshape({expected.dim(1), expected.dim(2), expected.dim(3)});
+    // Reference through the module graph.
+    Tensor x4 = x;
+    x4.reshape({1, 4, h, w});
+    Tensor expected = model->forward(x4);
+    expected.reshape({expected.dim(1), expected.dim(2), expected.dim(3)});
 
-  const nn::ForwardPlan::Output out = plan.run(x.data(), h, w);
-  ASSERT_EQ(out.channels, expected.dim(0));
-  ASSERT_EQ(out.height, expected.dim(1));
-  ASSERT_EQ(out.width, expected.dim(2));
-  for (std::int64_t i = 0; i < expected.size(); ++i) {
-    ASSERT_EQ(out.data[i], expected.data()[i]) << "at index " << i;
+    const nn::ForwardPlan::Output out = plan.run(x.data(), h, w);
+    ASSERT_EQ(out.channels, expected.dim(0));
+    ASSERT_EQ(out.height, expected.dim(1));
+    ASSERT_EQ(out.width, expected.dim(2));
+    for (std::int64_t i = 0; i < expected.size(); ++i) {
+      ASSERT_EQ(out.data[i], expected.data()[i]) << "at index " << i;
+    }
+
+    // Smaller geometries reuse the same buffers.
+    (void)plan.run(x.data(), h - 4, w - 6);
+    EXPECT_EQ(plan.growth_events(), 0u);
+
+    // Steady state: zero heap allocations across repeated runs (the counting
+    // global operator new above). The pool is inline here (0 workers),
+    // matching the per-rank inference configuration where rank threads run
+    // their own chunks.
+    (void)plan.run(x.data(), h, w);  // warm every code path once more
+    g_alloc_events.store(0);
+    g_count_allocs.store(true);
+    for (int i = 0; i < 8; ++i) {
+      const nn::ForwardPlan::Output steady = plan.run(x.data(), h, w);
+      ASSERT_NE(steady.data, nullptr);
+    }
+    g_count_allocs.store(false);
+    EXPECT_EQ(g_alloc_events.load(), 0);
+    EXPECT_EQ(plan.growth_events(), 0u);
+
+    // run_batched over 3 stacked samples equals 3 solo runs, allocation-free.
+    constexpr std::int64_t kBatch = 3;
+    const std::int64_t sample = 4 * h * w;
+    Tensor stacked({kBatch, 4, h, w});
+    data_rng.fill_uniform(stacked.values(), -1.0f, 1.0f);
+    std::vector<float> solo;
+    for (std::int64_t s = 0; s < kBatch; ++s) {
+      const nn::ForwardPlan::Output o =
+          plan.run(stacked.data() + s * sample, h, w);
+      solo.insert(solo.end(), o.data, o.data + o.size());
+    }
+    nn::ForwardPlan batched(*model, 4, h, w, nullptr, kBatch);
+    (void)batched.run_batched(stacked.data(), kBatch, h, w);
+    g_alloc_events.store(0);
+    g_count_allocs.store(true);
+    const nn::ForwardPlan::Output group =
+        batched.run_batched(stacked.data(), kBatch, h, w);
+    g_count_allocs.store(false);
+    EXPECT_EQ(g_alloc_events.load(), 0);
+    EXPECT_EQ(batched.growth_events(), 0u);
+    ASSERT_EQ(kBatch * group.size(), static_cast<std::int64_t>(solo.size()));
+    for (std::size_t i = 0; i < solo.size(); ++i) {
+      ASSERT_EQ(group.data[i], solo[i]) << "at index " << i;
+    }
+  }
+}
+
+TEST(DeconvMode, RolloutBitIdenticalToModuleGraph) {
+  // Deconv mode (Sec. III approach 4) steps through ForwardPlan on every
+  // engine; each must reproduce per-block stepping through the module graph.
+  const TrainConfig cfg = small_config(BorderMode::kDeconv);
+  const std::int64_t grid = 16;
+  NetworkTrainer reference(cfg, 0);
+  auto params = export_parameters(reference.model());
+  util::Rng bias_rng(5);
+  for (Tensor& t : params) {
+    if (t.ndim() == 1) bias_rng.fill_uniform(t.values(), -0.3f, 0.3f);
+  }
+  const auto report = shared_weight_report(cfg, 4, params, grid);
+  const Tensor initial = random_frame(grid, 31);
+  const int steps = 3;
+
+  // Oracle: every 2x2 block's network stepped on its own tile (deconv mode
+  // exchanges nothing) through nn::Sequential::forward.
+  const domain::Partition partition(grid, grid, report.dims.px,
+                                    report.dims.py);
+  const auto model = rebuild_model(cfg, params);
+  std::vector<Tensor> oracle;
+  Tensor frame = initial;
+  for (int s = 0; s < steps; ++s) {
+    Tensor next(frame.shape());
+    for (int b = 0; b < report.ranks; ++b) {
+      const domain::BlockRange block = partition.block_of_rank(b);
+      Tensor tile = domain::extract_interior(frame, block);
+      const Tensor out = parpde::testing::module_forward(*model, tile);
+      domain::insert_interior(next, block, out);
+    }
+    frame = next;
+    oracle.push_back(std::move(next));
   }
 
-  // Smaller geometries (the rim bands) reuse the same buffers.
-  (void)plan.run(x.data(), h - 4, w - 6);
-  EXPECT_EQ(plan.growth_events(), 0u);
+  const auto classic = parallel_rollout(cfg, report, initial, steps);
+  expect_frames_match_oracle(classic, oracle);
+  EXPECT_EQ(classic.steady_state_allocs, 0u);
 
-  // Steady state: zero heap allocations across repeated runs (the counting
-  // global operator new above). The pool is inline here (0 workers), matching
-  // the per-rank inference configuration where rank threads run their own
-  // chunks.
-  (void)plan.run(x.data(), h, w);  // warm every code path once more
-  g_alloc_events.store(0);
-  g_count_allocs.store(true);
-  for (int i = 0; i < 8; ++i) {
-    const nn::ForwardPlan::Output steady = plan.run(x.data(), h, w);
-    ASSERT_NE(steady.data, nullptr);
+  RolloutOptions elastic_options;
+  elastic_options.elastic.enabled = true;
+  const auto elastic =
+      parallel_rollout(cfg, report, initial, steps, elastic_options);
+  expect_frames_match_oracle(elastic, oracle);
+  EXPECT_EQ(elastic.steady_state_allocs, 0u);
+
+  const SubdomainEnsemble ensemble(cfg, report, grid, grid);
+  frame = initial;
+  for (int s = 0; s < steps; ++s) {
+    frame = ensemble.predict(frame);
+    parpde::testing::expect_tensors_equal(frame,
+                                          oracle[static_cast<std::size_t>(s)]);
   }
-  g_count_allocs.store(false);
-  EXPECT_EQ(g_alloc_events.load(), 0);
-  EXPECT_EQ(plan.growth_events(), 0u);
 }
 
 TEST(SubdomainEnsemble, ParallelPredictMatchesPerBlockReference) {

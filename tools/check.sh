@@ -9,7 +9,7 @@
 #            collectives, concurrent rank training, the blocked GEMM's
 #            parallel_for fan-out, the grouped batched conv path
 #            (bit-identity with a whole-batch lowering at 0 and 3 pool
-#            workers), the overlapped rollout engine's
+#            workers), the rollout step's
 #            begin/finish halo split (bit-identity under races), the
 #            cross-rank trace collector's concurrent event buffers, the
 #            int8 quantized rollout path, and the SurrogateServer's

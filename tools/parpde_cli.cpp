@@ -516,7 +516,6 @@ int cmd_rollout(const util::Options& opts) {
                  static_cast<std::int64_t>(result.frames.size()))
           .field("comm_seconds", result.comm_seconds)
           .field("compute_seconds", result.compute_seconds)
-          .field("overlap_seconds", result.overlap_seconds)
           .field("steady_state_allocs",
                  static_cast<std::int64_t>(result.steady_state_allocs))
           .field("halo_bytes_sent", result.halo_bytes)
