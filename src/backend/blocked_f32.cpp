@@ -171,16 +171,6 @@ void BlockedF32Backend::gemm_acc(const float* a, const float* b, float* c,
                                  std::int64_t n) const {
   parpde::gemm_acc(a, b, c, m, k, n);
 }
-void BlockedF32Backend::gemm_at(const float* a, const float* b, float* c,
-                                std::int64_t m, std::int64_t k,
-                                std::int64_t n) const {
-  parpde::gemm_at(a, b, c, m, k, n);
-}
-void BlockedF32Backend::gemm_bt_acc(const float* a, const float* b, float* c,
-                                    std::int64_t m, std::int64_t k,
-                                    std::int64_t n) const {
-  parpde::gemm_bt_acc(a, b, c, m, k, n);
-}
 
 void BlockedF32Backend::conv2d_forward_batched(const Tensor& x, const Tensor& w,
                                                const Tensor& b,
@@ -192,6 +182,11 @@ void BlockedF32Backend::conv2d_backward_batched(
     const Tensor& x, const Tensor& dy, const Tensor& w, std::int64_t pad,
     Tensor& dx, Tensor& dw, Tensor& db, nn::Conv2dWorkspace& ws) const {
   nn::conv2d_backward_batched(x, dy, w, pad, dx, dw, db, ws);
+}
+void BlockedF32Backend::conv2d_backward_weights_batched(
+    const Tensor& x, const Tensor& dy, std::int64_t pad, Tensor& dw, Tensor& db,
+    nn::Conv2dWorkspace& ws) const {
+  nn::conv2d_backward_weights_batched(x, dy, pad, dw, db, ws);
 }
 void BlockedF32Backend::conv2d_forward(const Tensor& x, const Tensor& w,
                                        const Tensor& b, std::int64_t pad,
@@ -215,8 +210,9 @@ void BlockedF32Backend::conv_transpose2d_forward(
     std::int64_t cin, std::int64_t cout, std::int64_t h, std::int64_t width,
     std::int64_t kernel, float* y) const {
   // Direct scatter loop nest (moved verbatim from nn::ConvTranspose2d): the
-  // deconv head is tiny compared with the conv stack, so a GEMM lowering has
-  // never been worth its col2im traffic here.
+  // deconv head is tiny compared with the conv stack, so a GEMM lowering
+  // (a column matrix scattered back into the output) has never been worth
+  // its memory traffic here.
   const std::int64_t oh = h + kernel - 1, ow = width + kernel - 1;
   for (std::int64_t s = 0; s < n; ++s) {
     for (std::int64_t co = 0; co < cout; ++co) {

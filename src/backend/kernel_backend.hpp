@@ -74,11 +74,6 @@ class KernelBackend {
                     std::int64_t k, std::int64_t n) const = 0;
   virtual void gemm_acc(const float* a, const float* b, float* c,
                         std::int64_t m, std::int64_t k, std::int64_t n) const = 0;
-  virtual void gemm_at(const float* a, const float* b, float* c,
-                       std::int64_t m, std::int64_t k, std::int64_t n) const = 0;
-  virtual void gemm_bt_acc(const float* a, const float* b, float* c,
-                           std::int64_t m, std::int64_t k,
-                           std::int64_t n) const = 0;
 
   // --- convolution (module-graph path, fp32 on every backend) -------------
   virtual void conv2d_forward_batched(const Tensor& x, const Tensor& w,
@@ -88,6 +83,11 @@ class KernelBackend {
                                        const Tensor& w, std::int64_t pad,
                                        Tensor& dx, Tensor& dw, Tensor& db,
                                        nn::Conv2dWorkspace& ws) const = 0;
+  virtual void conv2d_backward_weights_batched(const Tensor& x,
+                                               const Tensor& dy,
+                                               std::int64_t pad, Tensor& dw,
+                                               Tensor& db,
+                                               nn::Conv2dWorkspace& ws) const = 0;
   virtual void conv2d_forward(const Tensor& x, const Tensor& w,
                               const Tensor& b, std::int64_t pad, Tensor& y,
                               util::AlignedVector<float>& col) const = 0;
@@ -166,10 +166,6 @@ class BlockedF32Backend : public KernelBackend {
             std::int64_t k, std::int64_t n) const override;
   void gemm_acc(const float* a, const float* b, float* c, std::int64_t m,
                 std::int64_t k, std::int64_t n) const override;
-  void gemm_at(const float* a, const float* b, float* c, std::int64_t m,
-               std::int64_t k, std::int64_t n) const override;
-  void gemm_bt_acc(const float* a, const float* b, float* c, std::int64_t m,
-                   std::int64_t k, std::int64_t n) const override;
 
   void conv2d_forward_batched(const Tensor& x, const Tensor& w, const Tensor& b,
                               std::int64_t pad, Tensor& y,
@@ -178,6 +174,9 @@ class BlockedF32Backend : public KernelBackend {
                                const Tensor& w, std::int64_t pad, Tensor& dx,
                                Tensor& dw, Tensor& db,
                                nn::Conv2dWorkspace& ws) const override;
+  void conv2d_backward_weights_batched(const Tensor& x, const Tensor& dy,
+                                       std::int64_t pad, Tensor& dw, Tensor& db,
+                                       nn::Conv2dWorkspace& ws) const override;
   void conv2d_forward(const Tensor& x, const Tensor& w, const Tensor& b,
                       std::int64_t pad, Tensor& y,
                       util::AlignedVector<float>& col) const override;

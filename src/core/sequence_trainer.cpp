@@ -65,7 +65,7 @@ TrainResult SequenceTrainer::train(std::span<const Tensor> frames,
       const Tensor prediction = model_->forward(inputs);
       Tensor grad;
       loss_sum += loss_->compute(prediction, targets, &grad);
-      model_->backward(grad);
+      model_->backward_params(grad);
       optimizer_->step();
       ++windows;
     }

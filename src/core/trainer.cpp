@@ -100,7 +100,7 @@ double NetworkTrainer::train_batch(const Tensor& inputs, const Tensor& targets) 
   const Tensor prediction = model_->forward(inputs);
   Tensor grad;
   const double loss = loss_->compute(prediction, targets, &grad);
-  model_->backward(grad);
+  model_->backward_params(grad);
   if (config_.clip_grad_norm > 0.0) {
     optimizer_->clip_grad_norm(config_.clip_grad_norm);
   }

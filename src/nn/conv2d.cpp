@@ -49,27 +49,36 @@ Tensor Conv2d::forward(const Tensor& x) {
   return y;
 }
 
-Tensor Conv2d::backward(const Tensor& grad_out) {
+void Conv2d::check_backward(const Tensor& grad_out) const {
   if (input_.empty()) throw std::logic_error("Conv2d::backward before forward");
   const ConvGeometry g{in_channels_, input_.dim(2), input_.dim(3), kernel_, pad_};
-  const std::int64_t oh = g.out_height();
-  const std::int64_t ow = g.out_width();
-  const std::int64_t n = input_.dim(0);
-  if (grad_out.ndim() != 4 || grad_out.dim(0) != n ||
-      grad_out.dim(1) != out_channels_ || grad_out.dim(2) != oh ||
-      grad_out.dim(3) != ow) {
+  if (grad_out.ndim() != 4 || grad_out.dim(0) != input_.dim(0) ||
+      grad_out.dim(1) != out_channels_ || grad_out.dim(2) != g.out_height() ||
+      grad_out.dim(3) != g.out_width()) {
     throw std::invalid_argument("Conv2d::backward: gradient shape mismatch");
   }
+}
 
+Tensor Conv2d::backward(const Tensor& grad_out) {
+  check_backward(grad_out);
   static telemetry::Counter& calls = telemetry::counter("nn.conv2d.backward");
   calls.add(1);
   telemetry::Span span("conv2d.backward", "nn");
   Tensor grad_in;
-  // Batched backward: per sample group, recomputes the column matrix once,
-  // then one GEMM each for dW and the data gradient.
+  // Batched backward: per sample group, one im2row + GEMM for dW; the data
+  // gradient comes straight from dY (no column matrix).
   backend::blocked_f32().conv2d_backward_batched(
       input_, grad_out, weight_, pad_, grad_in, weight_grad_, bias_grad_, ws_);
   return grad_in;
+}
+
+void Conv2d::backward_params(const Tensor& grad_out) {
+  check_backward(grad_out);
+  static telemetry::Counter& calls = telemetry::counter("nn.conv2d.backward");
+  calls.add(1);
+  telemetry::Span span("conv2d.backward_params", "nn");
+  backend::blocked_f32().conv2d_backward_weights_batched(
+      input_, grad_out, pad_, weight_grad_, bias_grad_, ws_);
 }
 
 std::vector<ParamRef> Conv2d::parameters() {

@@ -23,6 +23,7 @@ class Conv2d final : public Module {
 
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
+  void backward_params(const Tensor& grad_out) override;
   std::vector<ParamRef> parameters() override;
   [[nodiscard]] std::string name() const override;
 
@@ -46,8 +47,11 @@ class Conv2d final : public Module {
   Tensor weight_grad_;  // same shape as weight_
   Tensor bias_grad_;    // same shape as bias_
 
+  // Throws unless a forward ran and grad_out matches its output shape.
+  void check_backward(const Tensor& grad_out) const;
+
   Tensor input_;         // cached forward input [N, Cin, H, W]
-  Conv2dWorkspace ws_;   // persistent batched im2col / GEMM scratch
+  Conv2dWorkspace ws_;   // persistent batched lowering / GEMM scratch
 };
 
 }  // namespace parpde::nn

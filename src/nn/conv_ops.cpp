@@ -6,18 +6,259 @@
 #include <stdexcept>
 
 #include "tensor/gemm.hpp"
+#include "util/target_clones.hpp"
+#include "util/telemetry.hpp"
 #include "util/thread_pool.hpp"
 
 namespace parpde::nn {
 
 namespace {
 
-// Budget for one sample group's column buffer. A group's col (and dcol in the
-// backward pass) must survive in L2/LLC from the im2col that writes it to the
-// GEMM that reads it; whole-batch columns (12-33 MB per Table-I layer at
-// batch 16 on 32x32 tiles) stream through DRAM instead, and concurrent ranks
-// then contend for the shared LLC.
+// Budget for one sample group's column buffer. A group's col (its im2row
+// rows in the backward pass) must survive in L2/LLC from the lowering that
+// writes it to the GEMM that reads it; whole-batch columns (12-33 MB per
+// Table-I layer at batch 16 on 32x32 tiles) stream through DRAM instead, and
+// concurrent ranks then contend for the shared LLC.
 constexpr std::int64_t kColBudgetBytes = std::int64_t{1} << 20;
+
+// --- direct data gradient ----------------------------------------------------
+//
+// dx[c][sy][sx] = sum over taps (kh, kw) of
+//                 s = sum over co of w[co][c][kh][kw] * dy[co][sy-kh+pad][sx-kw+pad]
+// evaluated in exactly the order of the lowering it replaces: a column matrix
+// C = W^T * dY from the blocked GEMM, scattered back onto the input grid.
+// Each C[(c, kh, kw)][pixel] was the GEMM's Cout reduction (one +0-started
+// register partial per kGemmKBlock channels, the partials added in ascending
+// order), and the scatter added the rows of channel c into a +0-started dx
+// pixel in ascending (kh, kw) order. The kernel forms the same s per tap and
+// adds it the same way, but reads dY straight from a zero-bordered copy
+// instead of writing and re-reading C.
+//
+// A tap that falls outside dY reads zeros, so its s is +0, and adding +0
+// cannot change a sum that started at +0 (such a sum is never -0). For the
+// same reason s may start from +0 rather than from its first partial: the
+// two differ at most in the sign of a zero, which the dx sum cannot see. The
+// partials use the same `x += a * b` statement as the GEMM micro-kernel,
+// which each clone compiles to the same instruction (a fused multiply-add
+// where the ISA has one), so every clone reproduces its own GEMM's bits.
+
+// Output pixels per vector: adjacent sx of one dx row.
+constexpr std::int64_t kLanes = 16;
+// Input channels per register block. A block of CB channels also takes
+// 8 / CB dx rows at once, so every block runs 8 independent accumulation
+// chains — enough to hide the multiply-add latency.
+constexpr std::int64_t kChannelBlock = 4;
+
+typedef float vLf __attribute__((vector_size(kLanes * sizeof(float))));
+
+// One sample's dY plane with a zero border: row r, column j hold
+// dy[r - border][j - border]. The border and the extra right columns cover
+// every tap of every dx pixel, including the lanes past W of a ragged last
+// vector, so the kernel needs no bounds checks.
+struct PaddedDy {
+  std::int64_t border = 0, rows = 0, cols = 0;
+
+  explicit PaddedDy(const ConvGeometry& g)
+      : border(std::max<std::int64_t>(0, g.kernel - 1 - g.pad)),
+        rows(border + std::max(g.out_height(), g.height + g.pad)),
+        cols(border + std::max(g.out_width(),
+                               (g.width + kLanes - 1) / kLanes * kLanes +
+                                   g.pad)) {}
+
+  [[nodiscard]] std::int64_t plane() const { return rows * cols; }
+};
+
+// dst [Cout, rows, cols] = dy [Cout, OH, OW] with its zero border.
+void pad_dy(const float* dy, std::int64_t cout, const ConvGeometry& g,
+            const PaddedDy& p, float* dst) {
+  const std::int64_t oh = g.out_height(), ow = g.out_width();
+  for (std::int64_t co = 0; co < cout; ++co) {
+    for (std::int64_t r = 0; r < p.rows; ++r) {
+      float* d = dst + (co * p.rows + r) * p.cols;
+      const std::int64_t y = r - p.border;
+      if (y < 0 || y >= oh) {
+        std::fill_n(d, p.cols, 0.0f);
+        continue;
+      }
+      std::fill_n(d, p.border, 0.0f);
+      std::memcpy(d + p.border, dy + (co * oh + y) * ow,
+                  static_cast<std::size_t>(ow) * sizeof(float));
+      std::fill_n(d + p.border + ow, p.cols - p.border - ow, 0.0f);
+    }
+  }
+}
+
+// Channel blocks of `cin`: full blocks of 4, then a remainder of 3 splits
+// into 2 + 1 so every kernel instance runs a fixed register block.
+std::int64_t channel_blocks(std::int64_t cin) {
+  const std::int64_t rem = cin % kChannelBlock;
+  return cin / kChannelBlock + (rem >= 2) + (rem % 2);
+}
+
+struct ChannelBlock {
+  std::int64_t c0, cb;
+};
+
+ChannelBlock channel_block(std::int64_t b, std::int64_t cin) {
+  const std::int64_t full = cin / kChannelBlock;
+  if (b < full) return {b * kChannelBlock, kChannelBlock};
+  const std::int64_t c0 = full * kChannelBlock;
+  if (b == full && cin - c0 >= 2) return {c0, 2};
+  return {cin - 1, 1};
+}
+
+// Weights regrouped for the kernel: channel block [c0, c0+cb) occupies
+// dst[c0*k*k*Cout ...] as [tap][co][cb], so each tap's Cout x cb broadcasts
+// are contiguous.
+void pack_weights(const float* w, std::int64_t cout, std::int64_t cin,
+                  std::int64_t kk, float* dst) {
+  for (std::int64_t b = 0; b < channel_blocks(cin); ++b) {
+    const ChannelBlock cb = channel_block(b, cin);
+    for (std::int64_t tap = 0; tap < kk; ++tap) {
+      for (std::int64_t co = 0; co < cout; ++co) {
+        for (std::int64_t i = 0; i < cb.cb; ++i) {
+          *dst++ = w[(co * cin + cb.c0 + i) * kk + tap];
+        }
+      }
+    }
+  }
+}
+
+struct DataGradArgs {
+  const float* dy;  // padded sample [Cout, rows, cols]
+  const float* w;   // this block's packed weights [k*k][Cout][cb]
+  float* dx;        // dx plane of the block's first channel
+  std::int64_t cout, kernel, height, width;
+  std::int64_t dy_cols, dy_plane, dy_offset;  // dy_offset = pad + border
+};
+
+// part[r][i] += sum over co in [co0, co1) of w * dy, for RB rows x CB
+// channels of kLanes adjacent sx.
+template <int CB, int RB>
+[[gnu::always_inline]] inline void tap_partial(vLf (&part)[RB][CB],
+                                               const float* src,
+                                               const float* wt,
+                                               std::int64_t co0,
+                                               std::int64_t co1,
+                                               const DataGradArgs& a) {
+  for (std::int64_t co = co0; co < co1; ++co) {
+    const float* wc = wt + co * CB;
+    for (int r = 0; r < RB; ++r) {
+      vLf d;
+      __builtin_memcpy(&d, src + co * a.dy_plane + r * a.dy_cols, sizeof(d));
+      for (int i = 0; i < CB; ++i) part[r][i] += wc[i] * d;
+    }
+  }
+}
+
+// RB dx rows of CB channels, kLanes adjacent sx per vector: CB * RB
+// independent accumulation chains, enough to cover the multiply-add latency.
+// With one Cout block (Cout <= kGemmKBlock), s is its only partial and goes
+// straight into acc.
+template <int CB, int RB, bool kOneBlock>
+[[gnu::always_inline]] inline void data_grad_rows(const DataGradArgs& a,
+                                                  std::int64_t sy0) {
+  const std::int64_t k = a.kernel;
+  const std::int64_t wplane = a.height * a.width;
+  for (std::int64_t sx0 = 0; sx0 < a.width; sx0 += kLanes) {
+    vLf acc[RB][CB] = {};
+    const float* wt = a.w;
+    for (std::int64_t kh = 0; kh < k; ++kh) {
+      const float* row =
+          a.dy + (sy0 - kh + a.dy_offset) * a.dy_cols + sx0 + a.dy_offset;
+      for (std::int64_t kw = 0; kw < k; ++kw, wt += a.cout * CB) {
+        vLf s[RB][CB] = {};
+        if constexpr (kOneBlock) {
+          tap_partial<CB, RB>(s, row - kw, wt, 0, a.cout, a);
+        } else {
+          for (std::int64_t co0 = 0; co0 < a.cout; co0 += kGemmKBlock) {
+            vLf part[RB][CB] = {};
+            tap_partial<CB, RB>(part, row - kw, wt, co0,
+                                std::min(a.cout, co0 + kGemmKBlock), a);
+            for (int r = 0; r < RB; ++r) {
+              for (int i = 0; i < CB; ++i) s[r][i] += part[r][i];
+            }
+          }
+        }
+        for (int r = 0; r < RB; ++r) {
+          for (int i = 0; i < CB; ++i) acc[r][i] += s[r][i];
+        }
+      }
+    }
+    const std::int64_t lanes = std::min(kLanes, a.width - sx0);
+    for (int r = 0; r < RB; ++r) {
+      for (int i = 0; i < CB; ++i) {
+        __builtin_memcpy(a.dx + i * wplane + (sy0 + r) * a.width + sx0,
+                         &acc[r][i],
+                         static_cast<std::size_t>(lanes) * sizeof(float));
+      }
+    }
+  }
+}
+
+template <int CB, bool kOneBlock>
+[[gnu::always_inline]] inline void data_grad_rows_all(const DataGradArgs& a) {
+  constexpr int RB = 8 / CB;
+  std::int64_t sy = 0;
+  for (; sy + RB <= a.height; sy += RB) data_grad_rows<CB, RB, kOneBlock>(a, sy);
+  for (; sy < a.height; ++sy) data_grad_rows<CB, 1, kOneBlock>(a, sy);
+}
+
+template <int CB>
+[[gnu::always_inline]] inline void data_grad_block(const DataGradArgs& a) {
+  if (a.cout <= kGemmKBlock) {
+    data_grad_rows_all<CB, true>(a);
+  } else {
+    data_grad_rows_all<CB, false>(a);
+  }
+}
+
+PARPDE_TARGET_CLONES void data_grad_block4(const DataGradArgs& a) {
+  data_grad_block<4>(a);
+}
+PARPDE_TARGET_CLONES void data_grad_block2(const DataGradArgs& a) {
+  data_grad_block<2>(a);
+}
+PARPDE_TARGET_CLONES void data_grad_block1(const DataGradArgs& a) {
+  data_grad_block<1>(a);
+}
+
+// dx [n, Cin, H, W] (overwritten) from `n` padded dY samples and the packed
+// weights. Parallel over (sample x channel block): the outputs are disjoint
+// and each pixel's sum runs on one thread, so any worker count gives the
+// same bits.
+void conv2d_data_grad(const float* dy_pad, const float* w_packed,
+                      std::int64_t n, std::int64_t cout, const ConvGeometry& g,
+                      const PaddedDy& p, float* dx) {
+  const std::int64_t cin = g.in_channels;
+  const std::int64_t plane = g.height * g.width;
+  const std::int64_t kk = g.kernel * g.kernel;
+  const std::int64_t blocks = channel_blocks(cin);
+  // Counted as the W^T * dY GEMM it replaces, so per-step FLOP figures keep
+  // their meaning.
+  static telemetry::Counter& flops = telemetry::counter("gemm.flops");
+  flops.add(static_cast<std::uint64_t>(2 * n * cout * cin * kk *
+                                       g.out_height() * g.out_width()));
+  util::ThreadPool::global().parallel_for(
+      n * blocks, 1, [&](std::int64_t begin, std::int64_t end) {
+        for (std::int64_t t = begin; t < end; ++t) {
+          const std::int64_t s = t / blocks;
+          const ChannelBlock cb = channel_block(t % blocks, cin);
+          const DataGradArgs a{dy_pad + s * cout * p.plane(),
+                               w_packed + cb.c0 * kk * cout,
+                               dx + (s * cin + cb.c0) * plane,
+                               cout, g.kernel, g.height, g.width,
+                               p.cols, p.plane(), g.pad + p.border};
+          if (cb.cb == 4) {
+            data_grad_block4(a);
+          } else if (cb.cb == 2) {
+            data_grad_block2(a);
+          } else {
+            data_grad_block1(a);
+          }
+        }
+      });
+}
 
 ConvGeometry batched_geometry(const Tensor& x, const Tensor& w,
                               std::int64_t pad, const char* what) {
@@ -84,10 +325,14 @@ void conv2d_backward_data(const Tensor& dy, const Tensor& w, std::int64_t pad,
   if (g.out_height() != dy.dim(1) || g.out_width() != dy.dim(2)) {
     throw std::invalid_argument("conv2d_backward_data: shape mismatch");
   }
-  col.resize(static_cast<std::size_t>(g.col_rows() * g.col_cols()));
-  gemm_at(w.data(), dy.data(), col.data(), g.col_rows(), w.dim(0), g.col_cols());
-  dx.fill(0.0f);
-  col2im(col.data(), g, dx.data());
+  // col = [packed weights | padded dY], the padded plane kept 64-byte aligned.
+  const std::int64_t cout = w.dim(0);
+  const PaddedDy p(g);
+  const std::int64_t packed = (w.size() + kLanes - 1) / kLanes * kLanes;
+  col.resize(static_cast<std::size_t>(packed + cout * p.plane()));
+  pack_weights(w.data(), cout, g.in_channels, g.kernel * g.kernel, col.data());
+  pad_dy(dy.data(), cout, g, p, col.data() + packed);
+  conv2d_data_grad(col.data() + packed, col.data(), 1, cout, g, p, dx.data());
 }
 
 void conv2d_backward_weights(const Tensor& x, const Tensor& dy, std::int64_t pad,
@@ -99,9 +344,11 @@ void conv2d_backward_weights(const Tensor& x, const Tensor& dy, std::int64_t pad
     throw std::invalid_argument("conv2d_backward_weights: dy shape mismatch");
   }
   col.resize(static_cast<std::size_t>(g.col_rows() * g.col_cols()));
-  im2col(x.data(), g, col.data());
-  gemm_bt_acc(dy.data(), col.data(), dw.data(), cout, g.col_cols(),
-              g.col_rows());
+  im2row(x.data(), g, col.data());
+  // dW [Cout x Cin*k*k] += dY [Cout x plane] * rows [plane x Cin*k*k]: the
+  // operands and k-blocks of dY * im2col(x)^T, with B row-major so the GEMM
+  // reads it in place.
+  gemm_acc(dy.data(), col.data(), dw.data(), cout, g.col_cols(), g.col_rows());
   if (!db.empty()) {
     const std::int64_t plane = g.out_height() * g.out_width();
     for (std::int64_t c = 0; c < cout; ++c) {
@@ -178,30 +425,35 @@ void conv2d_forward_batched(const Tensor& x, const Tensor& w, const Tensor& b,
   }
 }
 
-void conv2d_backward_batched(const Tensor& x, const Tensor& dy,
-                             const Tensor& w, std::int64_t pad, Tensor& dx,
-                             Tensor& dw, Tensor& db, Conv2dWorkspace& ws) {
-  const ConvGeometry g = batched_geometry(x, w, pad, "conv2d_backward_batched");
+namespace {
+
+// The batched backward: dW/db always, dx when `dx` is non-null.
+void backward_batched(const Tensor& x, const Tensor& dy, const Tensor& w,
+                      std::int64_t pad, Tensor* dx, Tensor& dw, Tensor& db,
+                      Conv2dWorkspace& ws, const char* what) {
+  const ConvGeometry g = batched_geometry(x, w, pad, what);
   const std::int64_t cout = w.dim(0);
   const std::int64_t oh = g.out_height(), ow = g.out_width();
   const std::int64_t n = x.dim(0);
   if (dy.ndim() != 4 || dy.dim(0) != n || dy.dim(1) != cout ||
       dy.dim(2) != oh || dy.dim(3) != ow) {
-    throw std::invalid_argument("conv2d_backward_batched: dy shape mismatch");
+    throw std::invalid_argument(std::string(what) + ": dy shape mismatch");
   }
   if (!dw.same_shape(w)) {
-    throw std::invalid_argument("conv2d_backward_batched: dw shape mismatch");
+    throw std::invalid_argument(std::string(what) + ": dw shape mismatch");
   }
   if (!db.empty() && db.size() != cout) {
-    throw std::invalid_argument("conv2d_backward_batched: db size mismatch");
+    throw std::invalid_argument(std::string(what) + ": db size mismatch");
   }
   const std::int64_t plane = oh * ow;
   const std::int64_t in_stride = g.in_channels * g.height * g.width;
   const std::int64_t out_stride = cout * plane;
-  if (!dx.same_shape(x)) {
-    dx = Tensor(x.shape());
-  } else {
-    dx.fill(0.0f);
+  const PaddedDy p(g);
+  if (dx != nullptr) {
+    if (!dx->same_shape(x)) *dx = Tensor(x.shape());
+    ws.w_packed.resize(static_cast<std::size_t>(w.size()));
+    pack_weights(w.data(), cout, g.in_channels, g.kernel * g.kernel,
+                 ws.w_packed.data());
   }
 
   auto& pool = util::ThreadPool::global();
@@ -214,8 +466,8 @@ void conv2d_backward_batched(const Tensor& x, const Tensor& dy,
       for (std::int64_t c = begin; c < end; ++c) {
         float acc = 0.0f;
         for (std::int64_t s = 0; s < n; ++s) {
-          const float* p = dy.data() + s * out_stride + c * plane;
-          for (std::int64_t i = 0; i < plane; ++i) acc += p[i];
+          const float* q = dy.data() + s * out_stride + c * plane;
+          for (std::int64_t i = 0; i < plane; ++i) acc += q[i];
         }
         db[c] += acc;
       }
@@ -226,30 +478,60 @@ void conv2d_backward_batched(const Tensor& x, const Tensor& dy,
   for (std::int64_t g0 = 0; g0 < n; g0 += group) {
     const std::int64_t gn = std::min(group, n - g0);
     const std::int64_t wide = gn * plane;
-    ws.col.resize(static_cast<std::size_t>(g.col_rows() * wide));
-    ws.dy.resize(static_cast<std::size_t>(cout * wide));
-    ws.dcol.resize(static_cast<std::size_t>(g.col_rows() * wide));
-    // Gather dY from NCHW into the channel-major layout the wide GEMMs need.
-    pool.parallel_for(gn * cout, 4, [&](std::int64_t begin, std::int64_t end) {
-      for (std::int64_t t = begin; t < end; ++t) {
-        const std::int64_t s = t / cout, c = t % cout;
-        std::memcpy(ws.dy.data() + c * wide + s * plane,
-                    dy.data() + (g0 + s) * out_stride + c * plane,
-                    static_cast<std::size_t>(plane) * sizeof(float));
-      }
-    });
-    // dW += dY [Cout x wide] * col^T. The group's columns are a slice of the
-    // whole-batch k-reduction; every group but the last is a whole number of
-    // k-blocks wide (conv2d_batch_group), so the consecutive accumulating
-    // calls add the same k-block partials in the same order as one call.
-    im2col_batched(x.data() + g0 * in_stride, gn, g, ws.col.data());
-    gemm_bt_acc(ws.dy.data(), ws.col.data(), dw.data(), cout, wide,
-                g.col_rows());
-    // dcol [Cin*k*k x wide] = W^T * dY, scattered back per sample. Grouping
-    // splits only the width, never this GEMM's k (= Cout).
-    gemm_at(w.data(), ws.dy.data(), ws.dcol.data(), g.col_rows(), cout, wide);
-    col2im_batched(ws.dcol.data(), gn, g, dx.data() + g0 * in_stride);
+    const float* dy_group = dy.data() + g0 * out_stride;
+    ws.col.resize(static_cast<std::size_t>(wide * g.col_rows()));
+    // dW [Cout x Cin*k*k] += dY [Cout x wide] * rows [wide x Cin*k*k]. The
+    // channel-major dY is the group's sample itself when it holds one;
+    // otherwise gather it from NCHW.
+    const float* dy_wide = dy_group;
+    if (gn > 1) {
+      ws.dy.resize(static_cast<std::size_t>(cout * wide));
+      pool.parallel_for(gn * cout, 4, [&](std::int64_t begin, std::int64_t end) {
+        for (std::int64_t t = begin; t < end; ++t) {
+          const std::int64_t s = t / cout, c = t % cout;
+          std::memcpy(ws.dy.data() + c * wide + s * plane,
+                      dy_group + s * out_stride + c * plane,
+                      static_cast<std::size_t>(plane) * sizeof(float));
+        }
+      });
+      dy_wide = ws.dy.data();
+    }
+    // The rows are the transpose of the group's im2col matrix, so this is
+    // dY * col^T with B read in place instead of through a transposed pack:
+    // the micro-kernel sees the same operands in the same k-blocks. The
+    // group's rows are a slice of the whole-batch k-reduction; every group
+    // but the last is a whole number of k-blocks deep (conv2d_batch_group),
+    // so the consecutive accumulating calls add the same k-block partials in
+    // the same order as one call.
+    im2row_batched(x.data() + g0 * in_stride, gn, g, ws.col.data());
+    gemm_acc(dy_wide, ws.col.data(), dw.data(), cout, wide, g.col_rows());
+    if (dx != nullptr) {
+      ws.dy_padded.resize(static_cast<std::size_t>(gn * cout * p.plane()));
+      pool.parallel_for(gn, 1, [&](std::int64_t begin, std::int64_t end) {
+        for (std::int64_t s = begin; s < end; ++s) {
+          pad_dy(dy_group + s * out_stride, cout, g, p,
+                 ws.dy_padded.data() + s * cout * p.plane());
+        }
+      });
+      conv2d_data_grad(ws.dy_padded.data(), ws.w_packed.data(), gn, cout, g, p,
+                       dx->data() + g0 * in_stride);
+    }
   }
+}
+
+}  // namespace
+
+void conv2d_backward_batched(const Tensor& x, const Tensor& dy,
+                             const Tensor& w, std::int64_t pad, Tensor& dx,
+                             Tensor& dw, Tensor& db, Conv2dWorkspace& ws) {
+  backward_batched(x, dy, w, pad, &dx, dw, db, ws, "conv2d_backward_batched");
+}
+
+void conv2d_backward_weights_batched(const Tensor& x, const Tensor& dy,
+                                     std::int64_t pad, Tensor& dw, Tensor& db,
+                                     Conv2dWorkspace& ws) {
+  backward_batched(x, dy, dw, pad, nullptr, dw, db, ws,
+                   "conv2d_backward_weights_batched");
 }
 
 }  // namespace parpde::nn

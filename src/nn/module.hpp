@@ -35,6 +35,12 @@ class Module {
   // returns the gradient with respect to the layer input.
   virtual Tensor backward(const Tensor& grad_out) = 0;
 
+  // Parameters-only backward: accumulates the same parameter gradients as
+  // backward(), bit for bit, for a caller that discards the input gradient
+  // (a trainer's first layer). Layers that can skip the input gradient
+  // override it; the default runs the full backward.
+  virtual void backward_params(const Tensor& grad_out) { (void)backward(grad_out); }
+
   // Learnable parameters (empty for stateless layers).
   virtual std::vector<ParamRef> parameters() { return {}; }
 

@@ -33,6 +33,20 @@ Tensor Sequential::backward(const Tensor& grad_out) {
   return g;
 }
 
+void Sequential::backward_params(const Tensor& grad_out) {
+  if (layers_.empty()) return;
+  Tensor g = grad_out;
+  for (std::size_t i = layers_.size() - 1; i > 0; --i) {
+    telemetry::Span span(
+        telemetry::enabled() ? layers_[i]->name() + " bwd" : std::string(),
+        "nn");
+    g = layers_[i]->backward(g);
+  }
+  telemetry::Span span(
+      telemetry::enabled() ? layers_[0]->name() + " bwd" : std::string(), "nn");
+  layers_[0]->backward_params(g);
+}
+
 std::vector<ParamRef> Sequential::parameters() {
   std::vector<ParamRef> params;
   for (auto& layer : layers_) {

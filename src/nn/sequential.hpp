@@ -27,6 +27,9 @@ class Sequential final : public Module {
 
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
+  // backward() through layers N-1..1, then backward_params on layer 0: the
+  // same parameter gradients without the network's input gradient.
+  void backward_params(const Tensor& grad_out) override;
   std::vector<ParamRef> parameters() override;
   [[nodiscard]] std::string name() const override;
 

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "util/aligned.hpp"
+#include "util/target_clones.hpp"
 #include "util/telemetry.hpp"
 #include "util/thread_pool.hpp"
 
@@ -103,23 +104,9 @@ void pack_b(const float* b, std::int64_t rs, std::int64_t cs, std::int64_t p0,
 // With explicit vectors each k step is MR broadcast-FMAs against one B load,
 // which is the GotoBLAS inner loop. Vector-extension arithmetic is
 // elementwise, so the FLOP order (and thus the result) is unchanged.
-//
-// target_clones compiles AVX-512/AVX2+FMA versions next to the baseline and
-// picks one at load time, so the packed panels are consumed at full SIMD
-// width without requiring -march=native for the whole build. Clone choice is
-// fixed per machine, so it cannot break thread-count determinism. The
-// dispatch runs through an IFUNC resolver during early relocation — before
-// the TSan/ASan runtimes initialize — so sanitized builds (tools/check.sh)
-// fall back to single-version kernels; only SIMD width changes, not results.
+// PARPDE_TARGET_CLONES (util/target_clones.hpp) multi-versions the kernels
+// so the packed panels are consumed at full SIMD width.
 typedef float vNf __attribute__((vector_size(NR * sizeof(float))));
-
-#if defined(__x86_64__) && defined(__GNUC__) && \
-    !defined(__SANITIZE_THREAD__) && !defined(__SANITIZE_ADDRESS__)
-#define PARPDE_TARGET_CLONES \
-  __attribute__((target_clones("arch=x86-64-v4", "arch=x86-64-v3", "default")))
-#else
-#define PARPDE_TARGET_CLONES
-#endif
 
 // `pb` is either a packed NR-wide panel (ldb == NR) or, when B is row-major
 // contiguous, a window straight into the caller's B (ldb == row stride) —

@@ -1,10 +1,11 @@
 #pragma once
 
-// im2col / col2im lowering for 2-d convolution (stride 1, square kernels,
+// im2col / im2row lowering for 2-d convolution (stride 1, square kernels,
 // symmetric zero padding). The column matrix layout is
 //   [Cin * kh * kw,  Hout * Wout]
 // so that conv forward is a single GEMM with the [Cout, Cin*kh*kw] weight
-// matrix.
+// matrix. im2row writes its transpose, [Hout * Wout, Cin * kh * kw], which is
+// the row-major right operand of the weight-gradient GEMM dW += dY * rows.
 
 #include <cstdint>
 
@@ -33,11 +34,11 @@ struct ConvGeometry {
 void im2col(const float* x, const ConvGeometry& g, float* col,
             std::int64_t ld = -1);
 
-// Scatters a column matrix back into CHW sample gradients, accumulating
-// overlapping contributions. `x_grad` must be zero-initialized by the caller.
-// `ld` as in im2col.
-void col2im(const float* col, const ConvGeometry& g, float* x_grad,
-            std::int64_t ld = -1);
+// Expands one CHW sample `x` into the row matrix `rows` (preallocated,
+// col_cols x col_rows, row-major): row p = y*OW + x holds the receptive field
+// of output pixel (y, x) in (c, ky, kx) order, i.e. rows[p][r] == col[r][p].
+// Out-of-range taps contribute zeros.
+void im2row(const float* x, const ConvGeometry& g, float* rows);
 
 // Whole-batch lowering: expands `batch` NCHW samples at `x` into one wide
 // column matrix col[col_rows x batch*col_cols], sample s occupying columns
@@ -47,9 +48,12 @@ void col2im(const float* col, const ConvGeometry& g, float* x_grad,
 void im2col_batched(const float* x, std::int64_t batch, const ConvGeometry& g,
                     float* col);
 
-// Inverse of im2col_batched: scatters the wide column matrix back into the
-// NCHW gradient `x_grad` (caller zero-initialized), parallel over samples.
-void col2im_batched(const float* col, std::int64_t batch,
-                    const ConvGeometry& g, float* x_grad);
+// Whole-batch im2row: sample s occupies rows [s*col_cols, (s+1)*col_cols)
+// of rows[batch*col_cols x col_rows] — a contiguous block, so the batch is
+// the transpose of im2col_batched's wide column matrix. Parallel over
+// samples like im2col_batched (disjoint outputs, bit-identical at any worker
+// count).
+void im2row_batched(const float* x, std::int64_t batch, const ConvGeometry& g,
+                    float* rows);
 
 }  // namespace parpde

@@ -1,11 +1,13 @@
 #pragma once
 
 // Shared test utilities: finite-difference gradients, tensor comparisons, the
-// module-graph forward every ForwardPlan is checked against, and the stepped
-// rollout oracle every parallel_rollout engine is checked against.
+// module-graph forward every ForwardPlan is checked against, the stepped
+// rollout oracle every parallel_rollout engine is checked against, and the
+// col2im scatter the direct conv data gradient is checked against.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 #include <memory>
@@ -17,7 +19,56 @@
 #include "domain/halo.hpp"
 #include "nn/forward_plan.hpp"
 #include "nn/sequential.hpp"
+#include "tensor/im2col.hpp"
 #include "tensor/tensor.hpp"
+
+namespace parpde {
+
+// col2im: scatters a column matrix (the layout of im2col, row stride `ld`,
+// -1 = dense) back into CHW sample gradients, accumulating overlapping
+// contributions into the caller-zeroed `x_grad` in (c, ky, kx) row order.
+// With dcol = W^T * dY this was the library's data gradient before the
+// direct kernel replaced it; conv2d_backward_data must match it bit for bit.
+inline void col2im(const float* col, const ConvGeometry& g, float* x_grad,
+                   std::int64_t ld = -1) {
+  const std::int64_t oh = g.out_height();
+  const std::int64_t ow = g.out_width();
+  const std::int64_t cols = ld < 0 ? oh * ow : ld;
+  std::int64_t row = 0;
+  for (std::int64_t c = 0; c < g.in_channels; ++c) {
+    float* plane = x_grad + c * g.height * g.width;
+    for (std::int64_t ky = 0; ky < g.kernel; ++ky) {
+      for (std::int64_t kx = 0; kx < g.kernel; ++kx, ++row) {
+        const float* in = col + row * cols;
+        for (std::int64_t y = 0; y < oh; ++y) {
+          const std::int64_t sy = y + ky - g.pad;
+          if (sy < 0 || sy >= g.height) continue;
+          const float* irow = in + y * ow;
+          float* drow = plane + sy * g.width;
+          const std::int64_t x_lo = std::max<std::int64_t>(0, g.pad - kx);
+          const std::int64_t x_hi =
+              std::min<std::int64_t>(ow, g.width + g.pad - kx);
+          for (std::int64_t xi = x_lo; xi < x_hi; ++xi) {
+            drow[xi + kx - g.pad] += irow[xi];
+          }
+        }
+      }
+    }
+  }
+}
+
+// Inverse of im2col_batched: scatters the wide column matrix back into the
+// NCHW gradient `x_grad` (caller zero-initialized), one sample at a time.
+inline void col2im_batched(const float* col, std::int64_t batch,
+                           const ConvGeometry& g, float* x_grad) {
+  const std::int64_t in_stride = g.in_channels * g.height * g.width;
+  const std::int64_t cols = g.col_cols();
+  for (std::int64_t s = 0; s < batch; ++s) {
+    col2im(col + s * cols, g, x_grad + s * in_stride, batch * cols);
+  }
+}
+
+}  // namespace parpde
 
 namespace parpde::testing {
 

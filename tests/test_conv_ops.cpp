@@ -1,10 +1,16 @@
 // Functional conv primitives: consistency with the Conv2d layer, adjoint
-// identities, and bit-identity of the grouped batched path with a
-// whole-batch lowering.
+// identities, bit-identity of the grouped batched path with a whole-batch
+// lowering, bit-identity of the direct data gradient and the im2row weight
+// gradient with the GEMM lowerings they replace, and an allocation-free
+// steady-state backward.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cmath>
+#include <cstdlib>
 #include <cstring>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -16,6 +22,49 @@
 #include "util/aligned.hpp"
 #include "util/random.hpp"
 #include "util/thread_pool.hpp"
+
+// --- counting allocator ------------------------------------------------------
+// Same device as tests/test_quant_rollout.cpp: global operator new/delete
+// counting allocations while g_count_allocs is set, to prove the batched
+// backward's steady state allocates nothing. The aligned forms are counted
+// too, because every Conv2dWorkspace buffer is a 64-byte-aligned vector.
+
+namespace {
+std::atomic<bool> g_count_allocs{false};
+std::atomic<std::int64_t> g_alloc_events{0};
+
+void* counted_alloc(std::size_t n, std::size_t align = 0) {
+  if (g_count_allocs.load(std::memory_order_relaxed)) {
+    g_alloc_events.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (n == 0) n = 1;
+  void* p = align == 0 ? std::malloc(n)
+                       : std::aligned_alloc(align, (n + align - 1) / align * align);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+}  // namespace
+
+void* operator new(std::size_t n) { return counted_alloc(n); }
+void* operator new[](std::size_t n) { return counted_alloc(n); }
+void* operator new(std::size_t n, std::align_val_t a) {
+  return counted_alloc(n, static_cast<std::size_t>(a));
+}
+void* operator new[](std::size_t n, std::align_val_t a) {
+  return counted_alloc(n, static_cast<std::size_t>(a));
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
 
 namespace parpde::nn {
 namespace {
@@ -257,6 +306,219 @@ TEST(ConvOps, OddPlaneAlignmentKeepsWholeBatch) {
   ASSERT_EQ(conv2d_batch_group(g, c.batch), c.batch);
   EXPECT_EQ(conv2d_batch_group(g, 40), kGemmKBlock);
   for (int workers : {0, 3}) check_grouping_bit_neutral(c, workers);
+}
+
+// --- Direct data gradient and im2row weight gradient are bit-neutral ---------
+//
+// The oracles are the lowerings the kernels replaced: dx = col2im(W^T * dY)
+// through gemm_at, and dW += dY * im2col(x)^T through gemm_bt_acc.
+
+// dY [n, Cout, oh, ow] with scattered +0 and -0 entries: a -0 product or
+// partial must not leak a different zero sign into dx.
+Tensor signed_zero_dy(const Shape& shape, std::uint64_t seed) {
+  Tensor dy = random_tensor(shape, seed);
+  for (std::int64_t i = 0; i < dy.size(); ++i) {
+    if (i % 7 == 3) dy[i] = -0.0f;
+    if (i % 11 == 5) dy[i] = 0.0f;
+  }
+  return dy;
+}
+
+// Channel-major [Cout x n*plane] copy of an NCHW dY.
+std::vector<float> gather_channel_major(const Tensor& dy) {
+  const std::int64_t n = dy.dim(0), cout = dy.dim(1);
+  const std::int64_t plane = dy.dim(2) * dy.dim(3), wide = n * plane;
+  std::vector<float> out(static_cast<std::size_t>(cout * wide));
+  for (std::int64_t s = 0; s < n; ++s) {
+    for (std::int64_t c = 0; c < cout; ++c) {
+      std::memcpy(out.data() + c * wide + s * plane,
+                  dy.data() + (s * cout + c) * plane,
+                  static_cast<std::size_t>(plane) * sizeof(float));
+    }
+  }
+  return out;
+}
+
+Tensor col2im_data_grad(const Tensor& dy, const Tensor& w,
+                        const ConvGeometry& g) {
+  const std::int64_t n = dy.dim(0), cout = w.dim(0);
+  const std::int64_t wide = n * g.col_cols();
+  const std::vector<float> wide_dy = gather_channel_major(dy);
+  std::vector<float> dcol(static_cast<std::size_t>(g.col_rows() * wide));
+  gemm_at(w.data(), wide_dy.data(), dcol.data(), g.col_rows(), cout, wide);
+  Tensor dx({n, g.in_channels, g.height, g.width});
+  dx.fill(0.0f);
+  col2im_batched(dcol.data(), n, g, dx.data());
+  return dx;
+}
+
+struct DataCase {
+  std::int64_t cin, cout, kernel, pad, height, width;
+};
+
+void check_direct_data_grad(const DataCase& c, int workers) {
+  const ConvGeometry g{c.cin, c.height, c.width, c.kernel, c.pad};
+  SCOPED_TRACE(std::to_string(c.cin) + "->" + std::to_string(c.cout) + " k" +
+               std::to_string(c.kernel) + " pad " + std::to_string(c.pad) +
+               " " + std::to_string(c.height) + "x" + std::to_string(c.width) +
+               ", " + std::to_string(workers) + " workers");
+  const std::int64_t n = 3;
+  const auto seed = static_cast<std::uint64_t>(
+      c.cin * 1000 + c.cout * 100 + c.kernel * 10 + c.pad);
+  const Tensor x = random_tensor({n, c.cin, c.height, c.width}, seed);
+  const Tensor w = random_tensor({c.cout, c.cin, c.kernel, c.kernel}, seed + 1);
+  const Tensor dy =
+      signed_zero_dy({n, c.cout, g.out_height(), g.out_width()}, seed + 2);
+  const Tensor want = col2im_data_grad(dy, w, g);
+
+  util::ThreadPool::configure_global(workers);
+  Conv2dWorkspace ws;
+  Tensor dx, dw(w.shape()), db({c.cout});
+  conv2d_backward_batched(x, dy, w, c.pad, dx, dw, db, ws);
+  // Single-sample entry point (the ConvLSTM path), sample by sample.
+  Tensor dx_single({c.cin, c.height, c.width});
+  util::AlignedVector<float> col;
+  Tensor got_single(want.shape());
+  const std::int64_t in_plane = c.cin * c.height * c.width;
+  const std::int64_t out_plane = c.cout * g.out_height() * g.out_width();
+  for (std::int64_t s = 0; s < n; ++s) {
+    Tensor dy_s({c.cout, g.out_height(), g.out_width()});
+    std::memcpy(dy_s.data(), dy.data() + s * out_plane,
+                static_cast<std::size_t>(out_plane) * sizeof(float));
+    conv2d_backward_data(dy_s, w, c.pad, dx_single, col);
+    std::memcpy(got_single.data() + s * in_plane, dx_single.data(),
+                static_cast<std::size_t>(in_plane) * sizeof(float));
+  }
+  util::ThreadPool::configure_global(0);
+
+  expect_bitwise_equal(dx, want, "batched dx");
+  expect_bitwise_equal(got_single, want, "single-sample dx");
+}
+
+TEST(ConvOps, DirectBackwardDataMatchesCol2imOracle) {
+  const std::int64_t channels[] = {1, 4, 6, 16};
+  for (int workers : {0, 3}) {
+    for (std::int64_t kernel : {3, 5}) {
+      for (std::int64_t pad = 0; pad <= 4; ++pad) {
+        for (std::int64_t cin : channels) {
+          for (std::int64_t cout : channels) {
+            // Widths 19 and 23 leave a ragged last 16-lane vector; the height
+            // is odd so the row blocks leave a tail too.
+            const std::int64_t width = (cin + cout + pad) % 2 == 0 ? 19 : 23;
+            check_direct_data_grad({cin, cout, kernel, pad, 7, width}, workers);
+          }
+        }
+      }
+    }
+  }
+}
+
+// More than kGemmKBlock output channels (a ConvLSTM's gate conv): each tap
+// sums its Cout reduction as consecutive kGemmKBlock-deep partials.
+TEST(ConvOps, DirectBackwardDataSplitsWideCoutLikeTheGemm) {
+  for (int workers : {0, 3}) {
+    check_direct_data_grad({6, 2 * kGemmKBlock + 8, 3, 1, 9, 21}, workers);
+    check_direct_data_grad({3, kGemmKBlock + 1, 5, 2, 5, 17}, workers);
+  }
+}
+
+TEST(ConvOps, Im2rowIsTheTransposeOfIm2col) {
+  for (std::int64_t pad : {0, 2, 4}) {
+    const ConvGeometry g{3, 9, 13, 3, pad};
+    const Tensor x = random_tensor({2, 3, 9, 13}, 40 + pad);
+    const std::int64_t rows = g.col_rows(), wide = 2 * g.col_cols();
+    std::vector<float> col(static_cast<std::size_t>(rows * wide));
+    std::vector<float> rowm(col.size());
+    im2col_batched(x.data(), 2, g, col.data());
+    im2row_batched(x.data(), 2, g, rowm.data());
+    for (std::int64_t r = 0; r < rows; ++r) {
+      for (std::int64_t p = 0; p < wide; ++p) {
+        ASSERT_EQ(std::memcmp(&rowm[static_cast<std::size_t>(p * rows + r)],
+                              &col[static_cast<std::size_t>(r * wide + p)],
+                              sizeof(float)),
+                  0)
+            << "pad " << pad << " row " << r << " pixel " << p;
+      }
+    }
+  }
+}
+
+TEST(ConvOps, Im2rowWeightGradMatchesGemmBtAcc) {
+  // n * oh * ow = 3 * 9 * 11 = 297 is not a multiple of kGemmKBlock, so the
+  // last k-block of the dW reduction is ragged.
+  for (std::int64_t pad : {1, 2}) {
+    const std::int64_t n = 3, cin = 6, cout = 4, kernel = 5;
+    const ConvGeometry g{cin, 9 + 4 - 2 * pad, 11 + 4 - 2 * pad, kernel, pad};
+    ASSERT_NE(n * g.col_cols() % kGemmKBlock, 0);
+    SCOPED_TRACE("pad " + std::to_string(pad));
+    const Tensor x = random_tensor({n, cin, g.height, g.width}, 50 + pad);
+    const Tensor w = random_tensor({cout, cin, kernel, kernel}, 51);
+    const Tensor dy = signed_zero_dy(
+        {n, cout, g.out_height(), g.out_width()}, 52 + pad);
+    const Tensor dw0 = random_tensor(w.shape(), 53);
+    const Tensor db0 = random_tensor({cout}, 54);
+
+    const std::int64_t wide = n * g.col_cols();
+    std::vector<float> col(static_cast<std::size_t>(g.col_rows() * wide));
+    im2col_batched(x.data(), n, g, col.data());
+    const std::vector<float> wide_dy = gather_channel_major(dy);
+    Tensor want = dw0;
+    gemm_bt_acc(wide_dy.data(), col.data(), want.data(), cout, wide,
+                g.col_rows());
+
+    for (int workers : {0, 3}) {
+      util::ThreadPool::configure_global(workers);
+      Conv2dWorkspace ws;
+      Tensor dw = dw0, db = db0;
+      conv2d_backward_weights_batched(x, dy, pad, dw, db, ws);
+      Tensor dw_full = dw0, db_full = db0, dx;
+      conv2d_backward_batched(x, dy, w, pad, dx, dw_full, db_full, ws);
+      util::ThreadPool::configure_global(0);
+      expect_bitwise_equal(dw, want, "dW (parameters only)");
+      expect_bitwise_equal(dw_full, want, "dW (full backward)");
+      expect_bitwise_equal(db, db_full, "db");
+    }
+
+    // Single-sample entry point: one sample, one gemm_bt_acc.
+    const std::int64_t plane = g.col_cols();
+    Tensor x0({cin, g.height, g.width});
+    std::memcpy(x0.data(), x.data(),
+                static_cast<std::size_t>(x0.size()) * sizeof(float));
+    Tensor dy0({cout, g.out_height(), g.out_width()});
+    std::memcpy(dy0.data(), dy.data(),
+                static_cast<std::size_t>(dy0.size()) * sizeof(float));
+    std::vector<float> col0(static_cast<std::size_t>(g.col_rows() * plane));
+    im2col(x0.data(), g, col0.data());
+    Tensor want0 = dw0;
+    gemm_bt_acc(dy0.data(), col0.data(), want0.data(), cout, plane,
+                g.col_rows());
+    Tensor dw_single = dw0, db_single = db0;
+    util::AlignedVector<float> scratch;
+    conv2d_backward_weights(x0, dy0, pad, dw_single, db_single, scratch);
+    expect_bitwise_equal(dw_single, want0, "single-sample dW");
+  }
+}
+
+// The second and later backward calls on one workspace reuse every buffer.
+// Run inline: with pool workers, a worker's first GEMM chunk sizes its
+// thread-local pack buffers, and which worker claims which chunk is up to
+// the scheduler, not the workspace.
+TEST(ConvOps, BatchedBackwardSteadyStateAllocatesNothing) {
+  const Tensor x = random_tensor({5, 6, 21, 19}, 60);
+  const Tensor w = random_tensor({4, 6, 5, 5}, 61);
+  const Tensor dy = random_tensor({5, 4, 17, 15}, 62);
+  util::ThreadPool::configure_global(0);
+  Conv2dWorkspace ws;
+  Tensor dx, dw(w.shape()), db({4});
+  conv2d_backward_batched(x, dy, w, 0, dx, dw, db, ws);
+  g_alloc_events.store(0);
+  g_count_allocs.store(true);
+  for (int call = 0; call < 3; ++call) {
+    conv2d_backward_batched(x, dy, w, 0, dx, dw, db, ws);
+    conv2d_backward_weights_batched(x, dy, 0, dw, db, ws);
+  }
+  g_count_allocs.store(false);
+  EXPECT_EQ(g_alloc_events.load(), 0);
 }
 
 TEST(ConvOps, RejectsBadShapes) {

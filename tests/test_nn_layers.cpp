@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
+
 #include "helpers.hpp"
 #include "nn/activation.hpp"
 #include "nn/conv2d.hpp"
@@ -194,6 +197,50 @@ TEST(Sequential, CollectsAllParameters) {
   model.emplace<Conv2d>(2, 1, 3).init(rng);
   EXPECT_EQ(model.parameters().size(), 4u);
   EXPECT_EQ(model.parameter_count(), (1 * 2 * 9 + 2) + (2 * 1 * 9 + 1));
+}
+
+// The parameters-only backward skips the first layer's input gradient and
+// must leave every parameter gradient bit-identical to backward().
+TEST(Sequential, BackwardParamsMatchesBackwardBitwise) {
+  auto build = [] {
+    auto model = std::make_unique<Sequential>();
+    util::Rng rng(9);
+    model->emplace<Conv2d>(4, 6, 5, 0).init(rng);
+    model->emplace<LeakyReLU>(0.01f);
+    model->emplace<Conv2d>(6, 3, 3).init(rng);
+    model->emplace<LeakyReLU>(0.01f);
+    return model;
+  };
+  Tensor x({3, 4, 13, 11});
+  Tensor dy({3, 3, 9, 7});
+  util::Rng rng(10);
+  rng.fill_uniform(x.values(), -1.0f, 1.0f);
+  rng.fill_uniform(dy.values(), -1.0f, 1.0f);
+
+  auto full = build();
+  auto params_only = build();
+  for (int pass = 0; pass < 2; ++pass) {  // gradients accumulate
+    full->forward(x);
+    full->backward(dy);
+    params_only->forward(x);
+    params_only->backward_params(dy);
+  }
+  const auto want = full->parameters();
+  const auto got = params_only->parameters();
+  ASSERT_EQ(want.size(), got.size());
+  for (std::size_t p = 0; p < want.size(); ++p) {
+    ASSERT_TRUE(got[p].grad->same_shape(*want[p].grad));
+    EXPECT_EQ(std::memcmp(got[p].grad->data(), want[p].grad->data(),
+                          static_cast<std::size_t>(want[p].grad->size()) *
+                              sizeof(float)),
+              0)
+        << want[p].name;
+  }
+}
+
+TEST(Conv2d, BackwardParamsBeforeForwardThrows) {
+  Conv2d conv(1, 1, 3);
+  EXPECT_THROW(conv.backward_params(Tensor({1, 1, 4, 4})), std::logic_error);
 }
 
 TEST(Sequential, RejectsNullModule) {

@@ -381,7 +381,8 @@ BACKEND_EXEMPT_PREFIXES = (
 _BACKEND_KERNEL_CALL = re.compile(
     r"(?<![\w.>])"
     r"(gemm|gemm_acc|gemm_at|gemm_bt_acc|conv2d_forward|conv2d_forward_batched"
-    r"|conv2d_backward_data|conv2d_backward_weights|conv2d_backward_batched)"
+    r"|conv2d_backward_data|conv2d_backward_weights|conv2d_backward_batched"
+    r"|conv2d_backward_weights_batched)"
     r"\s*\("
 )
 
