@@ -27,17 +27,15 @@ constexpr std::int64_t kColBudgetBytes = std::int64_t{1} << 20;
 //                 s = sum over co of w[co][c][kh][kw] * dy[co][sy-kh+pad][sx-kw+pad]
 // evaluated in exactly the order of the lowering it replaces: a column matrix
 // C = W^T * dY from the blocked GEMM, scattered back onto the input grid.
-// Each C[(c, kh, kw)][pixel] was the GEMM's Cout reduction (one +0-started
-// register partial per kGemmKBlock channels, the partials added in ascending
-// order), and the scatter added the rows of channel c into a +0-started dx
-// pixel in ascending (kh, kw) order. The kernel forms the same s per tap and
-// adds it the same way, but reads dY straight from a zero-bordered copy
-// instead of writing and re-reading C.
+// Each C[(c, kh, kw)][pixel] was the GEMM's Cout reduction (the +0-started
+// register partial of the first kGemmKBlock channels, then the partial of
+// each further block added in ascending order), and the scatter added the
+// rows of channel c into a +0-started dx pixel in ascending (kh, kw) order.
+// The kernel forms the same s per tap and adds it the same way, but reads dY
+// straight from a zero-bordered copy instead of writing and re-reading C.
 //
 // A tap that falls outside dY reads zeros, so its s is +0, and adding +0
-// cannot change a sum that started at +0 (such a sum is never -0). For the
-// same reason s may start from +0 rather than from its first partial: the
-// two differ at most in the sign of a zero, which the dx sum cannot see. The
+// cannot change a sum that started at +0 (such a sum is never -0). The
 // partials use the same `x += a * b` statement as the GEMM micro-kernel,
 // which each clone compiles to the same instruction (a fused multiply-add
 // where the ISA has one), so every clone reproduces its own GEMM's bits.
@@ -153,9 +151,7 @@ template <int CB, int RB>
 
 // RB dx rows of CB channels, kLanes adjacent sx per vector: CB * RB
 // independent accumulation chains, enough to cover the multiply-add latency.
-// With one Cout block (Cout <= kGemmKBlock), s is its only partial and goes
-// straight into acc.
-template <int CB, int RB, bool kOneBlock>
+template <int CB, int RB>
 [[gnu::always_inline]] inline void data_grad_rows(const DataGradArgs& a,
                                                   std::int64_t sy0) {
   const std::int64_t k = a.kernel;
@@ -167,17 +163,17 @@ template <int CB, int RB, bool kOneBlock>
       const float* row =
           a.dy + (sy0 - kh + a.dy_offset) * a.dy_cols + sx0 + a.dy_offset;
       for (std::int64_t kw = 0; kw < k; ++kw, wt += a.cout * CB) {
+        // s is the first Cout block's partial; each further block's partial
+        // starts from +0 and is added to s in ascending order.
         vLf s[RB][CB] = {};
-        if constexpr (kOneBlock) {
-          tap_partial<CB, RB>(s, row - kw, wt, 0, a.cout, a);
-        } else {
-          for (std::int64_t co0 = 0; co0 < a.cout; co0 += kGemmKBlock) {
-            vLf part[RB][CB] = {};
-            tap_partial<CB, RB>(part, row - kw, wt, co0,
-                                std::min(a.cout, co0 + kGemmKBlock), a);
-            for (int r = 0; r < RB; ++r) {
-              for (int i = 0; i < CB; ++i) s[r][i] += part[r][i];
-            }
+        tap_partial<CB, RB>(s, row - kw, wt, 0, std::min(a.cout, kGemmKBlock),
+                            a);
+        for (std::int64_t co0 = kGemmKBlock; co0 < a.cout; co0 += kGemmKBlock) {
+          vLf part[RB][CB] = {};
+          tap_partial<CB, RB>(part, row - kw, wt, co0,
+                              std::min(a.cout, co0 + kGemmKBlock), a);
+          for (int r = 0; r < RB; ++r) {
+            for (int i = 0; i < CB; ++i) s[r][i] += part[r][i];
           }
         }
         for (int r = 0; r < RB; ++r) {
@@ -196,21 +192,12 @@ template <int CB, int RB, bool kOneBlock>
   }
 }
 
-template <int CB, bool kOneBlock>
-[[gnu::always_inline]] inline void data_grad_rows_all(const DataGradArgs& a) {
-  constexpr int RB = 8 / CB;
-  std::int64_t sy = 0;
-  for (; sy + RB <= a.height; sy += RB) data_grad_rows<CB, RB, kOneBlock>(a, sy);
-  for (; sy < a.height; ++sy) data_grad_rows<CB, 1, kOneBlock>(a, sy);
-}
-
 template <int CB>
 [[gnu::always_inline]] inline void data_grad_block(const DataGradArgs& a) {
-  if (a.cout <= kGemmKBlock) {
-    data_grad_rows_all<CB, true>(a);
-  } else {
-    data_grad_rows_all<CB, false>(a);
-  }
+  constexpr int RB = 8 / CB;
+  std::int64_t sy = 0;
+  for (; sy + RB <= a.height; sy += RB) data_grad_rows<CB, RB>(a, sy);
+  for (; sy < a.height; ++sy) data_grad_rows<CB, 1>(a, sy);
 }
 
 PARPDE_TARGET_CLONES void data_grad_block4(const DataGradArgs& a) {

@@ -23,18 +23,7 @@ Tensor Sequential::forward(const Tensor& x) {
   return h;
 }
 
-Tensor Sequential::backward(const Tensor& grad_out) {
-  Tensor g = grad_out;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    telemetry::Span span(
-        telemetry::enabled() ? (*it)->name() + " bwd" : std::string(), "nn");
-    g = (*it)->backward(g);
-  }
-  return g;
-}
-
-void Sequential::backward_params(const Tensor& grad_out) {
-  if (layers_.empty()) return;
+Tensor Sequential::backward_to_first(const Tensor& grad_out) {
   Tensor g = grad_out;
   for (std::size_t i = layers_.size() - 1; i > 0; --i) {
     telemetry::Span span(
@@ -42,6 +31,20 @@ void Sequential::backward_params(const Tensor& grad_out) {
         "nn");
     g = layers_[i]->backward(g);
   }
+  return g;
+}
+
+Tensor Sequential::backward(const Tensor& grad_out) {
+  if (layers_.empty()) return grad_out;
+  const Tensor g = backward_to_first(grad_out);
+  telemetry::Span span(
+      telemetry::enabled() ? layers_[0]->name() + " bwd" : std::string(), "nn");
+  return layers_[0]->backward(g);
+}
+
+void Sequential::backward_params(const Tensor& grad_out) {
+  if (layers_.empty()) return;
+  const Tensor g = backward_to_first(grad_out);
   telemetry::Span span(
       telemetry::enabled() ? layers_[0]->name() + " bwd" : std::string(), "nn");
   layers_[0]->backward_params(g);

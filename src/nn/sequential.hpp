@@ -37,6 +37,10 @@ class Sequential final : public Module {
   Module& layer(std::size_t i) { return *layers_.at(i); }
 
  private:
+  // backward() through layers N-1..1; returns the gradient at layer 0's
+  // output. Requires at least one layer.
+  Tensor backward_to_first(const Tensor& grad_out);
+
   std::vector<ModulePtr> layers_;
 };
 

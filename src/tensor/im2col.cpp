@@ -51,7 +51,10 @@ namespace {
 
 // Receptive field of an output pixel whose k x k window lies inside the
 // input: Cin*k runs of k contiguous floats, copied in (c, ky) order. K is the
-// kernel extent when known at compile time (fixed-size copies), 0 otherwise.
+// kernel extent when known at compile time, 0 otherwise. A fixed-size memcpy
+// is inlined; a runtime-length copy (and std::copy_n, which is a memmove) is
+// a library call per k floats, and with it train_64 ran at 55-75% of the
+// inlined version's throughput (docs/performance.md §2).
 template <int K>
 void copy_window(const float* x, const ConvGeometry& g, std::int64_t sy,
                  std::int64_t sx, float* dst) {
@@ -105,10 +108,8 @@ void im2row(const float* x, const ConvGeometry& g, float* rows) {
       float* dst = rows + (y * ow + xo) * r;
       if (!rows_inside || sx < 0 || sx + k > g.width) {
         copy_border_window(x, g, sy, sx, dst);
-      } else if (k == 5) {
+      } else if (k == 5) {  // every network config's kernel
         copy_window<5>(x, g, sy, sx, dst);
-      } else if (k == 3) {
-        copy_window<3>(x, g, sy, sx, dst);
       } else {
         copy_window<0>(x, g, sy, sx, dst);
       }

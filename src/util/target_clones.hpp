@@ -9,7 +9,8 @@
 // machine, so it cannot break thread-count determinism. Kernels that must
 // agree bit for bit (the conv data gradient and the GEMM it replaces) share
 // the clone set and write their products as the same `x += a * b`, which a
-// clone contracts the same way in both. The dispatch runs through an
+// clone contracts the same way in both (src/CMakeLists.txt pins
+// -ffp-contract=fast for the library). The dispatch runs through an
 // IFUNC resolver during early relocation — before the TSan/ASan runtimes
 // initialize — so sanitized builds (tools/check.sh) fall back to
 // single-version kernels; only SIMD width changes, not results.
