@@ -161,17 +161,6 @@ bool KernelBackend::needs_calibration(const PlanContext&) const { return false; 
 void KernelBackend::set_input_ranges(PlanContext&,
                                      const std::vector<float>&) const {}
 
-void BlockedF32Backend::gemm(const float* a, const float* b, float* c,
-                             std::int64_t m, std::int64_t k,
-                             std::int64_t n) const {
-  parpde::gemm(a, b, c, m, k, n);
-}
-void BlockedF32Backend::gemm_acc(const float* a, const float* b, float* c,
-                                 std::int64_t m, std::int64_t k,
-                                 std::int64_t n) const {
-  parpde::gemm_acc(a, b, c, m, k, n);
-}
-
 void BlockedF32Backend::conv2d_forward_batched(const Tensor& x, const Tensor& w,
                                                const Tensor& b,
                                                std::int64_t pad, Tensor& y,

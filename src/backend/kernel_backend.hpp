@@ -1,8 +1,8 @@
 #pragma once
 
 // Execution-provider split for the compute kernels (the onnxruntime idiom):
-// a KernelBackend owns GEMM, im2col/convolution, transpose-convolution and
-// activation execution, and every layer above this directory dispatches
+// a KernelBackend owns convolution (GEMM-lowered), transpose-convolution
+// and activation execution, and every layer above this directory dispatches
 // through it instead of calling tensor::gemm / nn::conv_ops directly
 // (enforced by the backend-bypass rule in tools/parpde_lint.py).
 //
@@ -68,12 +68,6 @@ class KernelBackend {
   // Stable identifier ("fp32", "int8") used by RolloutOptions/CLI selection
   // and the backend.* telemetry tags.
   [[nodiscard]] virtual const char* name() const noexcept = 0;
-
-  // --- raw fp32 GEMM (training + module-graph path) -----------------------
-  virtual void gemm(const float* a, const float* b, float* c, std::int64_t m,
-                    std::int64_t k, std::int64_t n) const = 0;
-  virtual void gemm_acc(const float* a, const float* b, float* c,
-                        std::int64_t m, std::int64_t k, std::int64_t n) const = 0;
 
   // --- convolution (module-graph path, fp32 on every backend) -------------
   virtual void conv2d_forward_batched(const Tensor& x, const Tensor& w,
@@ -161,11 +155,6 @@ class KernelBackend {
 class BlockedF32Backend : public KernelBackend {
  public:
   [[nodiscard]] const char* name() const noexcept override { return "fp32"; }
-
-  void gemm(const float* a, const float* b, float* c, std::int64_t m,
-            std::int64_t k, std::int64_t n) const override;
-  void gemm_acc(const float* a, const float* b, float* c, std::int64_t m,
-                std::int64_t k, std::int64_t n) const override;
 
   void conv2d_forward_batched(const Tensor& x, const Tensor& w, const Tensor& b,
                               std::int64_t pad, Tensor& y,

@@ -1,10 +1,13 @@
 #pragma once
 
-// Parallel autoregressive inference (Sec. III, "Inference"): every rank
-// predicts its own subdomain; between time steps the subdomain boundaries are
+// Parallel autoregressive inference (Sec. III, "Inference"): every subdomain
+// task predicts its own block; between time steps the block boundaries are
 // exchanged with the four neighbours through point-to-point messages, exactly
-// like a domain-decomposed classical solver. The sequential (monolithic)
-// rollout is provided for the equivalence tests and accuracy baselines.
+// like a domain-decomposed classical solver. parallel_rollout is one
+// task-keyed step loop: one task per rank by default, several per rank under
+// the elastic runtime, which also adds heartbeats and recovery
+// (elastic/rollout.hpp). The sequential (monolithic) rollout is provided for
+// the equivalence tests and accuracy baselines.
 
 #include "core/config.hpp"
 #include "core/parallel_trainer.hpp"
@@ -27,12 +30,12 @@ namespace parpde::core {
 // and RolloutOptions::engine remain only because the frozen perfbench/
 // sources assign them, and go the next time perfbench/ changes.
 enum class RolloutEngine {
-  // One step: post the border strips (HaloExchange::begin), receive the
-  // neighbours' into the halo-padded tile (finish), run the pre-sized
-  // ForwardPlan once on that whole tile, and hand the output to the deferred
-  // frame gather. All per-layer activations, im2col workspaces and halo
-  // staging buffers are pre-sized at rollout start, so the steady-state step
-  // performs zero heap allocations. Bit-identical to stepping every
+  // One step: post every hosted task's border strips (HaloExchange::begin),
+  // receive the neighbours' into the halo-padded tiles (finish), run each
+  // task's pre-sized ForwardPlan once on its whole tile, and hand the outputs
+  // to the deferred frame gather. All per-layer activations, im2col
+  // workspaces and halo staging buffers are pre-sized at rollout start, so
+  // the steady-state step performs zero heap allocations. Bit-identical to stepping every
   // subdomain network on halo-extended tiles of the previous full frame (the
   // oracle in tests/helpers.hpp).
   kOverlapped,
@@ -43,9 +46,11 @@ enum class RolloutEngine {
 // detect rank death through missed heartbeat leases, and have survivors
 // adopt the orphaned tasks (deterministic rebalance + rollback to the newest
 // common PPES state snapshot), so a mid-rollout kill ends as a bounded blip
-// instead of a permanently degraded border. Disabled by default — the
-// classic engine takes the exact same path as before. See
-// docs/robustness.md ("Recovery protocol").
+// instead of a permanently degraded border. Disabled by default: the step
+// loop then hosts task t on rank t and skips the heartbeat, recovery and
+// snapshot steps; everything else (exchange, forward, health scan, gather)
+// is the same code either way. See docs/robustness.md ("Recovery
+// protocol").
 struct ElasticOptions {
   bool enabled = false;
   // The trained report must hold tasks_per_rank * P rank outcomes; the
@@ -113,7 +118,7 @@ struct HealthReport {
   // Mirror of RolloutResult::degraded_borders for one-stop health checks.
   int degraded_borders = 0;
 
-  // Elastic recovery summary (all zero unless the elastic engine ran and a
+  // Elastic recovery summary (all zero unless the elastic runtime ran and a
   // rank died): how many recovery rounds completed, how many orphaned tasks
   // the survivors adopted, where/how fast the death was detected, and how
   // long the deterministic rebalance + state rollback took (max over ranks).
@@ -158,12 +163,13 @@ struct RolloutResult {
   // and fell back to the zero-padding treatment (docs/robustness.md). Zero /
   // empty on a healthy run.
   int degraded_borders = 0;
-  std::vector<std::string> degraded_detail;  // e.g. "rank 2: e,n"
+  // e.g. "rank 2: e,n"; "task 2: e,n" under the elastic runtime.
+  std::vector<std::string> degraded_detail;
   // Always 0: the step runs its forward after the halo strips land, so no
   // compute overlaps them. Kept only because the frozen perfbench/ sources
   // read it; it goes, with RolloutEngine, the next time perfbench/ changes.
   double overlap_seconds = 0.0;
-  // Total buffer regrowths after the first step, summed over ranks (plan
+  // Total buffer regrowths after the warm-up step, summed over ranks (plan
   // activations, im2col workspaces, halo staging). 0 means the steady-state
   // step ran allocation-free; also exported as the
   // `inference.steady_state_allocs` telemetry counter.
@@ -180,8 +186,9 @@ struct RolloutResult {
 // output loses the subdomain rim (the limitation Sec. III points out).
 //
 // Halo receives are bounded by `halo_options`; a border whose neighbour is
-// definitively lost degrades (sticky, per rank) to zero padding and the
-// rollout keeps going — it never deadlocks under message loss.
+// definitively lost degrades (sticky, per task) to zero padding and the
+// rollout keeps going — it never deadlocks under message loss, with the
+// elastic runtime on or off.
 RolloutResult parallel_rollout(const TrainConfig& config,
                                const ParallelTrainReport& trained,
                                const Tensor& initial, int steps,

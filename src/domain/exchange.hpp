@@ -17,6 +17,7 @@
 #include <array>
 #include <chrono>
 #include <string>
+#include <vector>
 
 #include "domain/partition.hpp"
 #include "minimpi/cart.hpp"
@@ -92,67 +93,121 @@ class BorderHealth {
 };
 
 // Split halo exchange with persistent staging buffers, the exchange half of
-// every parallel_rollout step (docs/performance.md, "The rollout step"):
+// every parallel_rollout step (docs/performance.md, "The rollout step"). It
+// exchanges every subdomain tile a rank hosts:
 //
-//   HaloExchange hx(cart, partition, halo, options, &health);
+//   HaloExchange hx(comm, partition, halo, options, task_tags);
+//   hx.place(tiles, owner);   // the tiles hosted here; who hosts the rest
 //   for (step ...) {
-//     hx.begin(interior);            // posts W/E border strips (buffered
-//                                    //  sends — returns immediately)
-//     hx.finish(interior, padded);   // bounded receives + S/N corner phase
-//     ... one ForwardPlan::run on the whole padded tile ...
+//     hx.begin();             // posts W/E border strips of every tile
+//                             //  (buffered sends — returns immediately)
+//     hx.finish();            // bounded receives + S/N corner phase
+//     ... one ForwardPlan::run per tile on its padded input ...
 //   }
 //
-// begin() posts this rank's west/east strips the moment the step's interior
-// exists; finish() completes the two-phase exchange (receive W/E, then
-// send/receive the x-extended S/N strips so diagonal corners are correct)
-// and writes the [C, bh + 2 halo, bw + 2 halo] result into `padded` (resized
-// on first use, reused afterwards — the steady state allocates nothing
-// beyond the minimpi mailbox copies). exchange_halo below is begin() +
-// finish() back to back, so both send the same message sequence per
-// neighbour channel: seeded fault injection draws the same faults on either
-// and degradation outcomes are bit-reproducible.
+// begin() posts the west/east strips of every tile the moment the step's
+// interiors exist; finish() receives phase 1 for every tile, then sends the
+// x-extended S/N strips of every tile, and only then receives phase 2 for
+// every tile, so diagonal corners arrive via the row neighbours. That order
+// is required: finishing one tile at a time deadlocks as soon as a tile's
+// N/S neighbour sits on the same rank. The peer of each border is the rank
+// hosting the neighbouring tile; a co-resident neighbour is an ordinary send
+// to this rank itself. Each tile's [C, bh + 2 halo, bw + 2 halo] result
+// lands in its `padded` tensor (resized on first use, reused afterwards —
+// the steady state allocates nothing beyond the minimpi mailbox copies).
 //
-// Receive semantics match exchange_halo: bounded by `options`, CRC-checked,
-// degrading the border into `health` (or throwing when health is null).
-// begin()/finish() must alternate; the referenced cart/partition/health must
-// outlive the object.
+// Strips travel on the kHalo travel tags (direction of travel as offset) or,
+// with `task_tags`, on elastic_halo_tag(dest_task, travel), which keeps the
+// channels of several tiles per rank apart. kHalo tags need one tile per
+// rank. exchange_halo below is begin() + finish() back to back, so both send
+// the same message sequence per channel: seeded fault injection draws the
+// same faults on either and degradation outcomes are bit-reproducible.
+//
+// Receives are bounded by `options`, CRC-checked, and degrade the border
+// into the tile's BorderHealth (or throw when it is null). begin()/finish()
+// must alternate; the partition, and every tile's tensors and health, must
+// outlive the placement.
 class HaloExchange {
  public:
+  // One subdomain tile hosted by this rank.
+  struct Tile {
+    int task = 0;                      // partition block cy * px + cx
+    const Tensor* interior = nullptr;  // [C, bh, bw], read by begin/finish
+    Tensor* padded = nullptr;          // halo-padded input, written by finish
+    BorderHealth* health = nullptr;    // nullptr: a lost border throws
+  };
+
+  // One tile per rank, tile == rank of `cart`, kHalo tags. Drive it with
+  // the one-tile begin/finish below.
   HaloExchange(mpi::CartComm& cart, const Partition& partition,
                std::int64_t halo, const HaloOptions& options = {},
                BorderHealth* health = nullptr);
 
-  // Posts the west/east strips of `interior` ([C, bh, bw]) to the live
-  // neighbours. Wall time spent sending accumulates into `comm_time`.
+  // Any placement; call place() before the first begin().
+  HaloExchange(mpi::Communicator& comm, const Partition& partition,
+               std::int64_t halo, const HaloOptions& options, bool task_tags);
+
+  // This rank hosts `tiles`; task t lives on rank owner[t]. Call again after
+  // a rebalance moved tiles between ranks.
+  void place(std::vector<Tile> tiles, const std::vector<int>& owner);
+
+  // Posts the west/east strips of every tile to its live neighbours. Wall
+  // time spent sending accumulates into `comm_time`.
+  void begin(util::AccumulatingTimer* comm_time = nullptr);
+
+  // Completes the exchange and assembles every tile's halo-padded input.
+  // Wall time spent in receives/sends accumulates into `comm_time` (the
+  // rollout step's "wait" share).
+  void finish(util::AccumulatingTimer* comm_time = nullptr);
+
+  // One-tile forms: `interior` ([C, bh, bw]) and `padded` become the only
+  // tile's tensors for this exchange.
   void begin(const Tensor& interior,
              util::AccumulatingTimer* comm_time = nullptr);
-
-  // Completes the exchange begun with the same `interior` and assembles the
-  // halo-padded tensor into `padded`. Wall time spent in receives/sends
-  // accumulates into `comm_time` (the rollout step's "wait" share).
   void finish(const Tensor& interior, Tensor& padded,
               util::AccumulatingTimer* comm_time = nullptr);
 
-  [[nodiscard]] std::int64_t halo() const noexcept { return halo_; }
+  // Marks every live border whose neighbouring tile is hosted by `rank`
+  // degraded — that rank died — and returns how many it marked. No strip
+  // crosses those borders again until place() re-points them and their
+  // BorderHealth is reset.
+  int lose_peer(int rank);
+
+  // Times a tile's padded tensor had to be (re)allocated.
+  [[nodiscard]] std::uint64_t growth_events() const noexcept {
+    return growths_;
+  }
 
  private:
-  void timed_send(mpi::Direction side, const std::vector<float>& strip,
-                  util::AccumulatingTimer* comm_time);
-  bool robust_recv(mpi::Direction side, util::AccumulatingTimer* comm_time);
-  void drain_stale(mpi::Direction side);
-  void degrade(mpi::Direction side, const std::string& why);
-  [[nodiscard]] bool live(mpi::Direction side) const;
+  struct Placed {
+    Tile tile;
+    BlockRange block;
+    std::array<int, 4> peer{};  // hosting rank per mpi::Direction, or kProcNull
+    std::array<int, 4> next{};  // neighbouring task per mpi::Direction
+  };
 
-  mpi::CartComm& cart_;
+  Tile& only_tile();
+  [[nodiscard]] int tag(int dest_task, mpi::Direction travel) const;
+  [[nodiscard]] bool live(const Placed& p, mpi::Direction side) const;
+  void send_strip(const Placed& p, mpi::Direction side, const Tensor& src,
+                  std::int64_t y0, std::int64_t hh, std::int64_t x0,
+                  std::int64_t ww, util::AccumulatingTimer* comm_time);
+  bool robust_recv(const Placed& p, mpi::Direction side,
+                   util::AccumulatingTimer* comm_time);
+  void drain_stale(const Placed& p, mpi::Direction side);
+  void degrade(const Placed& p, mpi::Direction side, const std::string& why);
+
+  mpi::Communicator& comm_;
   const Partition& partition_;
   std::int64_t halo_;
   HaloOptions options_;
-  BorderHealth* health_;
+  bool task_tags_;
+  std::vector<Placed> tiles_;
 
-  Tensor ext_x_;                   // [C, bh, bw + 2 halo] phase-1 staging
   std::vector<float> send_strip_;  // packed outgoing strip (reused)
   std::vector<float> recv_strip_;  // packed incoming strip (reused)
   std::uint64_t bytes_before_ = 0;
+  std::uint64_t growths_ = 0;
   double begin_seconds_ = 0.0;
   bool in_flight_ = false;
 };
@@ -181,19 +236,12 @@ Tensor exchange_halo(mpi::CartComm& cart, const Partition& partition,
 Tensor gather_field(mpi::CartComm& cart, const Partition& partition,
                     const Tensor& interior);
 
-// Split gather for the deferred/double-buffered recording path: non-root
-// ranks post their interior toward rank 0 (buffered send — returns
-// immediately) and move on to the next step; rank 0 stages a copy of its own
-// interior and collects the posted blocks later. Per-channel FIFO ordering of
-// the mailbox keeps successive deferred gathers matched in step order.
-void gather_field_send(mpi::CartComm& cart, const Tensor& interior);
-
-// Rank 0 only (no-op elsewhere): receives every non-root block posted by the
-// matching gather_field_send round and assembles the full field into `full`
-// (resized on first use, reused afterwards). `root_interior` supplies rank
-// 0's own block, typically the copy staged when the round was posted.
-void gather_field_collect(mpi::CartComm& cart, const Partition& partition,
-                          const Tensor& root_interior, Tensor& full);
+// Rank 0 side of a field gather: receives the block `source` posted on
+// tags::kFieldGather (its interior values) into `block`'s window of `full`
+// ([C, H, W]). Per-channel FIFO ordering of the mailbox matches successive
+// posts from one source in order.
+void gather_block(mpi::Communicator& comm, int source, const BlockRange& block,
+                  Tensor& full);
 
 // Rank 0 distributes a full [C, H, W] field; every rank returns its interior
 // block [C, bh, bw]. On non-root ranks `full` is ignored.

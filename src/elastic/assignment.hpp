@@ -24,6 +24,8 @@ class Assignment {
   [[nodiscard]] int ranks() const { return ranks_; }
   [[nodiscard]] int epoch() const { return epoch_; }
   [[nodiscard]] int owner(int task) const { return owner_[task]; }
+  // owner(t) for every task t.
+  [[nodiscard]] const std::vector<int>& owners() const { return owner_; }
   [[nodiscard]] bool alive(int rank) const { return alive_[rank]; }
   [[nodiscard]] int live_ranks() const;
 

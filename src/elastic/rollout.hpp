@@ -1,50 +1,70 @@
 #pragma once
 
-// Self-healing elastic rollout runtime.
+// The elastic-only steps of the rollout step loop (core::parallel_rollout).
 //
-// The default parallel_rollout freezes one subdomain per rank at launch, so
-// a rank death leaves a permanent hole: survivors finish, but every border
-// facing the dead rank degrades to zero padding for the rest of the run.
-// This engine decouples subdomains from ranks:
+// parallel_rollout runs one task-keyed loop: one subdomain task per rank by
+// default, and with RolloutOptions::elastic on, the M = trained.ranks tasks
+// spread over P = M / tasks_per_rank ranks through the versioned Assignment
+// map (elastic/assignment.hpp). Only then does the loop add:
 //
-//   * the grid is over-decomposed into M = trained.ranks subdomain *tasks*
-//     hosted on P = M / tasks_per_rank physical ranks, routed through the
-//     versioned Assignment map (elastic/assignment.hpp) instead of the
-//     implicit (cx, cy) == rank identity;
-//   * every step starts with a heartbeat barrier on the kElastic tag range
-//     — each rank stamps {assignment epoch, step} to every live peer and
-//     waits for the same from them, so a rank that dies at a step boundary
-//     is noticed by *all* survivors at the *same* step once its lease
-//     (lease x missed_leases) runs out — no coordinator, no collectives
-//     (which would hang on the dead rank);
-//   * on detection every survivor computes the identical rebalanced map
-//     (a pure function of the failed set), adopts the orphaned tasks by
-//     rebuilding their models from the trained report and rolling *all*
-//     tasks back to the newest common PPES state snapshot
-//     (elastic/state_checkpoint.hpp), re-points the per-task halo channels,
-//     and resumes — BorderHealth goes healthy again and the final frames
-//     are bit-identical to an uninterrupted run (placement independence:
-//     per-task arithmetic does not depend on the hosting rank).
+//   * check_kill_step, the fault plan's step-boundary kill point;
+//   * the heartbeat barrier below: each rank stamps {assignment epoch, step}
+//     to every live peer and waits for the same, so a rank that dies at a
+//     step boundary is noticed by *all* survivors at the *same* step once
+//     its lease budget (lease x missed_leases) runs out — no coordinator and
+//     no collectives (which would hang on the dead rank);
+//   * on a DeathNotice, the identical rebalance on every survivor (a pure
+//     function of the failed set), adoption of the orphaned tasks, rollback
+//     of all tasks to the newest common PPES snapshot
+//     (elastic/state_checkpoint.hpp) and a re-placed halo exchange;
+//   * PPES snapshots every `state_every` steps.
 //
-// Per-task forwards run through pre-sized ForwardPlans (zero-alloc steady
-// state); task-to-task halo traffic reuses the exact two-phase strip
-// geometry of domain/exchange.cpp, so an elastic rollout of an M-task
-// report produces bit-identical frames to the classic engine rolling the
-// same report on M ranks — the property the chaos and mc suites pin down.
-//
-// Deaths are supported at step boundaries (kill:rank=R,step=S and the
-// check_kill_step hook); rank 0 hosts the recorded frames and must survive.
-// Training stays zero-comm: heartbeats exist only inside this rollout loop.
+// The exchange (domain::HaloExchange, one tile per task), forward, health
+// scan and gather are the same code either way, so per-task arithmetic does
+// not depend on the hosting rank and a healed run is bit-identical to an
+// undisturbed one. Deaths are supported at step boundaries only, and rank 0
+// hosts the recorded frames and must survive.
 
-#include "core/inference.hpp"
+#include <chrono>
+#include <cstdint>
+#include <vector>
+
+#include "minimpi/communicator.hpp"
 
 namespace parpde::elastic {
 
-// Entry point used by core::parallel_rollout when options.elastic.enabled;
-// see core/inference.hpp for the option and result contracts.
-core::RolloutResult elastic_rollout(const core::TrainConfig& config,
-                                    const core::ParallelTrainReport& trained,
-                                    const Tensor& initial, int steps,
-                                    const core::RolloutOptions& options);
+// Thrown out of Heartbeat::barrier when a peer's lease budget is exhausted;
+// carries every peer that expired at that moment so simultaneous deaths
+// rebalance as one batch on every survivor.
+struct DeathNotice {
+  std::vector<int> failed;
+  double waited_seconds = 0.0;
+};
+
+class Heartbeat {
+ public:
+  // A peer is declared dead after `missed_leases` lease intervals of
+  // silence while this rank waits on it.
+  Heartbeat(mpi::Communicator& comm, std::chrono::milliseconds lease,
+            int missed_leases);
+
+  // Sends this step's heartbeat to every live peer (unless `resend` is
+  // false — a barrier re-entered after a no-recover death already sent it)
+  // and waits until every live peer's heartbeat reaches (epoch, step).
+  // Throws DeathNotice for the peers that stayed silent for the whole lease
+  // budget. Never uses a collective: those would hang on the dead rank.
+  void barrier(int epoch, int step, const std::vector<char>& live,
+               bool resend);
+
+ private:
+  mpi::Communicator& comm_;
+  std::chrono::milliseconds lease_;
+  std::int64_t budget_ms_;
+  // Per-peer high-water mark of the (epoch, step) key the last heartbeat
+  // carried; the lexicographic key lets post-recovery barriers consume any
+  // stale pre-recovery heartbeat without miscounting it.
+  std::vector<std::int64_t> seen_;
+  std::vector<std::uint32_t> buf_;
+};
 
 }  // namespace parpde::elastic

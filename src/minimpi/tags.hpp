@@ -50,8 +50,8 @@ inline constexpr TagRange kClockSync{4300, 2, "mpi.clocksync"};
 // minimpi/collectives.hpp: reserved block so collective traffic can never
 // match user point-to-point traffic.
 inline constexpr TagRange kCollectives{1 << 20, 8, "mpi.collectives"};
-// elastic/rollout.cpp: heartbeat + per-task halo/gather traffic for the
-// elastic runtime (sub-layout below).
+// elastic/rollout.cpp heartbeats and the task-addressed halo strips of
+// domain/exchange.cpp under the elastic runtime (sub-layout below).
 inline constexpr TagRange kElastic{16384, 2048, "elastic"};
 // serve/surrogate_server.cpp: the coalescing scheduler routes each batch
 // dispatch through fault::on_send under this tag, so PARPDE_FAULT delay
@@ -96,11 +96,12 @@ static_assert(kTagSendrecv == kCollectives.last(),
 // --- elastic runtime sub-layout ---------------------------------------------
 
 // The elastic runtime (src/elastic/) multiplexes M subdomain *tasks* over P
-// ranks, so tags must name the destination task, not just the direction.
-// Layout inside kElastic:
-//   base + 0                                  heartbeat (lease renewal)
-//   base + 1 + task * 4 + direction           halo strip addressed to `task`
-//   base + 1 + 4 * kMaxElasticTasks + task    interior gather from `task`
+// ranks, so halo tags must name the destination task, not just the direction
+// of travel. Frame gathers need no task tag: every rank posts its tasks'
+// blocks on kFieldGather in ascending task order, and rank 0 collects them in
+// the same order (FIFO per channel). Layout inside kElastic:
+//   base + 0                          heartbeat (lease renewal)
+//   base + 1 + task * 4 + direction   halo strip addressed to `task`
 inline constexpr int kMaxElasticTasks = 256;
 
 [[nodiscard]] constexpr int elastic_heartbeat_tag() { return kElastic.base; }
@@ -109,11 +110,7 @@ inline constexpr int kMaxElasticTasks = 256;
   return kElastic.base + 1 + task * 4 + direction;
 }
 
-[[nodiscard]] constexpr int elastic_gather_tag(int task) {
-  return kElastic.base + 1 + 4 * kMaxElasticTasks + task;
-}
-
-static_assert(elastic_gather_tag(kMaxElasticTasks - 1) <= kElastic.last(),
+static_assert(elastic_halo_tag(kMaxElasticTasks - 1, 3) <= kElastic.last(),
               "elastic sub-layout must fit inside kElastic");
 
 // --- euler solver field blocks ----------------------------------------------

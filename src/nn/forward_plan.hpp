@@ -11,7 +11,7 @@
 // counting-allocator tests in tests/test_rollout_overlap.cpp and
 // tests/test_quant_rollout.cpp).
 //
-// Every inference path (parallel_rollout, the elastic engine,
+// Every inference path (parallel_rollout with the elastic runtime on or off,
 // SubdomainEnsemble, SurrogateServer) runs one plan pass per step on the
 // whole input tile; run() accepts any input no larger than the pre-sized
 // maximum. On the fp32 backend results are bit-identical to Module::forward:

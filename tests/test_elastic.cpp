@@ -156,7 +156,8 @@ data::FrameDataset tiny_dataset() {
 TEST(ElasticRollout, MatchesDefaultEngineBitExactly) {
   // An M-task report rolled by the elastic engine (healthy run, one task per
   // rank) must reproduce the default overlapped engine's frames bit-for-bit
-  // — same per-task arithmetic, same two-phase strip geometry.
+  // — same per-task arithmetic, same two-phase strip geometry — and its seam
+  // health and halo traffic: both go through the same HaloExchange.
   const auto ds = tiny_dataset();
   const TrainConfig cfg = tiny_config();
   const ParallelTrainer trainer(cfg, 4);
@@ -174,6 +175,11 @@ TEST(ElasticRollout, MatchesDefaultEngineBitExactly) {
   EXPECT_EQ(elastic.degraded_borders, 0);
   EXPECT_EQ(elastic.health.recoveries, 0);
   EXPECT_EQ(elastic.health.assignment_epoch, 0);
+  EXPECT_GT(oracle.health.max_interface_residual, 0.0);
+  EXPECT_EQ(elastic.health.max_interface_residual,
+            oracle.health.max_interface_residual);
+  EXPECT_EQ(elastic.halo_bytes, oracle.halo_bytes);
+  EXPECT_EQ(elastic.halo_bytes_received, oracle.halo_bytes_received);
   // The heartbeat and recovery machinery leave the healthy steady state
   // allocation-free.
   EXPECT_EQ(elastic.steady_state_allocs, 0u);
@@ -201,16 +207,29 @@ TEST(ElasticRollout, PlacementIndependenceUnderOverDecomposition) {
   }
 
   const auto oracle = core::parallel_rollout(cfg, spread, ds.frame(0), 3);
-  core::RolloutOptions opts;
-  opts.elastic.enabled = true;
-  opts.elastic.tasks_per_rank = 2;
-  const auto elastic =
-      core::parallel_rollout(cfg, packed, ds.frame(0), 3, opts);
-  ASSERT_EQ(elastic.frames.size(), oracle.frames.size());
-  for (std::size_t k = 0; k < oracle.frames.size(); ++k) {
-    parpde::testing::expect_tensors_equal(oracle.frames[k], elastic.frames[k]);
+  // Both reports on 2 ranks x 2 tasks, then all 4 tasks on one rank (every
+  // neighbour co-resident: each strip is a send to the rank itself).
+  const struct {
+    const core::ParallelTrainReport* report;
+    int tasks_per_rank;
+  } inputs[] = {{&packed, 2}, {&spread, 2}, {&spread, 4}};
+  for (const auto& in : inputs) {
+    SCOPED_TRACE("tasks_per_rank " + std::to_string(in.tasks_per_rank));
+    core::RolloutOptions opts;
+    opts.elastic.enabled = true;
+    opts.elastic.tasks_per_rank = in.tasks_per_rank;
+    const auto elastic =
+        core::parallel_rollout(cfg, *in.report, ds.frame(0), 3, opts);
+    ASSERT_EQ(elastic.frames.size(), oracle.frames.size());
+    for (std::size_t k = 0; k < oracle.frames.size(); ++k) {
+      parpde::testing::expect_tensors_equal(oracle.frames[k],
+                                            elastic.frames[k]);
+    }
+    EXPECT_EQ(elastic.degraded_borders, 0);
+    EXPECT_EQ(elastic.steady_state_allocs, 0u);
+    EXPECT_EQ(elastic.health.max_interface_residual,
+              oracle.health.max_interface_residual);
   }
-  EXPECT_EQ(elastic.degraded_borders, 0);
 }
 
 TEST(ElasticRollout, RejectsInvalidConfigurations) {

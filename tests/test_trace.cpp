@@ -1,8 +1,9 @@
-// Causal cross-rank tracing (ISSUE 7): a traced 4-rank rollout must emit a
+// Causal cross-rank tracing: a traced 4-rank rollout must emit a
 // well-formed Chrome trace in which every halo send opens a flow that is
 // closed by exactly one matched receive on the neighbouring rank's lane, the
 // clock-sync metadata is present for every rank, and the critical-path child
-// spans of each rollout.step account for the step's wall time.
+// spans of each rollout.step account for the step's wall time — with the
+// elastic runtime on as well as off.
 
 #include <gtest/gtest.h>
 
@@ -72,59 +73,70 @@ struct ParsedTrace {
 
 // Runs one traced 2x2 rollout and parses the written trace. The writer's key
 // order is fixed (telemetry.cpp), so a regex scan is an honest parser here.
+ParsedTrace run_traced_rollout(const RolloutOptions& options) {
+  TrainConfig cfg = small_config();
+  util::Rng rng(cfg.seed);
+  const auto model = build_model(cfg.network, cfg.border, rng);
+  auto params = export_parameters(*model);
+  for (auto& t : params) {
+    // Damp weights so the autoregressive rollout stays finite.
+    if (t.ndim() != 1) {
+      for (std::int64_t i = 0; i < t.size(); ++i) t[i] *= 0.5f;
+    }
+  }
+  const auto report = shared_weight_report(params);
+  Tensor initial({4, kGrid, kGrid});
+  util::Rng data_rng(1234);
+  data_rng.fill_uniform(initial.values(), 0.5f, 1.5f);
+
+  telemetry::set_enabled(true);
+  telemetry::clear_trace();
+  const auto result = parallel_rollout(cfg, report, initial, kSteps, options);
+  telemetry::set_enabled(false);
+  EXPECT_EQ(result.frames.size(), static_cast<std::size_t>(kSteps));
+
+  const std::string path = ::testing::TempDir() + "parpde_test_trace.json";
+  EXPECT_TRUE(telemetry::write_chrome_trace(path));
+
+  ParsedTrace parsed;
+  std::ostringstream buffer;
+  buffer << std::ifstream(path).rdbuf();
+  parsed.text = buffer.str();
+  std::remove(path.c_str());
+
+  const std::regex span_re(
+      "\\{\"ph\":\"X\",\"name\":\"([^\"]*)\",\"cat\":\"[^\"]*\","
+      "\"ts\":(-?\\d+),\"dur\":(\\d+),\"pid\":(-?\\d+),\"tid\":\\d+\\}");
+  const std::regex flow_re(
+      "\\{\"ph\":\"(s|f)\",(?:\"bp\":\"e\",)?\"name\":\"([^\"]*)\","
+      "\"cat\":\"flow\",\"id\":(\\d+),\"ts\":-?\\d+,\"pid\":(-?\\d+),"
+      "\"tid\":\\d+\\}");
+  for (auto it = std::sregex_iterator(parsed.text.begin(), parsed.text.end(),
+                                      span_re);
+       it != std::sregex_iterator(); ++it) {
+    parsed.spans.push_back(Span{(*it)[1], std::stoll((*it)[2]),
+                                std::stoll((*it)[3]), std::stoi((*it)[4])});
+  }
+  for (auto it = std::sregex_iterator(parsed.text.begin(), parsed.text.end(),
+                                      flow_re);
+       it != std::sregex_iterator(); ++it) {
+    parsed.flows.push_back(Flow{*(*it)[1].first, (*it)[2],
+                                std::stoull((*it)[3]), std::stoi((*it)[4])});
+  }
+  return parsed;
+}
+
 const ParsedTrace& traced_rollout() {
+  static const ParsedTrace trace = run_traced_rollout(RolloutOptions{});
+  return trace;
+}
+
+// The same rollout through the elastic runtime (one task per rank).
+const ParsedTrace& traced_elastic_rollout() {
   static const ParsedTrace trace = [] {
-    TrainConfig cfg = small_config();
-    util::Rng rng(cfg.seed);
-    const auto model = build_model(cfg.network, cfg.border, rng);
-    auto params = export_parameters(*model);
-    for (auto& t : params) {
-      // Damp weights so the autoregressive rollout stays finite.
-      if (t.ndim() != 1) {
-        for (std::int64_t i = 0; i < t.size(); ++i) t[i] *= 0.5f;
-      }
-    }
-    const auto report = shared_weight_report(params);
-    Tensor initial({4, kGrid, kGrid});
-    util::Rng data_rng(1234);
-    data_rng.fill_uniform(initial.values(), 0.5f, 1.5f);
-
-    telemetry::set_enabled(true);
-    telemetry::clear_trace();
-    const auto result =
-        parallel_rollout(cfg, report, initial, kSteps, RolloutOptions{});
-    telemetry::set_enabled(false);
-    EXPECT_EQ(result.frames.size(), static_cast<std::size_t>(kSteps));
-
-    const std::string path = ::testing::TempDir() + "parpde_test_trace.json";
-    EXPECT_TRUE(telemetry::write_chrome_trace(path));
-
-    ParsedTrace parsed;
-    std::ostringstream buffer;
-    buffer << std::ifstream(path).rdbuf();
-    parsed.text = buffer.str();
-    std::remove(path.c_str());
-
-    const std::regex span_re(
-        "\\{\"ph\":\"X\",\"name\":\"([^\"]*)\",\"cat\":\"[^\"]*\","
-        "\"ts\":(-?\\d+),\"dur\":(\\d+),\"pid\":(-?\\d+),\"tid\":\\d+\\}");
-    const std::regex flow_re(
-        "\\{\"ph\":\"(s|f)\",(?:\"bp\":\"e\",)?\"name\":\"([^\"]*)\","
-        "\"cat\":\"flow\",\"id\":(\\d+),\"ts\":-?\\d+,\"pid\":(-?\\d+),"
-        "\"tid\":\\d+\\}");
-    for (auto it = std::sregex_iterator(parsed.text.begin(), parsed.text.end(),
-                                        span_re);
-         it != std::sregex_iterator(); ++it) {
-      parsed.spans.push_back(Span{(*it)[1], std::stoll((*it)[2]),
-                                  std::stoll((*it)[3]), std::stoi((*it)[4])});
-    }
-    for (auto it = std::sregex_iterator(parsed.text.begin(), parsed.text.end(),
-                                        flow_re);
-         it != std::sregex_iterator(); ++it) {
-      parsed.flows.push_back(Flow{*(*it)[1].first, (*it)[2],
-                                  std::stoull((*it)[3]), std::stoi((*it)[4])});
-    }
-    return parsed;
+    RolloutOptions options;
+    options.elastic.enabled = true;
+    return run_traced_rollout(options);
   }();
   return trace;
 }
@@ -188,36 +200,39 @@ TEST(TraceTest, ClockSyncMetadataOnEveryRankLane) {
 }
 
 TEST(TraceTest, CriticalPathChildrenAccountForStepTime) {
-  const auto& trace = traced_rollout();
-  int steps_seen = 0;
-  for (const auto& step : trace.spans) {
-    if (step.name != "rollout.step" || step.pid != 0) continue;
-    ++steps_seen;
-    std::int64_t known = 0;
-    bool saw_finish = false;
-    for (const auto& child : trace.spans) {
-      if (child.pid != step.pid || &child == &step) continue;
-      if (child.ts < step.ts || child.ts + child.dur > step.ts + step.dur) {
-        continue;  // not inside this step
+  for (const ParsedTrace* run : {&traced_rollout(), &traced_elastic_rollout()}) {
+    SCOPED_TRACE(run == &traced_rollout() ? "classic" : "elastic");
+    const auto& trace = *run;
+    int steps_seen = 0;
+    for (const auto& step : trace.spans) {
+      if (step.name != "rollout.step" || step.pid != 0) continue;
+      ++steps_seen;
+      std::int64_t known = 0;
+      bool saw_finish = false;
+      for (const auto& child : trace.spans) {
+        if (child.pid != step.pid || &child == &step) continue;
+        if (child.ts < step.ts || child.ts + child.dur > step.ts + step.dur) {
+          continue;  // not inside this step
+        }
+        if (child.name == "rollout.forward" ||
+            child.name == "halo.begin" || child.name == "halo.finish" ||
+            child.name == "rollout.gather") {
+          known += child.dur;  // halo.stall is nested inside halo.finish
+          saw_finish = saw_finish || child.name == "halo.finish";
+        }
       }
-      if (child.name == "rollout.forward" ||
-          child.name == "halo.begin" || child.name == "halo.finish" ||
-          child.name == "rollout.gather") {
-        known += child.dur;  // halo.stall is nested inside halo.finish
-        saw_finish = saw_finish || child.name == "halo.finish";
-      }
+      EXPECT_TRUE(saw_finish) << "step at ts " << step.ts
+                              << " has no halo.finish span";
+      // The named children must sum to the step's wall time: no overshoot
+      // beyond rounding, and the unattributed glue (health scan, bookkeeping)
+      // must stay a sliver. Generous slack keeps sanitizer runs green.
+      EXPECT_LE(known, step.dur + 50) << "children overshoot step at " << step.ts;
+      EXPECT_GE(known, step.dur - (step.dur / 5 + 500))
+          << "step at ts " << step.ts << " is mostly unattributed ("
+          << known << " of " << step.dur << " us)";
     }
-    EXPECT_TRUE(saw_finish) << "step at ts " << step.ts
-                            << " has no halo.finish span";
-    // The named children must sum to the step's wall time: no overshoot
-    // beyond rounding, and the unattributed glue (health scan, bookkeeping)
-    // must stay a sliver. Generous slack keeps sanitizer runs green.
-    EXPECT_LE(known, step.dur + 50) << "children overshoot step at " << step.ts;
-    EXPECT_GE(known, step.dur - (step.dur / 5 + 500))
-        << "step at ts " << step.ts << " is mostly unattributed ("
-        << known << " of " << step.dur << " us)";
+    EXPECT_EQ(steps_seen, kSteps);
   }
-  EXPECT_EQ(steps_seen, kSteps);
 }
 
 }  // namespace

@@ -38,12 +38,13 @@ rule):
                    telemetry::now_us()/util::WallTimer so cross-rank trace
                    timestamps share one epoch and stay clock-offset
                    correctable (docs/observability.md).
-  raw-rank-block   elastic-runtime files (src/elastic/) may not index
-                   partition blocks by the hosting rank: ownership is
-                   versioned and migrates on rebalance, so geometry must be
-                   derived from the *task* id via the Assignment map —
+  raw-rank-block   the rollout step loop (src/core/inference.cpp) and the
+                   elastic runtime (src/elastic/) may not index partition
+                   blocks by the hosting rank: ownership is versioned and
+                   migrates on rebalance, so geometry must be derived from
+                   the *task* id via the Assignment map —
                    block_of_rank(comm.rank()) silently re-freezes the
-                   pre-elastic task==rank identity and breaks adoption.
+                   task==rank identity and breaks adoption.
   serve-steady-alloc
                    the serving layer (src/serve/) promises zero heap
                    allocations per request: allocation primitives (new,
@@ -405,20 +406,20 @@ def rule_backend_bypass(rel: str, code: str, out: list):
 
 # --- rule: raw-rank-block ----------------------------------------------------
 
-# The elastic runtime decouples subdomain tasks from ranks (the tentpole of
-# the self-healing design): every partition lookup must be keyed by a task id
-# or task coordinates from the Assignment map. A `block_of_rank(rank)` /
-# `block_of_rank(comm.rank())` in src/elastic/ quietly reintroduces the
-# implicit (cx, cy) == rank identity and produces wrong geometry the moment
-# one task migrates.
-ELASTIC_PHASE_PREFIX = "src/elastic/"
+# The rollout loop decouples subdomain tasks from ranks (one task per rank
+# without elastic, several with it): every partition lookup must be keyed by
+# a task id or task coordinates from the Assignment map. A
+# `block_of_rank(rank)` / `block_of_rank(comm.rank())` in the loop quietly
+# reintroduces the implicit (cx, cy) == rank identity and produces wrong
+# geometry the moment one task migrates.
+RANK_BLOCK_SCOPE = ("src/core/inference.cpp", "src/elastic/")
 
 _BLOCK_OF_RANK = re.compile(r"\bblock_of_rank\s*\(")
 _RANK_VALUE = re.compile(r"\.\s*rank\s*\(|\brank\b")
 
 
 def rule_raw_rank_block(rel: str, code: str, out: list):
-    if not rel.startswith(ELASTIC_PHASE_PREFIX):
+    if not rel.startswith(RANK_BLOCK_SCOPE):
         return
     for m in _BLOCK_OF_RANK.finditer(code):
         args = split_args(code, m.end() - 1)
@@ -429,8 +430,9 @@ def rule_raw_rank_block(rel: str, code: str, out: list):
                 "raw-rank-block",
                 rel,
                 line_of(code, m.start()),
-                "partition block indexed by the hosting rank in elastic "
-                "code — ownership migrates on rebalance; derive geometry "
+                "partition block indexed by the hosting rank in the "
+                "task-keyed rollout loop — ownership migrates on rebalance; "
+                "derive geometry "
                 "from the task id via the Assignment map "
                 "(elastic/assignment.hpp)",
             )
@@ -699,6 +701,9 @@ SEEDED_FILES = {
     ),
     # unbounded-halo-recv: one blocking halo receive (bad) next to an
     # allowlisted gather receive and a bounded recv_for (both fine).
+    # raw-rank-block: two rank-keyed block lookups in the rollout loop file
+    # (flagged) next to a task-coordinate lookup and a task-id lookup (both
+    # fine).
     "src/core/inference.cpp": (
         '#include "core/inference.hpp"\n'
         "void f(parpde::mpi::Communicator& comm) {\n"
@@ -708,6 +713,13 @@ SEEDED_FILES = {
         "  comm.recv_for<float>(1, parpde::mpi::tags::kHalo.base,\n"
         "                       std::chrono::milliseconds(10), &out);\n"
         "}\n"
+        "void g(parpde::mpi::Communicator& comm,\n"
+        "       const parpde::domain::Partition& partition, int rank) {\n"
+        "  auto bad1 = partition.block_of_rank(comm.rank());\n"
+        "  auto bad2 = partition.block_of_rank(rank);\n"
+        "  auto ok1 = partition.block(t % px, t / px);\n"
+        "  auto ok2 = partition.block_of_rank(task);\n"
+        "}\n"
     ),
     # backend-bypass: direct kernel calls outside the backend layer (one
     # bare, one namespace-qualified) next to a legal member-call dispatch.
@@ -716,7 +728,8 @@ SEEDED_FILES = {
         "void f() {\n"
         "  gemm(a, b, c, m, n, k);\n"
         "  parpde::nn::conv2d_forward_batched(x, w, bias, pad, y, ws);\n"
-        "  parpde::backend::blocked_f32().gemm(a, b, c, m, n, k);  // fine\n"
+        "  parpde::backend::blocked_f32().conv2d_forward_batched(x, w, bias, pad,\n"
+        "                                                       y, ws);  // fine\n"
         "}\n"
     ),
     # backend layer itself may name the raw kernels.
@@ -772,19 +785,8 @@ SEEDED_FILES = {
         "  mpi::barrier(comm);\n"
         "}\n"
     ),
-    # raw-rank-block: two rank-keyed block lookups in elastic code (flagged)
-    # next to a task-coordinate lookup and a task-id lookup (both fine).
-    "src/elastic/bad_rank_block.cpp": (
-        '#include "elastic/bad_rank_block.hpp"\n'
-        "void f(parpde::mpi::Communicator& comm,\n"
-        "       const parpde::domain::Partition& partition, int rank) {\n"
-        "  auto bad1 = partition.block_of_rank(comm.rank());\n"
-        "  auto bad2 = partition.block_of_rank(rank);\n"
-        "  auto ok1 = partition.block(ts.cx, ts.cy);\n"
-        "  auto ok2 = partition.block_of_rank(task);\n"
-        "}\n"
-    ),
-    # the classic engines keep the task == rank identity on purpose.
+    # code outside the rollout loop (the trainer, say) keeps the
+    # task == rank identity on purpose.
     "src/core/ok_rank_block.cpp": (
         '#include "core/ok_rank_block.hpp"\n'
         "void g(parpde::mpi::Communicator& comm,\n"
@@ -836,7 +838,7 @@ EXPECTED = {
     "include-hygiene": {"src/util/bad_header.hpp"},
     "backend-bypass": {"src/core/bad_bypass.cpp"},
     "raw-clock": {"src/core/bad_clock.cpp"},
-    "raw-rank-block": {"src/elastic/bad_rank_block.cpp"},
+    "raw-rank-block": {"src/core/inference.cpp"},
     "lock-held-comm": {"src/domain/bad_lock_comm.cpp"},
     "serve-steady-alloc": {"src/serve/bad_steady_alloc.cpp"},
 }
@@ -897,8 +899,8 @@ def self_test() -> int:
                 f"{len(bypass)}"
             )
         # Exactly the two rank-keyed lookups: the task-coordinate and
-        # task-id lookups in the same seed and the classic engine file
-        # (outside src/elastic/) must not be flagged.
+        # task-id lookups in the same seed and the file outside the rule's
+        # scope must not be flagged.
         rank_block = [v for v in violations if v.rule == "raw-rank-block"]
         if len(rank_block) != 2:
             failures.append(
