@@ -1,21 +1,21 @@
 #pragma once
 
-// Execution-provider split for the compute kernels (the onnxruntime idiom):
-// a KernelBackend owns convolution (GEMM-lowered), transpose-convolution
-// and activation execution, and every layer above this directory dispatches
-// through it instead of calling tensor::gemm / nn::conv_ops directly
-// (enforced by the backend-bypass rule in tools/parpde_lint.py).
+// Execution-provider split for the fused inference convolution (the
+// onnxruntime idiom): nn::ForwardPlan runs every conv of a plan through a
+// KernelBackend, which owns the per-plan state and the conv kernel. The
+// interface holds only what its providers do differently; everything both
+// would share (training, ConvLSTM, transpose convs, standalone activations)
+// calls the nn kernels directly.
 //
 // Two providers exist:
-//   - blocked_f32(): the reference backend — the blocked fp32 kernels from
-//     PR 1, repackaged. Bit-identical to the pre-backend call paths.
+//   - blocked_f32(): the reference backend. Its conv is the training lowering
+//     nn::conv2d_forward_batched with the fused activation, so a plan is
+//     bit-identical to Module::forward.
 //   - quantized_int8(): inference-only low-precision provider. Weights are
 //     quantized per output channel to symmetric int8, activations to uint8
 //     with a fixed per-layer scale calibrated from one fp32 reference pass;
 //     the conv runs an int8xint8->int32 blocked micro-kernel with an fp32
-//     dequant epilogue that fuses the bias add and the activation. Training
-//     entry points delegate to the fp32 kernels (quantization applies to the
-//     fused inference convolution only).
+//     dequant epilogue that fuses the bias add and the activation.
 //
 // The fused inference path works on a PlanContext: an opaque per-plan state
 // object the backend pre-sizes at construction (packed/quantized weights,
@@ -30,13 +30,12 @@
 #include <vector>
 
 #include "nn/conv_ops.hpp"
-#include "tensor/tensor.hpp"
 
 namespace parpde::backend {
 
 // Activation fused into a convolution's epilogue (the ForwardPlan peephole
 // merges a conv step with the pointwise layer that follows it).
-enum class Fused { kNone, kLeakyReLU, kReLU, kTanh };
+using Fused = nn::FusedActivation;
 
 // One convolution layer of a fused inference plan. Weight/bias pointers are
 // non-owning views into the live model (same contract as nn::ForwardPlan).
@@ -52,7 +51,7 @@ struct ConvLayerDesc {
 };
 
 // Backend-owned per-plan state: packed/quantized weights plus every workspace
-// conv_forward touches, pre-sized for the plan's maximum geometry.
+// the plan's convs touch, pre-sized for the plan's maximum geometry.
 class PlanContext {
  public:
   virtual ~PlanContext();
@@ -69,44 +68,6 @@ class KernelBackend {
   // and the backend.* telemetry tags.
   [[nodiscard]] virtual const char* name() const noexcept = 0;
 
-  // --- convolution (module-graph path, fp32 on every backend) -------------
-  virtual void conv2d_forward_batched(const Tensor& x, const Tensor& w,
-                                      const Tensor& b, std::int64_t pad,
-                                      Tensor& y, nn::Conv2dWorkspace& ws) const = 0;
-  virtual void conv2d_backward_batched(const Tensor& x, const Tensor& dy,
-                                       const Tensor& w, std::int64_t pad,
-                                       Tensor& dx, Tensor& dw, Tensor& db,
-                                       nn::Conv2dWorkspace& ws) const = 0;
-  virtual void conv2d_backward_weights_batched(const Tensor& x,
-                                               const Tensor& dy,
-                                               std::int64_t pad, Tensor& dw,
-                                               Tensor& db,
-                                               nn::Conv2dWorkspace& ws) const = 0;
-  virtual void conv2d_forward(const Tensor& x, const Tensor& w,
-                              const Tensor& b, std::int64_t pad, Tensor& y,
-                              util::AlignedVector<float>& col) const = 0;
-  virtual void conv2d_backward_data(const Tensor& dy, const Tensor& w,
-                                    std::int64_t pad, Tensor& dx,
-                                    util::AlignedVector<float>& col) const = 0;
-  virtual void conv2d_backward_weights(const Tensor& x, const Tensor& dy,
-                                       std::int64_t pad, Tensor& dw, Tensor& db,
-                                       util::AlignedVector<float>& col) const = 0;
-
-  // --- transpose convolution (deconv border mode) --------------------------
-  // y [N, Cout, H+k-1, W+k-1] = w (*)^T x + b for x [N, Cin, H, W] and
-  // w [Cin, Cout, k, k]; y is fully overwritten.
-  virtual void conv_transpose2d_forward(const float* x, const float* w,
-                                        const float* bias, std::int64_t n,
-                                        std::int64_t cin, std::int64_t cout,
-                                        std::int64_t h, std::int64_t width,
-                                        std::int64_t kernel, float* y) const = 0;
-
-  // --- pointwise activations (src == dst allowed) --------------------------
-  virtual void leaky_relu(const float* x, float* y, std::int64_t n,
-                          float slope) const = 0;
-  virtual void relu(const float* x, float* y, std::int64_t n) const = 0;
-  virtual void tanh(const float* x, float* y, std::int64_t n) const = 0;
-
   // --- fused inference path (ForwardPlan) ----------------------------------
   // Pre-sizes all per-plan state for inputs up to [_, max_h, max_w], with
   // workspaces wide enough for conv_forward_batched calls up to `max_batch`
@@ -115,27 +76,28 @@ class KernelBackend {
       const std::vector<ConvLayerDesc>& layers, std::int64_t max_h,
       std::int64_t max_w, std::int64_t max_batch = 1) const = 0;
 
-  // y [Cout x OH*OW] = fused_act(W * im2col(x) + b) for layer `layer` of the
-  // context on one [Cin, h, w] sample. Never allocates for in-range
-  // geometries (growths are counted by the context).
-  virtual void conv_forward(PlanContext& ctx, int layer, const float* x,
-                            std::int64_t h, std::int64_t w, float* y) const = 0;
-
-  // Batched variant over `batch` stacked samples: x is [B, Cin, h, w], y is
-  // [B, Cout, OH, OW], both contiguous. The whole batch is lowered into one
-  // wide im2col matrix and one GEMM of width B*OH*OW — bit-identical per
-  // sample to `batch` solo conv_forward calls, because the blocked GEMM's
-  // per-element k-reduction order does not depend on the matrix width and the
-  // epilogue is elementwise. This is the contract SurrogateServer's
-  // cross-session coalescing relies on; test_serve proves it end-to-end.
+  // y [B, Cout, OH, OW] = fused_act(W * im2col(x) + b) for layer `layer` of
+  // the context on `batch` stacked samples x [B, Cin, h, w], both contiguous.
+  // Never allocates for in-range geometries (growths are counted by the
+  // context). Each sample's bytes do not depend on the batch it runs in: the
+  // GEMM's per-element k-reduction order does not depend on the matrix
+  // width, and the epilogue is elementwise. This is the contract
+  // SurrogateServer's cross-session coalescing relies on; test_serve proves
+  // it end-to-end.
   virtual void conv_forward_batched(PlanContext& ctx, int layer,
                                     const float* x, std::int64_t batch,
                                     std::int64_t h, std::int64_t w,
                                     float* y) const = 0;
 
+  // One [Cin, h, w] sample: conv_forward_batched at batch 1.
+  void conv_forward(PlanContext& ctx, int layer, const float* x,
+                    std::int64_t h, std::int64_t w, float* y) const {
+    conv_forward_batched(ctx, layer, x, 1, h, w, y);
+  }
+
   // Activation-scale calibration protocol. The fp32 backend needs none; the
   // int8 backend must see per-conv-layer input ranges (max-abs over a
-  // representative fp32 tile) before conv_forward may run.
+  // representative fp32 tile) before a conv may run.
   [[nodiscard]] virtual bool needs_calibration(const PlanContext& ctx) const;
   virtual void set_input_ranges(PlanContext& ctx,
                                 const std::vector<float>& max_abs) const;
@@ -146,55 +108,5 @@ class KernelBackend {
 [[nodiscard]] const KernelBackend& quantized_int8();
 // nullptr for unknown names ("fp32" and "int8" are valid).
 [[nodiscard]] const KernelBackend* by_name(std::string_view name);
-
-// --- reference backend ------------------------------------------------------
-
-// The blocked fp32 kernels behind a KernelBackend face. QuantizedInt8Backend
-// derives from it: training and module-graph execution stay fp32; only the
-// fused inference conv is overridden.
-class BlockedF32Backend : public KernelBackend {
- public:
-  [[nodiscard]] const char* name() const noexcept override { return "fp32"; }
-
-  void conv2d_forward_batched(const Tensor& x, const Tensor& w, const Tensor& b,
-                              std::int64_t pad, Tensor& y,
-                              nn::Conv2dWorkspace& ws) const override;
-  void conv2d_backward_batched(const Tensor& x, const Tensor& dy,
-                               const Tensor& w, std::int64_t pad, Tensor& dx,
-                               Tensor& dw, Tensor& db,
-                               nn::Conv2dWorkspace& ws) const override;
-  void conv2d_backward_weights_batched(const Tensor& x, const Tensor& dy,
-                                       std::int64_t pad, Tensor& dw, Tensor& db,
-                                       nn::Conv2dWorkspace& ws) const override;
-  void conv2d_forward(const Tensor& x, const Tensor& w, const Tensor& b,
-                      std::int64_t pad, Tensor& y,
-                      util::AlignedVector<float>& col) const override;
-  void conv2d_backward_data(const Tensor& dy, const Tensor& w, std::int64_t pad,
-                            Tensor& dx,
-                            util::AlignedVector<float>& col) const override;
-  void conv2d_backward_weights(const Tensor& x, const Tensor& dy,
-                               std::int64_t pad, Tensor& dw, Tensor& db,
-                               util::AlignedVector<float>& col) const override;
-
-  void conv_transpose2d_forward(const float* x, const float* w,
-                                const float* bias, std::int64_t n,
-                                std::int64_t cin, std::int64_t cout,
-                                std::int64_t h, std::int64_t width,
-                                std::int64_t kernel, float* y) const override;
-
-  void leaky_relu(const float* x, float* y, std::int64_t n,
-                  float slope) const override;
-  void relu(const float* x, float* y, std::int64_t n) const override;
-  void tanh(const float* x, float* y, std::int64_t n) const override;
-
-  [[nodiscard]] std::unique_ptr<PlanContext> make_plan_context(
-      const std::vector<ConvLayerDesc>& layers, std::int64_t max_h,
-      std::int64_t max_w, std::int64_t max_batch = 1) const override;
-  void conv_forward(PlanContext& ctx, int layer, const float* x,
-                    std::int64_t h, std::int64_t w, float* y) const override;
-  void conv_forward_batched(PlanContext& ctx, int layer, const float* x,
-                            std::int64_t batch, std::int64_t h, std::int64_t w,
-                            float* y) const override;
-};
 
 }  // namespace parpde::backend

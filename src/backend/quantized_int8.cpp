@@ -612,7 +612,7 @@ void dequant_epilogue(const std::int32_t* acc, const QLayer& l,
 
 // --- the backend ------------------------------------------------------------
 
-class QuantizedInt8Backend final : public BlockedF32Backend {
+class QuantizedInt8Backend final : public KernelBackend {
  public:
   [[nodiscard]] const char* name() const noexcept override { return "int8"; }
 
@@ -629,14 +629,6 @@ class QuantizedInt8Backend final : public BlockedF32Backend {
   void set_input_ranges(PlanContext& ctx,
                         const std::vector<float>& max_abs) const override {
     static_cast<Int8PlanContext&>(ctx).set_ranges(max_abs);
-  }
-
-  // The solo path is the batched path at B = 1: the quantize chunking, the
-  // offset table, the block decomposition and every kernel call are byte-for
-  // byte the same, so delegating keeps one code path with no identity risk.
-  void conv_forward(PlanContext& ctx, int layer, const float* x,
-                    std::int64_t h, std::int64_t w, float* y) const override {
-    conv_forward_batched(ctx, layer, x, 1, h, w, y);
   }
 
   void conv_forward_batched(PlanContext& ctx, int layer, const float* x,

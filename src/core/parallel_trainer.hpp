@@ -8,12 +8,13 @@
 //  - kConcurrent: all ranks run as threads of an Environment (the real SPMD
 //    program). Communication counters are asserted to stay at zero during
 //    training, which checks the "communication-free" property structurally.
-//  - kIsolated: ranks are trained one after another on the single available
-//    core, timing each in isolation. Because training is communication-free
-//    and per-rank deterministic, this produces bit-identical models, and
-//    max_r(T_r) is exactly the parallel wall time P dedicated cores would
-//    see — the measurement protocol used for Fig. 4 on this one-core sandbox
-//    (DESIGN.md §5).
+//  - kIsolated: ranks are trained one after another, each alone with its
+//    per-rank share of the thread budget (one thread once the ranks fill
+//    the host's cores), timing each in isolation. Because training is
+//    communication-free and per-rank deterministic, this produces
+//    bit-identical models, and max_r(T_r) is the parallel wall time P
+//    dedicated cores would see — the Fig. 4 measurement protocol for rank
+//    counts beyond the host's cores (DESIGN.md §5).
 
 #include "core/trainer.hpp"
 #include "data/dataset.hpp"

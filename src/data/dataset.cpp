@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <fstream>
+#include <sstream>
 #include <stdexcept>
 
 #include "tensor/serialize.hpp"
@@ -48,12 +49,11 @@ constexpr std::uint32_t kFrameVersion = 1;
 }  // namespace
 
 void save_frames(const std::string& path, std::span<const Tensor> frames) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw std::runtime_error("save_frames: cannot open " + path);
+  std::ostringstream out(std::ios::binary);
   util::write_pod(out, kFrameMagic);
   util::write_pod(out, kFrameVersion);
   write_tensors(out, frames);
-  if (!out) throw std::runtime_error("save_frames: stream failure");
+  util::write_atomic(path, std::move(out).str());
 }
 
 std::vector<Tensor> load_frames(const std::string& path) {

@@ -46,7 +46,8 @@ class FrameDataset {
 };
 
 // Frame-sequence files ("PPFR" container wrapping the tensor format), used by
-// the CLI to pass datasets between the simulate/train/eval stages.
+// the CLI to pass datasets between the simulate/train/eval stages. Saving
+// replaces `path` atomically (util::write_atomic).
 void save_frames(const std::string& path, std::span<const Tensor> frames);
 std::vector<Tensor> load_frames(const std::string& path);
 

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "backend/kernel_backend.hpp"
 #include "util/thread_pool.hpp"
 
 namespace parpde::nn {
@@ -16,11 +15,28 @@ constexpr std::int64_t kElementwiseGrain = 1 << 14;
 
 }  // namespace
 
+void leaky_relu_forward(const float* x, float* y, std::int64_t n, float slope) {
+  util::ThreadPool::global().parallel_for(
+      n, kElementwiseGrain, [&](std::int64_t b, std::int64_t e) {
+        for (std::int64_t i = b; i < e; ++i) {
+          const float v = x[i];
+          y[i] = v >= 0.0f ? v : slope * v;
+        }
+      });
+}
+
+void relu_forward(const float* x, float* y, std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i) y[i] = x[i] > 0.0f ? x[i] : 0.0f;
+}
+
+void tanh_forward(const float* x, float* y, std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i) y[i] = std::tanh(x[i]);
+}
+
 Tensor LeakyReLU::forward(const Tensor& x) {
   input_ = x;
   Tensor y(x.shape());
-  backend::blocked_f32().leaky_relu(x.data(), y.data(), x.size(),
-                                    negative_slope_);
+  leaky_relu_forward(x.data(), y.data(), x.size(), negative_slope_);
   return y;
 }
 
@@ -49,7 +65,7 @@ std::string LeakyReLU::name() const {
 Tensor ReLU::forward(const Tensor& x) {
   input_ = x;
   Tensor y(x.shape());
-  backend::blocked_f32().relu(x.data(), y.data(), x.size());
+  relu_forward(x.data(), y.data(), x.size());
   return y;
 }
 
@@ -67,7 +83,7 @@ Tensor ReLU::backward(const Tensor& grad_out) {
 
 Tensor Tanh::forward(const Tensor& x) {
   Tensor y(x.shape());
-  backend::blocked_f32().tanh(x.data(), y.data(), x.size());
+  tanh_forward(x.data(), y.data(), x.size());
   output_ = y;
   return y;
 }

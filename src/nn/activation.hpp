@@ -8,6 +8,12 @@
 
 namespace parpde::nn {
 
+// The pointwise kernels behind the layers, shared with ForwardPlan's
+// standalone activation steps (x == y allowed).
+void leaky_relu_forward(const float* x, float* y, std::int64_t n, float slope);
+void relu_forward(const float* x, float* y, std::int64_t n);
+void tanh_forward(const float* x, float* y, std::int64_t n);
+
 class LeakyReLU final : public Module {
  public:
   explicit LeakyReLU(float negative_slope = 0.01f)

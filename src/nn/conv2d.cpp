@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "backend/kernel_backend.hpp"
 #include "nn/init.hpp"
 #include "util/telemetry.hpp"
 
@@ -40,12 +39,9 @@ Tensor Conv2d::forward(const Tensor& x) {
   calls.add(1);
   telemetry::Span span("conv2d.forward", "nn");
   // Batched lowering: one wide im2col + one GEMM per cache-sized sample group
-  // (conv2d_batch_group), bit-identical to a whole-batch GEMM. Training is
-  // fp32 by design, so the module graph dispatches through the reference
-  // backend explicitly (int8 applies to the fused inference path only).
+  // (conv2d_batch_group), bit-identical to a whole-batch GEMM.
   Tensor y;
-  backend::blocked_f32().conv2d_forward_batched(x, weight_, bias_, pad_, y,
-                                                ws_);
+  conv2d_forward_batched(x, weight_, bias_, pad_, y, ws_);
   return y;
 }
 
@@ -67,8 +63,8 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   Tensor grad_in;
   // Batched backward: per sample group, one im2row + GEMM for dW; the data
   // gradient comes straight from dY (no column matrix).
-  backend::blocked_f32().conv2d_backward_batched(
-      input_, grad_out, weight_, pad_, grad_in, weight_grad_, bias_grad_, ws_);
+  conv2d_backward_batched(input_, grad_out, weight_, pad_, grad_in,
+                          weight_grad_, bias_grad_, ws_);
   return grad_in;
 }
 
@@ -77,8 +73,8 @@ void Conv2d::backward_params(const Tensor& grad_out) {
   static telemetry::Counter& calls = telemetry::counter("nn.conv2d.backward");
   calls.add(1);
   telemetry::Span span("conv2d.backward_params", "nn");
-  backend::blocked_f32().conv2d_backward_weights_batched(
-      input_, grad_out, pad_, weight_grad_, bias_grad_, ws_);
+  conv2d_backward_weights_batched(input_, grad_out, pad_, weight_grad_,
+                                  bias_grad_, ws_);
 }
 
 std::vector<ParamRef> Conv2d::parameters() {

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "backend/kernel_backend.hpp"
 #include "nn/init.hpp"
 #include "tensor/ops.hpp"
 
@@ -64,28 +63,29 @@ Tensor ConvLSTM::forward(const Tensor& x) {
   const std::int64_t plane = height_ * width_;
 
   steps_.assign(static_cast<std::size_t>(T), StepCache{});
+  const Shape hidden{1, hidden_channels_, height_, width_};
   Tensor y({T, out_channels_, height_, width_});
-  Tensor h = Tensor({hidden_channels_, height_, width_});
-  Tensor c = Tensor({hidden_channels_, height_, width_});
-  Tensor zx, zh;
+  Tensor h(hidden);
+  Tensor c(hidden);
+  Tensor zx, zh, yt;
   const Tensor no_bias;
 
   for (std::int64_t t = 0; t < T; ++t) {
     StepCache& cache = steps_[static_cast<std::size_t>(t)];
     cache.x = Tensor::from(
-        {in_channels_, height_, width_},
+        {1, in_channels_, height_, width_},
         std::vector<float>(x.data() + t * in_channels_ * plane,
                            x.data() + (t + 1) * in_channels_ * plane));
     cache.h_prev = h;
     cache.c_prev = c;
 
     // Fused gate pre-activations z = Wx * x_t + Wh * h_{t-1} + b.
-    backend::blocked_f32().conv2d_forward(cache.x, wx_, b_, pad_, zx, col_);
-    backend::blocked_f32().conv2d_forward(cache.h_prev, wh_, no_bias, pad_, zh, col_);
+    conv2d_forward_batched(cache.x, wx_, b_, pad_, zx, ws_);
+    conv2d_forward_batched(cache.h_prev, wh_, no_bias, pad_, zh, ws_);
     ops::axpy(zx, 1.0f, zh);
 
     // Activations: i, f, o sigmoid; g tanh. Stored post-activation.
-    cache.gates = Tensor({4 * hidden_channels_, height_, width_});
+    cache.gates = Tensor({1, 4 * hidden_channels_, height_, width_});
     for (std::int64_t g = 0; g < 4; ++g) {
       const std::int64_t off = g * hidden_channels_ * plane;
       float* dst = cache.gates.data() + off;
@@ -102,8 +102,8 @@ Tensor ConvLSTM::forward(const Tensor& x) {
     }
 
     // c_t = f .* c_{t-1} + i .* g ;  h_t = o .* tanh(c_t).
-    cache.c = Tensor({hidden_channels_, height_, width_});
-    cache.tanh_c = Tensor({hidden_channels_, height_, width_});
+    cache.c = Tensor(hidden);
+    cache.tanh_c = Tensor(hidden);
     const float* gi = cache.gates.data() + kInput * hidden_channels_ * plane;
     const float* gf = cache.gates.data() + kForget * hidden_channels_ * plane;
     const float* gg = cache.gates.data() + kCell * hidden_channels_ * plane;
@@ -118,8 +118,7 @@ Tensor ConvLSTM::forward(const Tensor& x) {
     c = cache.c;
 
     // Readout y_t = Wy (1x1) * h_t + by.
-    Tensor yt;
-    backend::blocked_f32().conv2d_forward(h, wy_, by_, 0, yt, col_);
+    conv2d_forward_batched(h, wy_, by_, 0, yt, ws_);
     std::copy(yt.data(), yt.data() + out_channels_ * plane,
               y.data() + t * out_channels_ * plane);
     // `h` already holds h_t for the next iteration; stash it for BPTT by
@@ -138,15 +137,17 @@ Tensor ConvLSTM::backward(const Tensor& grad_out) {
     throw std::invalid_argument("ConvLSTM::backward: gradient shape mismatch");
   }
 
+  const Shape hidden{1, hidden_channels_, height_, width_};
   Tensor grad_in({T, in_channels_, height_, width_});
-  Tensor dh_next({hidden_channels_, height_, width_});
-  Tensor dc_next({hidden_channels_, height_, width_});
-  Tensor dz({4 * hidden_channels_, height_, width_});
-  Tensor dyt({out_channels_, height_, width_});
-  Tensor dh({hidden_channels_, height_, width_});
-  Tensor dx({in_channels_, height_, width_});
-  Tensor dh_prev({hidden_channels_, height_, width_});
-  const Tensor no_bias;
+  Tensor dh_next(hidden);
+  Tensor dc_next(hidden);
+  Tensor dz({1, 4 * hidden_channels_, height_, width_});
+  Tensor dyt({1, out_channels_, height_, width_});
+  Tensor dh(hidden);
+  Tensor dx({1, in_channels_, height_, width_});
+  Tensor dh_prev(hidden);
+  Tensor h_t(hidden);
+  Tensor no_bias_grad;
 
   for (std::int64_t t = T - 1; t >= 0; --t) {
     const StepCache& cache = steps_[static_cast<std::size_t>(t)];
@@ -156,7 +157,6 @@ Tensor ConvLSTM::backward(const Tensor& grad_out) {
     const float* go = cache.gates.data() + kOutput * hidden_channels_ * plane;
 
     // h_t = o .* tanh(c_t) (recomputed from caches for the readout backward).
-    Tensor h_t({hidden_channels_, height_, width_});
     for (std::int64_t i = 0; i < hidden_channels_ * plane; ++i) {
       h_t[i] = go[i] * cache.tanh_c[i];
     }
@@ -164,8 +164,7 @@ Tensor ConvLSTM::backward(const Tensor& grad_out) {
     // Readout backward: dWy += dy ⊗ h_t ; dh = Wy^T dy + dh_next.
     std::copy(grad_out.data() + t * out_channels_ * plane,
               grad_out.data() + (t + 1) * out_channels_ * plane, dyt.data());
-    backend::blocked_f32().conv2d_backward_weights(h_t, dyt, 0, wy_grad_, by_grad_, col_);
-    backend::blocked_f32().conv2d_backward_data(dyt, wy_, 0, dh, col_);
+    conv2d_backward_batched(h_t, dyt, wy_, 0, dh, wy_grad_, by_grad_, ws_);
     ops::axpy(dh, 1.0f, dh_next);
 
     // Cell/gate backward.
@@ -184,14 +183,9 @@ Tensor ConvLSTM::backward(const Tensor& grad_out) {
     }
 
     // Gate-conv backward: parameters and both data paths.
-    backend::blocked_f32().conv2d_backward_weights(cache.x, dz, pad_, wx_grad_, b_grad_, col_);
-    {
-      Tensor empty_bias;
-      backend::blocked_f32().conv2d_backward_weights(cache.h_prev, dz, pad_, wh_grad_, empty_bias,
-                              col_);
-    }
-    backend::blocked_f32().conv2d_backward_data(dz, wx_, pad_, dx, col_);
-    backend::blocked_f32().conv2d_backward_data(dz, wh_, pad_, dh_prev, col_);
+    conv2d_backward_batched(cache.x, dz, wx_, pad_, dx, wx_grad_, b_grad_, ws_);
+    conv2d_backward_batched(cache.h_prev, dz, wh_, pad_, dh_prev, wh_grad_,
+                            no_bias_grad, ws_);
 
     std::copy(dx.data(), dx.data() + in_channels_ * plane,
               grad_in.data() + t * in_channels_ * plane);

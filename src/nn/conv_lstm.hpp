@@ -12,8 +12,8 @@
 // sequence. This makes the cell a drop-in Module for the existing training
 // loop with shuffle disabled.
 
+#include "nn/conv_ops.hpp"
 #include "nn/module.hpp"
-#include "util/aligned.hpp"
 #include "util/random.hpp"
 
 namespace parpde::nn {
@@ -51,20 +51,21 @@ class ConvLSTM final : public Module {
   Tensor by_;  // [Cout]
   Tensor wx_grad_, wh_grad_, b_grad_, wy_grad_, by_grad_;
 
-  // Per-timestep caches for BPTT (filled by forward).
+  // Per-timestep caches for BPTT (filled by forward), each one sample
+  // [1, C, H, W] so the convs run the batched kernels.
   struct StepCache {
-    Tensor x;       // [Cin, H, W]
-    Tensor h_prev;  // [Ch, H, W]
-    Tensor c_prev;  // [Ch, H, W]
-    Tensor gates;   // [4Ch, H, W], post-activation (i, f, g~tanh, o)
-    Tensor c;       // [Ch, H, W]
-    Tensor tanh_c;  // [Ch, H, W]
+    Tensor x;       // [1, Cin, H, W]
+    Tensor h_prev;  // [1, Ch, H, W]
+    Tensor c_prev;  // [1, Ch, H, W]
+    Tensor gates;   // [1, 4Ch, H, W], post-activation (i, f, g~tanh, o)
+    Tensor c;       // [1, Ch, H, W]
+    Tensor tanh_c;  // [1, Ch, H, W]
   };
   std::vector<StepCache> steps_;
   std::int64_t height_ = 0;
   std::int64_t width_ = 0;
 
-  util::AlignedVector<float> col_;  // conv scratch
+  Conv2dWorkspace ws_;  // conv scratch shared by the gate and readout convs
 };
 
 }  // namespace parpde::nn

@@ -1,6 +1,7 @@
 #include "nn/conv_ops.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <numeric>
 #include <stdexcept>
@@ -20,6 +21,49 @@ namespace {
 // Table-I layer at batch 16 on 32x32 tiles) stream through DRAM instead, and
 // concurrent ranks then contend for the shared LLC.
 constexpr std::int64_t kColBudgetBytes = std::int64_t{1} << 20;
+
+// Workspace buffers only grow: a shared workspace (the inference plan's,
+// used by every layer in turn) never pays a reallocation or a re-fill when a
+// narrower layer follows a wider one.
+float* grow(util::AlignedVector<float>& buf, std::int64_t floats) {
+  if (static_cast<std::int64_t>(buf.size()) < floats) {
+    buf.resize(static_cast<std::size_t>(floats));
+  }
+  return buf.data();
+}
+
+// dst = act(src + b) over one channel plane (src == dst allowed): the exact
+// per-element float sequence of a bias pass followed by an activation pass,
+// so fusing them changes nothing but memory traffic. Without a bias b is +0;
+// without a bias or an activation dst is src.
+void epilogue(const float* src, float* dst, std::int64_t len,
+              const float* bias, FusedActivation act, float slope) {
+  const float b = bias != nullptr ? *bias : 0.0f;
+  switch (act) {
+    case FusedActivation::kNone:
+      if (bias != nullptr) {
+        for (std::int64_t i = 0; i < len; ++i) dst[i] = src[i] + b;
+      } else if (src != dst) {
+        std::memcpy(dst, src, static_cast<std::size_t>(len) * sizeof(float));
+      }
+      break;
+    case FusedActivation::kLeakyReLU:
+      for (std::int64_t i = 0; i < len; ++i) {
+        const float v = src[i] + b;
+        dst[i] = v >= 0.0f ? v : slope * v;
+      }
+      break;
+    case FusedActivation::kReLU:
+      for (std::int64_t i = 0; i < len; ++i) {
+        const float v = src[i] + b;
+        dst[i] = v > 0.0f ? v : 0.0f;
+      }
+      break;
+    case FusedActivation::kTanh:
+      for (std::int64_t i = 0; i < len; ++i) dst[i] = std::tanh(src[i] + b);
+      break;
+  }
+}
 
 // --- direct data gradient ----------------------------------------------------
 //
@@ -259,93 +303,7 @@ ConvGeometry batched_geometry(const Tensor& x, const Tensor& w,
   return ConvGeometry{x.dim(1), x.dim(2), x.dim(3), w.dim(2), pad};
 }
 
-ConvGeometry geometry_of(const Tensor& x, const Tensor& w, std::int64_t pad,
-                         const char* what) {
-  if (x.ndim() != 3 || w.ndim() != 4 || w.dim(1) != x.dim(0)) {
-    throw std::invalid_argument(std::string(what) +
-                                ": expected x [Cin,H,W], w [Cout,Cin,k,k]");
-  }
-  if (w.dim(2) != w.dim(3)) {
-    throw std::invalid_argument(std::string(what) + ": kernel must be square");
-  }
-  return ConvGeometry{x.dim(0), x.dim(1), x.dim(2), w.dim(2), pad};
-}
-
 }  // namespace
-
-void conv2d_forward(const Tensor& x, const Tensor& w, const Tensor& b,
-                    std::int64_t pad, Tensor& y, util::AlignedVector<float>& col) {
-  const ConvGeometry g = geometry_of(x, w, pad, "conv2d_forward");
-  const std::int64_t cout = w.dim(0);
-  const std::int64_t oh = g.out_height(), ow = g.out_width();
-  if (oh <= 0 || ow <= 0) {
-    throw std::invalid_argument("conv2d_forward: input smaller than kernel");
-  }
-  if (y.ndim() != 3 || y.dim(0) != cout || y.dim(1) != oh || y.dim(2) != ow) {
-    y = Tensor({cout, oh, ow});
-  }
-  col.resize(static_cast<std::size_t>(g.col_rows() * g.col_cols()));
-  im2col(x.data(), g, col.data());
-  gemm(w.data(), col.data(), y.data(), cout, g.col_rows(), g.col_cols());
-  if (!b.empty()) {
-    if (b.size() != cout) {
-      throw std::invalid_argument("conv2d_forward: bias size mismatch");
-    }
-    for (std::int64_t c = 0; c < cout; ++c) {
-      float* plane = y.data() + c * oh * ow;
-      const float bias = b[c];
-      for (std::int64_t i = 0; i < oh * ow; ++i) plane[i] += bias;
-    }
-  }
-}
-
-void conv2d_backward_data(const Tensor& dy, const Tensor& w, std::int64_t pad,
-                          Tensor& dx, util::AlignedVector<float>& col) {
-  if (dy.ndim() != 3 || w.ndim() != 4 || dy.dim(0) != w.dim(0)) {
-    throw std::invalid_argument(
-        "conv2d_backward_data: expected dy [Cout,OH,OW], w [Cout,Cin,k,k]");
-  }
-  if (dx.ndim() != 3 || dx.dim(0) != w.dim(1)) {
-    throw std::invalid_argument("conv2d_backward_data: dx must be [Cin,H,W]");
-  }
-  const ConvGeometry g{w.dim(1), dx.dim(1), dx.dim(2), w.dim(2), pad};
-  if (g.out_height() != dy.dim(1) || g.out_width() != dy.dim(2)) {
-    throw std::invalid_argument("conv2d_backward_data: shape mismatch");
-  }
-  // col = [packed weights | padded dY], the padded plane kept 64-byte aligned.
-  const std::int64_t cout = w.dim(0);
-  const PaddedDy p(g);
-  const std::int64_t packed = (w.size() + kLanes - 1) / kLanes * kLanes;
-  col.resize(static_cast<std::size_t>(packed + cout * p.plane()));
-  pack_weights(w.data(), cout, g.in_channels, g.kernel * g.kernel, col.data());
-  pad_dy(dy.data(), cout, g, p, col.data() + packed);
-  conv2d_data_grad(col.data() + packed, col.data(), 1, cout, g, p, dx.data());
-}
-
-void conv2d_backward_weights(const Tensor& x, const Tensor& dy, std::int64_t pad,
-                             Tensor& dw, Tensor& db, util::AlignedVector<float>& col) {
-  const ConvGeometry g = geometry_of(x, dw, pad, "conv2d_backward_weights");
-  const std::int64_t cout = dw.dim(0);
-  if (dy.dim(0) != cout || dy.dim(1) != g.out_height() ||
-      dy.dim(2) != g.out_width()) {
-    throw std::invalid_argument("conv2d_backward_weights: dy shape mismatch");
-  }
-  col.resize(static_cast<std::size_t>(g.col_rows() * g.col_cols()));
-  im2row(x.data(), g, col.data());
-  // dW [Cout x Cin*k*k] += dY [Cout x plane] * rows [plane x Cin*k*k]: the
-  // operands and k-blocks of dY * im2col(x)^T, with B row-major so the GEMM
-  // reads it in place.
-  gemm_acc(dy.data(), col.data(), dw.data(), cout, g.col_cols(), g.col_rows());
-  if (!db.empty()) {
-    const std::int64_t plane = g.out_height() * g.out_width();
-    for (std::int64_t c = 0; c < cout; ++c) {
-      const float* p = dy.data() + c * plane;
-      float acc = 0.0f;
-      for (std::int64_t i = 0; i < plane; ++i) acc += p[i];
-      db[c] += acc;
-    }
-  }
-}
 
 std::int64_t conv2d_batch_group(const ConvGeometry& g, std::int64_t batch) {
   const std::int64_t plane = g.col_cols();
@@ -365,50 +323,59 @@ void conv2d_forward_batched(const Tensor& x, const Tensor& w, const Tensor& b,
                             std::int64_t pad, Tensor& y, Conv2dWorkspace& ws) {
   const ConvGeometry g = batched_geometry(x, w, pad, "conv2d_forward_batched");
   const std::int64_t cout = w.dim(0);
-  const std::int64_t oh = g.out_height(), ow = g.out_width();
-  if (oh <= 0 || ow <= 0) {
-    throw std::invalid_argument(
-        "conv2d_forward_batched: input smaller than kernel");
-  }
   if (!b.empty() && b.size() != cout) {
     throw std::invalid_argument("conv2d_forward_batched: bias size mismatch");
   }
   const std::int64_t n = x.dim(0);
-  const std::int64_t plane = oh * ow;
-  const std::int64_t in_stride = g.in_channels * g.height * g.width;
-  const std::int64_t out_stride = cout * plane;
-  if (y.ndim() != 4 || y.dim(0) != n || y.dim(1) != cout || y.dim(2) != oh ||
-      y.dim(3) != ow) {
+  const std::int64_t oh = g.out_height(), ow = g.out_width();
+  if (oh > 0 && ow > 0 &&
+      (y.ndim() != 4 || y.dim(0) != n || y.dim(1) != cout || y.dim(2) != oh ||
+       y.dim(3) != ow)) {
     y = Tensor({n, cout, oh, ow});
   }
+  conv2d_forward_batched(x.data(), n, g, w.data(), cout,
+                         b.empty() ? nullptr : b.data(), FusedActivation::kNone,
+                         0.0f, y.data(), ws);
+}
 
+void conv2d_forward_batched(const float* x, std::int64_t n,
+                            const ConvGeometry& g, const float* w,
+                            std::int64_t cout, const float* bias,
+                            FusedActivation act, float slope, float* y,
+                            Conv2dWorkspace& ws) {
+  if (g.out_height() <= 0 || g.out_width() <= 0) {
+    throw std::invalid_argument(
+        "conv2d_forward_batched: input smaller than kernel");
+  }
+  const std::int64_t plane = g.out_height() * g.out_width();
+  const std::int64_t in_stride = g.in_channels * g.height * g.width;
+  const std::int64_t out_stride = cout * plane;
   const std::int64_t group = conv2d_batch_group(g, n);
-  auto& pool = util::ThreadPool::global();
+  float* col = grow(ws.col, g.col_rows() * group * plane);
+  float* out = group > 1 ? grow(ws.out, cout * group * plane) : nullptr;
   for (std::int64_t g0 = 0; g0 < n; g0 += group) {
     const std::int64_t gn = std::min(group, n - g0);
     const std::int64_t wide = gn * plane;
-    ws.col.resize(static_cast<std::size_t>(g.col_rows() * wide));
-    ws.out.resize(static_cast<std::size_t>(cout * wide));
-    im2col_batched(x.data() + g0 * in_stride, gn, g, ws.col.data());
-    // out [Cout x gn*plane] = W [Cout x Cin*k*k] * col: one wide GEMM for the
+    float* y_group = y + g0 * out_stride;
+    im2col_batched(x + g0 * in_stride, gn, g, col);
+    // [Cout x gn*plane] = W [Cout x Cin*k*k] * col: one wide GEMM for the
     // whole group instead of gn narrow ones. Each element's k order does not
-    // depend on the matrix width, so grouping cannot change the bits.
-    gemm(w.data(), ws.col.data(), ws.out.data(), cout, g.col_rows(), wide);
-    // Scatter the channel-major GEMM output into NCHW order, fusing the bias
-    // add. Planes are disjoint, so the parallel loop is deterministic.
-    pool.parallel_for(gn * cout, 4, [&](std::int64_t begin, std::int64_t end) {
-      for (std::int64_t t = begin; t < end; ++t) {
-        const std::int64_t s = t / cout, c = t % cout;
-        const float* src = ws.out.data() + c * wide + s * plane;
-        float* dst = y.data() + (g0 + s) * out_stride + c * plane;
-        if (b.empty()) {
-          std::memcpy(dst, src, static_cast<std::size_t>(plane) * sizeof(float));
-        } else {
-          const float bias = b[c];
-          for (std::int64_t i = 0; i < plane; ++i) dst[i] = src[i] + bias;
-        }
-      }
-    });
+    // depend on the matrix width, so grouping cannot change the bits. One
+    // sample's channel-major product is already NCHW, so it lands in y.
+    float* product = gn == 1 ? y_group : out;
+    gemm(w, col, product, cout, g.col_rows(), wide);
+    // Bias + activation epilogue, scattering a group's channel-major product
+    // into NCHW order on the way. Planes are disjoint, so the parallel loop
+    // is deterministic.
+    util::ThreadPool::global().parallel_for(
+        gn * cout, 1, [&](std::int64_t begin, std::int64_t end) {
+          for (std::int64_t t = begin; t < end; ++t) {
+            const std::int64_t s = t / cout, c = t % cout;
+            epilogue(product + c * wide + s * plane,
+                     y_group + s * out_stride + c * plane, plane,
+                     bias != nullptr ? bias + c : nullptr, act, slope);
+          }
+        });
   }
 }
 
@@ -438,9 +405,8 @@ void backward_batched(const Tensor& x, const Tensor& dy, const Tensor& w,
   const PaddedDy p(g);
   if (dx != nullptr) {
     if (!dx->same_shape(x)) *dx = Tensor(x.shape());
-    ws.w_packed.resize(static_cast<std::size_t>(w.size()));
     pack_weights(w.data(), cout, g.in_channels, g.kernel * g.kernel,
-                 ws.w_packed.data());
+                 grow(ws.w_packed, w.size()));
   }
 
   auto& pool = util::ThreadPool::global();
@@ -466,22 +432,22 @@ void backward_batched(const Tensor& x, const Tensor& dy, const Tensor& w,
     const std::int64_t gn = std::min(group, n - g0);
     const std::int64_t wide = gn * plane;
     const float* dy_group = dy.data() + g0 * out_stride;
-    ws.col.resize(static_cast<std::size_t>(wide * g.col_rows()));
+    float* rows = grow(ws.col, wide * g.col_rows());
     // dW [Cout x Cin*k*k] += dY [Cout x wide] * rows [wide x Cin*k*k]. The
     // channel-major dY is the group's sample itself when it holds one;
     // otherwise gather it from NCHW.
     const float* dy_wide = dy_group;
     if (gn > 1) {
-      ws.dy.resize(static_cast<std::size_t>(cout * wide));
+      float* gathered = grow(ws.dy, cout * wide);
       pool.parallel_for(gn * cout, 4, [&](std::int64_t begin, std::int64_t end) {
         for (std::int64_t t = begin; t < end; ++t) {
           const std::int64_t s = t / cout, c = t % cout;
-          std::memcpy(ws.dy.data() + c * wide + s * plane,
+          std::memcpy(gathered + c * wide + s * plane,
                       dy_group + s * out_stride + c * plane,
                       static_cast<std::size_t>(plane) * sizeof(float));
         }
       });
-      dy_wide = ws.dy.data();
+      dy_wide = gathered;
     }
     // The rows are the transpose of the group's im2col matrix, so this is
     // dY * col^T with B read in place instead of through a transposed pack:
@@ -490,17 +456,17 @@ void backward_batched(const Tensor& x, const Tensor& dy, const Tensor& w,
     // but the last is a whole number of k-blocks deep (conv2d_batch_group),
     // so the consecutive accumulating calls add the same k-block partials in
     // the same order as one call.
-    im2row_batched(x.data() + g0 * in_stride, gn, g, ws.col.data());
-    gemm_acc(dy_wide, ws.col.data(), dw.data(), cout, wide, g.col_rows());
+    im2row_batched(x.data() + g0 * in_stride, gn, g, rows);
+    gemm_acc(dy_wide, rows, dw.data(), cout, wide, g.col_rows());
     if (dx != nullptr) {
-      ws.dy_padded.resize(static_cast<std::size_t>(gn * cout * p.plane()));
+      float* padded = grow(ws.dy_padded, gn * cout * p.plane());
       pool.parallel_for(gn, 1, [&](std::int64_t begin, std::int64_t end) {
         for (std::int64_t s = begin; s < end; ++s) {
           pad_dy(dy_group + s * out_stride, cout, g, p,
-                 ws.dy_padded.data() + s * cout * p.plane());
+                 padded + s * cout * p.plane());
         }
       });
-      conv2d_data_grad(ws.dy_padded.data(), ws.w_packed.data(), gn, cout, g, p,
+      conv2d_data_grad(padded, ws.w_packed.data(), gn, cout, g, p,
                        dx->data() + g0 * in_stride);
     }
   }

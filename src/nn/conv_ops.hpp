@@ -1,16 +1,20 @@
 #pragma once
 
-// Convolution primitives (stride 1, square kernel, symmetric zero padding).
+// Convolution primitives (stride 1, square kernel, symmetric zero padding):
+// the only fp32 convolution code. Training (Conv2d), ConvLSTM and the fp32
+// inference plan (ForwardPlan through backend::blocked_f32) all run these
+// batched entry points; a single sample is a batch of one.
 //
 // Forward is im2col + GEMM. The batched entry points lower an [N, C, H, W]
 // batch in sample groups: each group of G samples becomes one wide
 // [Cin*k*k x G*OH*OW] column matrix and one GEMM, instead of G small ones, so
 // the GEMM gets enough columns to block and thread well. G is chosen so a
 // group's lowered matrix stays cache-resident between the lowering that
-// writes it and the GEMM that reads it (conv2d_batch_group).
+// writes it and the GEMM that reads it (conv2d_batch_group). A one-sample
+// group's channel-major GEMM output already is its NCHW output, so its GEMM
+// writes y directly.
 //
-// Backward has two kernels, shared by the batched and single-sample entry
-// points:
+// Backward has two kernels:
 //   - dW += dY * im2row(x): the group's rows [G*OH*OW x Cin*k*k] are the
 //     row-major right operand of gemm_acc — the same product as
 //     dY * im2col(x)^T, with the same operands in the same k-blocks, and,
@@ -20,8 +24,7 @@
 //     GEMM W^T * dY into a column matrix, scattered back onto the input
 //     grid) — no column matrix is written.
 // The per-layer Conv2dWorkspace keeps every buffer alive across batches (no
-// steady-state allocation). The single-sample versions serve recurrent cells
-// (ConvLSTM) whose backward-through-time pass re-evaluates per timestep.
+// steady-state allocation).
 
 #include "tensor/im2col.hpp"
 #include "tensor/tensor.hpp"
@@ -32,17 +35,22 @@ namespace parpde::nn {
 // Persistent per-layer scratch for the batched convolution path. Every
 // per-sample buffer holds one sample group (G = conv2d_batch_group samples),
 // not the batch. Buffers only grow; a layer reuses them for every batch of
-// the same geometry. All buffers are 64-byte aligned so the kernels get clean
-// vector loads.
+// the same geometry, and a caller may pre-size them to keep even the first
+// call allocation-free. All buffers are 64-byte aligned so the kernels get
+// clean vector loads.
 struct Conv2dWorkspace {
   // Forward: [Cin*k*k x G*OH*OW] im2col columns; backward: the same group's
   // im2row rows [G*OH*OW x Cin*k*k].
   util::AlignedVector<float> col;
-  util::AlignedVector<float> out;        // [Cout x G*OH*OW] channel-major GEMM output
+  util::AlignedVector<float> out;        // [Cout x G*OH*OW] GEMM output (G > 1)
   util::AlignedVector<float> dy;         // [Cout x G*OH*OW] channel-major gathered dY
   util::AlignedVector<float> dy_padded;  // [G x Cout x padded plane] zero-bordered dY
   util::AlignedVector<float> w_packed;   // [Cin*k*k*Cout] weights regrouped for dx
 };
+
+// Activation applied in the forward's epilogue (the ForwardPlan peephole
+// fuses a conv with the pointwise layer that follows it).
+enum class FusedActivation { kNone, kLeakyReLU, kReLU, kTanh };
 
 // Number of samples lowered per wide GEMM: the whole batch when its column
 // matrix fits a fixed 1 MiB budget, otherwise the largest group that does,
@@ -60,8 +68,21 @@ std::int64_t conv2d_batch_group(const ConvGeometry& g, std::int64_t batch);
 void conv2d_forward_batched(const Tensor& x, const Tensor& w, const Tensor& b,
                             std::int64_t pad, Tensor& y, Conv2dWorkspace& ws);
 
+// The raw-pointer core under it: y [n, cout, OH, OW] = act(w (*) x + bias)
+// for n samples x [n, g.in_channels, g.height, g.width] and w
+// [cout x g.col_rows()]. `bias` may be null. Per element the epilogue computes
+// v = acc + bias[c] (+0 without a bias), then the activation formula; with
+// neither a bias nor an activation y is the GEMM output itself. `slope` is
+// used by kLeakyReLU only. Never allocates once `ws` holds the group's col
+// (and, for groups of more than one sample, out) floats.
+void conv2d_forward_batched(const float* x, std::int64_t n,
+                            const ConvGeometry& g, const float* w,
+                            std::int64_t cout, const float* bias,
+                            FusedActivation act, float slope, float* y,
+                            Conv2dWorkspace& ws);
+
 // Full backward: dx = w^T (*) dy (overwritten), dw += dy (*) x and
-// db += sum(dy) (accumulating, like the single-sample versions).
+// db += sum(dy) (both accumulating).
 void conv2d_backward_batched(const Tensor& x, const Tensor& dy,
                              const Tensor& w, std::int64_t pad, Tensor& dx,
                              Tensor& dw, Tensor& db, Conv2dWorkspace& ws);
@@ -72,20 +93,5 @@ void conv2d_backward_batched(const Tensor& x, const Tensor& dy,
 void conv2d_backward_weights_batched(const Tensor& x, const Tensor& dy,
                                      std::int64_t pad, Tensor& dw, Tensor& db,
                                      Conv2dWorkspace& ws);
-
-// y [Cout, OH, OW] = w (*) x + b, where x is [Cin, H, W], w is
-// [Cout, Cin, k, k] and b is [Cout] (b may be empty to skip the bias).
-// `col` is caller-provided scratch resized as needed.
-void conv2d_forward(const Tensor& x, const Tensor& w, const Tensor& b,
-                    std::int64_t pad, Tensor& y, util::AlignedVector<float>& col);
-
-// dx = w^T (*) dy (backward-data). dx is overwritten, shaped like x.
-// `col` is caller-provided scratch (packed weights + the padded dY).
-void conv2d_backward_data(const Tensor& dy, const Tensor& w, std::int64_t pad,
-                          Tensor& dx, util::AlignedVector<float>& col);
-
-// dw += dy (*) x, db += sum(dy) (backward-weights, accumulating).
-void conv2d_backward_weights(const Tensor& x, const Tensor& dy, std::int64_t pad,
-                             Tensor& dw, Tensor& db, util::AlignedVector<float>& col);
 
 }  // namespace parpde::nn

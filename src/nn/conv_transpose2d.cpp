@@ -2,10 +2,48 @@
 
 #include <stdexcept>
 
-#include "backend/kernel_backend.hpp"
 #include "nn/init.hpp"
 
 namespace parpde::nn {
+
+void conv_transpose2d_forward(const float* x, const float* w, const float* bias,
+                              std::int64_t n, std::int64_t cin,
+                              std::int64_t cout, std::int64_t h,
+                              std::int64_t width, std::int64_t kernel,
+                              float* y) {
+  // Direct scatter loop nest: the deconv head is tiny compared with the conv
+  // stack, so a GEMM lowering (a column matrix scattered back into the
+  // output) has never been worth its memory traffic here.
+  const std::int64_t oh = h + kernel - 1, ow = width + kernel - 1;
+  for (std::int64_t s = 0; s < n; ++s) {
+    for (std::int64_t co = 0; co < cout; ++co) {
+      float* yplane = y + ((s * cout + co) * oh) * ow;
+      const float b = bias != nullptr ? bias[co] : 0.0f;
+      for (std::int64_t i = 0; i < oh * ow; ++i) yplane[i] = b;
+    }
+    for (std::int64_t ci = 0; ci < cin; ++ci) {
+      const float* xplane = x + ((s * cin + ci) * h) * width;
+      for (std::int64_t co = 0; co < cout; ++co) {
+        const float* ker = w + ((ci * cout + co) * kernel) * kernel;
+        float* yplane = y + ((s * cout + co) * oh) * ow;
+        for (std::int64_t iy = 0; iy < h; ++iy) {
+          for (std::int64_t ky = 0; ky < kernel; ++ky) {
+            float* yrow = yplane + (iy + ky) * ow;
+            const float* krow = ker + ky * kernel;
+            const float* xrow = xplane + iy * width;
+            for (std::int64_t ix = 0; ix < width; ++ix) {
+              const float xv = xrow[ix];
+              if (xv == 0.0f) continue;
+              for (std::int64_t kx = 0; kx < kernel; ++kx) {
+                yrow[ix + kx] += xv * krow[kx];
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
 
 ConvTranspose2d::ConvTranspose2d(std::int64_t in_channels,
                                  std::int64_t out_channels, std::int64_t kernel)
@@ -36,11 +74,11 @@ Tensor ConvTranspose2d::forward(const Tensor& x) {
   const std::int64_t n = x.dim(0), h = x.dim(2), w = x.dim(3);
   const std::int64_t oh = h + kernel_ - 1, ow = w + kernel_ - 1;
   Tensor y({n, out_channels_, oh, ow});
-  // The scatter loop nest lives in the backend: ForwardPlan replays the
-  // same kernel, so plan and module graph agree bit for bit.
-  backend::blocked_f32().conv_transpose2d_forward(
-      x.data(), weight_.data(), bias_.data(), n, in_channels_, out_channels_,
-      h, w, kernel_, y.data());
+  // ForwardPlan replays the same kernel, so plan and module graph agree bit
+  // for bit.
+  conv_transpose2d_forward(x.data(), weight_.data(), bias_.data(), n,
+                           in_channels_, out_channels_, h, w, kernel_,
+                           y.data());
   return y;
 }
 

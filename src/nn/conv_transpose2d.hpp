@@ -11,6 +11,15 @@
 
 namespace parpde::nn {
 
+// y [n, Cout, h+k-1, width+k-1] = w (*)^T x + bias for x [n, Cin, h, width]
+// and w [Cin, Cout, k, k]; y is fully overwritten. The kernel behind
+// ConvTranspose2d::forward and ForwardPlan's deconv step.
+void conv_transpose2d_forward(const float* x, const float* w, const float* bias,
+                              std::int64_t n, std::int64_t cin,
+                              std::int64_t cout, std::int64_t h,
+                              std::int64_t width, std::int64_t kernel,
+                              float* y);
+
 class ConvTranspose2d final : public Module {
  public:
   ConvTranspose2d(std::int64_t in_channels, std::int64_t out_channels,

@@ -263,25 +263,21 @@ ForwardPlan::Output ForwardPlan::walk(const backend::KernelBackend& bk,
     switch (step.op) {
       case Op::kConv:
         if (ranges != nullptr) ranges->push_back(max_abs(cur, n));
-        if (batch == 1) {
-          bk.conv_forward(ctx, step.conv, cur, h, w, dst);
-        } else {
-          bk.conv_forward_batched(ctx, step.conv, cur, batch, h, w, dst);
-        }
+        bk.conv_forward_batched(ctx, step.conv, cur, batch, h, w, dst);
         break;
       case Op::kDeconv:
-        bk.conv_transpose2d_forward(cur, step.deconv->weight().data(),
-                                    step.deconv->bias().data(), batch, ch, oc,
-                                    h, w, step.deconv->kernel(), dst);
+        conv_transpose2d_forward(cur, step.deconv->weight().data(),
+                                 step.deconv->bias().data(), batch, ch, oc, h,
+                                 w, step.deconv->kernel(), dst);
         break;
       case Op::kLeakyReLU:
-        bk.leaky_relu(cur, dst, n, step.slope);
+        leaky_relu_forward(cur, dst, n, step.slope);
         break;
       case Op::kReLU:
-        bk.relu(cur, dst, n);
+        relu_forward(cur, dst, n);
         break;
       case Op::kTanh:
-        bk.tanh(cur, dst, n);
+        tanh_forward(cur, dst, n);
         break;
     }
     cur = dst;

@@ -15,11 +15,11 @@
 // SubdomainEnsemble, SurrogateServer) runs one plan pass per step on the
 // whole input tile; run() accepts any input no larger than the pre-sized
 // maximum. On the fp32 backend results are bit-identical to Module::forward:
-// the convs lower to the same im2col + GEMM kernels (whose per-element
-// k-reduction order is independent of the matrix width and the worker
-// count), transpose convs call the same scatter kernel as
-// ConvTranspose2d::forward, and the fused bias/activation epilogue applies
-// the layers' exact per-element formulas. On the int8 backend results are
+// the convs run the training lowering nn::conv2d_forward_batched (whose
+// per-element k-reduction order is independent of the matrix width and the
+// worker count), transpose convs and standalone activations call the layers'
+// own kernels, and the fused bias/activation epilogue applies the layers'
+// exact per-element formulas. On the int8 backend results are
 // bit-deterministic (integer accumulation is exact; activation scales are
 // fixed by calibration, not derived per call) but intentionally differ from
 // fp32 within the documented error budget.
@@ -150,11 +150,10 @@ class ForwardPlan {
   [[nodiscard]] std::int64_t peak_plane(std::int64_t h, std::int64_t w) const;
 
   // One pass of `batch` stacked samples through every step on `bk`/`ctx`,
-  // writing intermediate activations into `buf` (batch 1 takes the solo
-  // conv_forward, larger batches lower into one wide GEMM per conv). When
-  // `final_dst` is non-null the last step writes its
-  // [batch, out_channels, oh, ow] result there instead of into a ping-pong
-  // buffer, which is what lets run_batched() evaluate a large batch in
+  // writing intermediate activations into `buf`; each conv is one backend
+  // conv_forward_batched call. When `final_dst` is non-null the last step
+  // writes its [batch, out_channels, oh, ow] result there instead of into a
+  // ping-pong buffer, which is what lets run_batched() evaluate a large batch in
   // cache-sized sample groups while still returning one contiguous stacked
   // output. When `ranges` is non-null each conv layer's input max-abs is
   // appended to it (calibrate()).

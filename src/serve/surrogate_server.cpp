@@ -300,35 +300,24 @@ void SurrogateServer::execute_batch(std::int64_t count) {
   occupancy_h.observe(static_cast<double>(live));
   telemetry::Span span("serve.dispatch", "serve");
   const std::int64_t frame_floats = channels_ * height_ * width_;
-  if (options_.coalesce) {
-    // Gather the sessions' frames into one [B, C, H, W] stack, advance the
-    // whole batch through a single wide plan pass, scatter the results back.
-    for (std::int64_t i = 0; i < live; ++i) {
-      const Session& s = sessions_[static_cast<std::size_t>(
-          live_[static_cast<std::size_t>(i)]->session)];
-      std::memcpy(staging_.data() + i * frame_floats, s.frame.data(),
-                  static_cast<std::size_t>(frame_floats) * sizeof(float));
-    }
-    const nn::ForwardPlan::Output out =
-        plan_.run_batched(staging_.data(), live, height_, width_);
-    for (std::int64_t i = 0; i < live; ++i) {
-      Session& s = sessions_[static_cast<std::size_t>(
-          live_[static_cast<std::size_t>(i)]->session)];
-      std::memcpy(s.frame.data(), out.data + i * frame_floats,
-                  static_cast<std::size_t>(frame_floats) * sizeof(float));
-      ++s.steps;
-    }
-  } else {
-    // Serial dispatch baseline: the solo plan path, one session at a time.
-    for (std::int64_t i = 0; i < live; ++i) {
-      Session& s = sessions_[static_cast<std::size_t>(
-          live_[static_cast<std::size_t>(i)]->session)];
-      const nn::ForwardPlan::Output out =
-          plan_.run(s.frame.data(), height_, width_);
-      std::memcpy(s.frame.data(), out.data,
-                  static_cast<std::size_t>(frame_floats) * sizeof(float));
-      ++s.steps;
-    }
+  // Gather the sessions' frames into one [B, C, H, W] stack, advance the
+  // whole batch through a single wide plan pass, scatter the results back.
+  // Without coalescing B is 1, and run_batched at batch 1 is the solo plan
+  // pass bit for bit.
+  for (std::int64_t i = 0; i < live; ++i) {
+    const Session& s = sessions_[static_cast<std::size_t>(
+        live_[static_cast<std::size_t>(i)]->session)];
+    std::memcpy(staging_.data() + i * frame_floats, s.frame.data(),
+                static_cast<std::size_t>(frame_floats) * sizeof(float));
+  }
+  const nn::ForwardPlan::Output out =
+      plan_.run_batched(staging_.data(), live, height_, width_);
+  for (std::int64_t i = 0; i < live; ++i) {
+    Session& s = sessions_[static_cast<std::size_t>(
+        live_[static_cast<std::size_t>(i)]->session)];
+    std::memcpy(s.frame.data(), out.data + i * frame_floats,
+                static_cast<std::size_t>(frame_floats) * sizeof(float));
+    ++s.steps;
   }
 }
 

@@ -15,7 +15,7 @@
 // one [B, C, H, W] staging buffer and advances all of them with a single
 // ForwardPlan::run_batched call — one wide im2col + GEMM per layer instead of
 // B narrow ones. With coalesce = false the scheduler dispatches one request
-// at a time through the solo ForwardPlan::run path (the serial baseline,
+// at a time with no coalesce window, a batch of one (the serial baseline,
 // `parpde_cli serve --serial`).
 //
 // Determinism contract (docs/serving.md): a session's trajectory is
@@ -60,8 +60,8 @@ struct ServerOptions {
   // How long the scheduler waits for a batch to fill once work is pending.
   // 0 = dispatch whatever is queued immediately.
   double coalesce_window_ms = 0.2;
-  // false = serial dispatch: one request per dispatch via the solo plan
-  // path. The baseline; coalescing is the whole point otherwise.
+  // false = serial dispatch: one request per dispatch, no coalesce window.
+  // The baseline; coalescing is the whole point otherwise.
   bool coalesce = true;
 };
 

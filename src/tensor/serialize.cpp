@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <fstream>
 #include <limits>
+#include <sstream>
 
 #include "util/framed_file.hpp"
 
@@ -78,9 +79,9 @@ std::vector<Tensor> read_tensors(std::istream& in, std::uint32_t max_count) {
 }
 
 void save_tensor(const std::string& path, const Tensor& t) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw std::runtime_error("save_tensor: cannot open " + path);
+  std::ostringstream out(std::ios::binary);
   write_tensor(out, t);
+  util::write_atomic(path, std::move(out).str());
 }
 
 Tensor load_tensor(const std::string& path) {

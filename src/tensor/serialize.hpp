@@ -28,7 +28,8 @@ Tensor read_tensor(std::istream& in);
 void write_tensors(std::ostream& out, std::span<const Tensor> tensors);
 std::vector<Tensor> read_tensors(std::istream& in, std::uint32_t max_count);
 
-// Whole-file convenience wrappers.
+// Whole-file convenience wrappers; saving replaces `path` atomically
+// (util::write_atomic).
 void save_tensor(const std::string& path, const Tensor& t);
 Tensor load_tensor(const std::string& path);
 

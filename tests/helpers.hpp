@@ -28,7 +28,8 @@ namespace parpde {
 // -1 = dense) back into CHW sample gradients, accumulating overlapping
 // contributions into the caller-zeroed `x_grad` in (c, ky, kx) row order.
 // With dcol = W^T * dY this was the library's data gradient before the
-// direct kernel replaced it; conv2d_backward_data must match it bit for bit.
+// direct kernel replaced it; conv2d_backward_batched's dx must match it bit
+// for bit.
 inline void col2im(const float* col, const ConvGeometry& g, float* x_grad,
                    std::int64_t ld = -1) {
   const std::int64_t oh = g.out_height();

@@ -1,8 +1,8 @@
-// Functional conv primitives: consistency with the Conv2d layer, adjoint
-// identities, bit-identity of the grouped batched path with a whole-batch
-// lowering, bit-identity of the direct data gradient and the im2row weight
-// gradient with the GEMM lowerings they replace, and an allocation-free
-// steady-state backward.
+// Functional conv primitives: basic identities, bit-identity of the grouped
+// batched path with a whole-batch lowering, bit-identity of the direct data
+// gradient and the im2row weight gradient with the GEMM lowerings they
+// replace, ConvLSTM's pinned bits, and an allocation-free steady-state
+// backward.
 
 #include <gtest/gtest.h>
 
@@ -15,12 +15,13 @@
 #include <vector>
 
 #include "helpers.hpp"
-#include "nn/conv2d.hpp"
+#include "nn/conv_lstm.hpp"
 #include "nn/conv_ops.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/im2col.hpp"
-#include "util/aligned.hpp"
+#include "util/crc32.hpp"
 #include "util/random.hpp"
+#include "util/target_clones.hpp"
 #include "util/thread_pool.hpp"
 
 // --- counting allocator ------------------------------------------------------
@@ -78,76 +79,26 @@ Tensor random_tensor(const Shape& shape, std::uint64_t seed) {
   return t;
 }
 
-TEST(ConvOps, ForwardMatchesConv2dLayer) {
-  Conv2d layer(3, 5, 3, 1);
-  util::Rng rng(1);
-  layer.init(rng);
-  const Tensor x = random_tensor({3, 7, 9}, 2);
-  const Tensor batched = x.reshaped({1, 3, 7, 9});
-  const Tensor expected = layer.forward(batched);
-
-  Tensor y;
-  util::AlignedVector<float> col;
-  conv2d_forward(x, layer.weight(), layer.bias(), 1, y, col);
-  expect_tensors_close(y.reshaped({1, 5, 7, 9}), expected, 1e-6, 1e-5);
-}
-
 TEST(ConvOps, ForwardWithoutBias) {
-  const Tensor x = random_tensor({2, 5, 5}, 3);
+  const Tensor x = random_tensor({1, 2, 5, 5}, 3);
   const Tensor w = random_tensor({4, 2, 3, 3}, 4);
   Tensor y1, y2;
-  util::AlignedVector<float> col;
+  Conv2dWorkspace ws;
   Tensor zero_bias({4});
-  conv2d_forward(x, w, zero_bias, 1, y1, col);
-  conv2d_forward(x, w, Tensor{}, 1, y2, col);
+  conv2d_forward_batched(x, w, zero_bias, 1, y1, ws);
+  conv2d_forward_batched(x, w, Tensor{}, 1, y2, ws);
   expect_tensors_close(y1, y2, 0.0, 0.0);
 }
 
-TEST(ConvOps, BackwardDataMatchesConv2dLayer) {
-  Conv2d layer(2, 3, 3, 1);
-  util::Rng rng(5);
-  layer.init(rng);
-  const Tensor x = random_tensor({2, 6, 6}, 6);
-  const Tensor dy = random_tensor({3, 6, 6}, 7);
-
-  layer.forward(x.reshaped({1, 2, 6, 6}));
-  const Tensor expected = layer.backward(dy.reshaped({1, 3, 6, 6}));
-
-  Tensor dx({2, 6, 6});
-  util::AlignedVector<float> col;
-  conv2d_backward_data(dy, layer.weight(), 1, dx, col);
-  expect_tensors_close(dx.reshaped({1, 2, 6, 6}), expected, 1e-5, 1e-4);
-}
-
-TEST(ConvOps, BackwardWeightsMatchesConv2dLayer) {
-  Conv2d layer(2, 3, 3, 1);
-  util::Rng rng(8);
-  layer.init(rng);
-  const Tensor x = random_tensor({2, 6, 6}, 9);
-  const Tensor dy = random_tensor({3, 6, 6}, 10);
-
-  layer.zero_grad();
-  layer.forward(x.reshaped({1, 2, 6, 6}));
-  layer.backward(dy.reshaped({1, 3, 6, 6}));
-
-  Tensor dw({3, 2, 3, 3});
-  Tensor db({3});
-  util::AlignedVector<float> col;
-  conv2d_backward_weights(x, dy, 1, dw, db, col);
-  const auto params = layer.parameters();
-  expect_tensors_close(dw, *params[0].grad, 1e-5, 1e-4);
-  expect_tensors_close(db, *params[1].grad, 1e-5, 1e-4);
-}
-
 TEST(ConvOps, BackwardWeightsAccumulates) {
-  const Tensor x = random_tensor({1, 4, 4}, 11);
-  const Tensor dy = random_tensor({2, 4, 4}, 12);
+  const Tensor x = random_tensor({1, 1, 4, 4}, 11);
+  const Tensor dy = random_tensor({1, 2, 4, 4}, 12);
   Tensor dw1({2, 1, 3, 3}), db1({2});
   Tensor dw2({2, 1, 3, 3}), db2({2});
-  util::AlignedVector<float> col;
-  conv2d_backward_weights(x, dy, 1, dw1, db1, col);
-  conv2d_backward_weights(x, dy, 1, dw2, db2, col);
-  conv2d_backward_weights(x, dy, 1, dw2, db2, col);  // dw2 = 2 * dw1 now? no:
+  Conv2dWorkspace ws;
+  conv2d_backward_weights_batched(x, dy, 1, dw1, db1, ws);
+  conv2d_backward_weights_batched(x, dy, 1, dw2, db2, ws);
+  conv2d_backward_weights_batched(x, dy, 1, dw2, db2, ws);
   // dw2 accumulated twice, dw1 once.
   for (std::int64_t i = 0; i < dw1.size(); ++i) {
     EXPECT_NEAR(dw2[i], 2.0f * dw1[i], 1e-5);
@@ -156,14 +107,14 @@ TEST(ConvOps, BackwardWeightsAccumulates) {
 
 TEST(ConvOps, OneByOneConvIsChannelMix) {
   // 1x1 conv with identity-like weights passes channels through.
-  const Tensor x = random_tensor({2, 3, 3}, 13);
+  const Tensor x = random_tensor({1, 2, 3, 3}, 13);
   Tensor w({2, 2, 1, 1});
   w.fill(0.0f);
   w.at(0, 0, 0, 0) = 1.0f;
   w.at(1, 1, 0, 0) = 1.0f;
   Tensor y;
-  util::AlignedVector<float> col;
-  conv2d_forward(x, w, Tensor{}, 0, y, col);
+  Conv2dWorkspace ws;
+  conv2d_forward_batched(x, w, Tensor{}, 0, y, ws);
   expect_tensors_close(y, x, 1e-7, 1e-6);
 }
 
@@ -375,17 +326,19 @@ void check_direct_data_grad(const DataCase& c, int workers) {
   Conv2dWorkspace ws;
   Tensor dx, dw(w.shape()), db({c.cout});
   conv2d_backward_batched(x, dy, w, c.pad, dx, dw, db, ws);
-  // Single-sample entry point (the ConvLSTM path), sample by sample.
-  Tensor dx_single({c.cin, c.height, c.width});
-  util::AlignedVector<float> col;
+  // One sample at a time (the ConvLSTM path): batches of one.
+  Tensor x_s({1, c.cin, c.height, c.width}), dx_single;
+  Tensor dy_s({1, c.cout, g.out_height(), g.out_width()});
+  Tensor dw_s(w.shape()), db_s({c.cout});
   Tensor got_single(want.shape());
   const std::int64_t in_plane = c.cin * c.height * c.width;
   const std::int64_t out_plane = c.cout * g.out_height() * g.out_width();
   for (std::int64_t s = 0; s < n; ++s) {
-    Tensor dy_s({c.cout, g.out_height(), g.out_width()});
+    std::memcpy(x_s.data(), x.data() + s * in_plane,
+                static_cast<std::size_t>(in_plane) * sizeof(float));
     std::memcpy(dy_s.data(), dy.data() + s * out_plane,
                 static_cast<std::size_t>(out_plane) * sizeof(float));
-    conv2d_backward_data(dy_s, w, c.pad, dx_single, col);
+    conv2d_backward_batched(x_s, dy_s, w, c.pad, dx_single, dw_s, db_s, ws);
     std::memcpy(got_single.data() + s * in_plane, dx_single.data(),
                 static_cast<std::size_t>(in_plane) * sizeof(float));
   }
@@ -479,12 +432,12 @@ TEST(ConvOps, Im2rowWeightGradMatchesGemmBtAcc) {
       expect_bitwise_equal(db, db_full, "db");
     }
 
-    // Single-sample entry point: one sample, one gemm_bt_acc.
+    // A batch of one (the ConvLSTM path): one sample, one gemm_bt_acc.
     const std::int64_t plane = g.col_cols();
-    Tensor x0({cin, g.height, g.width});
+    Tensor x0({1, cin, g.height, g.width});
     std::memcpy(x0.data(), x.data(),
                 static_cast<std::size_t>(x0.size()) * sizeof(float));
-    Tensor dy0({cout, g.out_height(), g.out_width()});
+    Tensor dy0({1, cout, g.out_height(), g.out_width()});
     std::memcpy(dy0.data(), dy.data(),
                 static_cast<std::size_t>(dy0.size()) * sizeof(float));
     std::vector<float> col0(static_cast<std::size_t>(g.col_rows() * plane));
@@ -493,8 +446,8 @@ TEST(ConvOps, Im2rowWeightGradMatchesGemmBtAcc) {
     gemm_bt_acc(dy0.data(), col0.data(), want0.data(), cout, plane,
                 g.col_rows());
     Tensor dw_single = dw0, db_single = db0;
-    util::AlignedVector<float> scratch;
-    conv2d_backward_weights(x0, dy0, pad, dw_single, db_single, scratch);
+    Conv2dWorkspace ws;
+    conv2d_backward_weights_batched(x0, dy0, pad, dw_single, db_single, ws);
     expect_bitwise_equal(dw_single, want0, "single-sample dW");
   }
 }
@@ -523,14 +476,68 @@ TEST(ConvOps, BatchedBackwardSteadyStateAllocatesNothing) {
 
 TEST(ConvOps, RejectsBadShapes) {
   Tensor y;
-  util::AlignedVector<float> col;
-  EXPECT_THROW(conv2d_forward(Tensor({2, 4, 4}), Tensor({3, 1, 3, 3}), Tensor{},
-                              1, y, col),
+  Conv2dWorkspace ws;
+  EXPECT_THROW(conv2d_forward_batched(Tensor({1, 2, 4, 4}),
+                                      Tensor({3, 1, 3, 3}), Tensor{}, 1, y, ws),
                std::invalid_argument);
-  Tensor dx({2, 4, 4});
-  EXPECT_THROW(conv2d_backward_data(Tensor({5, 4, 4}), Tensor({3, 2, 3, 3}), 1,
-                                    dx, col),
+  Tensor dx, dw({3, 2, 3, 3}), db({3});
+  EXPECT_THROW(conv2d_backward_batched(Tensor({1, 2, 4, 4}),
+                                       Tensor({1, 5, 4, 4}),
+                                       Tensor({3, 2, 3, 3}), 1, dx, dw, db, ws),
                std::invalid_argument);
+}
+
+// --- ConvLSTM runs the batched lowering bit for bit --------------------------
+//
+// ConvLSTM steps its convs one sample at a time through the batched entry
+// points. The CRC-32s below were recorded while it still had dedicated
+// single-sample kernels, so they pin that sharing the batched lowering left
+// every bit of the forward output and of every gradient unchanged.
+// 4 * 9 = 36 gate channels exceed kGemmKBlock, so the data gradient's Cout
+// reduction splits into blocks. They are the bits of the x86-64-v3/v4
+// kernel clones, which fuse each multiply-add; a build without clones
+// (the sanitizer builds) or an older host rounds differently
+// (util/target_clones.hpp), so the check runs only on those clones.
+bool kernels_fuse_multiply_add() {
+#if PARPDE_HAS_TARGET_CLONES
+  return __builtin_cpu_supports("x86-64-v3");
+#else
+  return false;
+#endif
+}
+
+std::uint32_t bits_crc(const Tensor& t) {
+  return util::crc32(t.data(),
+                     static_cast<std::size_t>(t.size()) * sizeof(float));
+}
+
+TEST(ConvOps, ConvLstmForwardAndGradientsPinnedAtFixedSeed) {
+  if (!kernels_fuse_multiply_add()) {
+    GTEST_SKIP() << "pinned bits are those of the x86-64-v3/v4 kernel clones";
+  }
+  const std::uint32_t want_y = 4020211364u, want_dx = 530144273u;
+  const std::uint32_t want_grads[] = {3257498164u, 2162062029u, 3840555862u,
+                                      875988552u, 4066603453u};
+  for (int workers : {0, 3}) {
+    SCOPED_TRACE(std::to_string(workers) + " workers");
+    util::ThreadPool::configure_global(workers);
+    ConvLSTM cell(3, 9, 2, 3);
+    util::Rng rng(71);
+    cell.init(rng);
+    const Tensor x = random_tensor({4, 3, 7, 6}, 72);
+    const Tensor y = cell.forward(x);
+    const Tensor dy = random_tensor(y.shape(), 73);
+    cell.zero_grad();
+    const Tensor dx = cell.backward(dy);
+    util::ThreadPool::configure_global(0);
+    EXPECT_EQ(bits_crc(y), want_y) << "forward output";
+    EXPECT_EQ(bits_crc(dx), want_dx) << "input gradient";
+    const std::vector<ParamRef> params = cell.parameters();
+    ASSERT_EQ(params.size(), std::size(want_grads));
+    for (std::size_t i = 0; i < params.size(); ++i) {
+      EXPECT_EQ(bits_crc(*params[i].grad), want_grads[i]) << params[i].name;
+    }
+  }
 }
 
 }  // namespace

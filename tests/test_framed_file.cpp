@@ -520,6 +520,37 @@ TEST(FramedFile, WriteAtomicReplacesTheFileAndLeavesNoTemporary) {
                std::runtime_error);
 }
 
+// save_frames (PPFR) and save_tensor (PPDT) replace their file atomically
+// too: when the temporary cannot be written (here `<path>.tmp` is a
+// directory) the save throws and the previous file survives byte for byte.
+TEST(FramedFile, FailedFrameAndTensorSavesLeaveTheOldFile) {
+  const auto dir = std::filesystem::path(fresh_dir("framed_failed_saves"));
+  const std::string ppfr = (dir / "f.ppfr").string();
+  const std::string ppdt = (dir / "t.ppdt").string();
+  const std::vector<Tensor> frames = {fixture_interior(), fixture_interior()};
+  data::save_frames(ppfr, frames);
+  save_tensor(ppdt, frames[0]);
+  const std::string old_ppfr = file_bytes(ppfr);
+  const std::string old_ppdt = file_bytes(ppdt);
+
+  const std::vector<Tensor> other = {Tensor({1, 2, 2}), Tensor({1, 2, 2})};
+  std::filesystem::create_directory(ppfr + ".tmp");
+  std::filesystem::create_directory(ppdt + ".tmp");
+  EXPECT_THROW(data::save_frames(ppfr, other), std::runtime_error);
+  EXPECT_THROW(save_tensor(ppdt, other[0]), std::runtime_error);
+  EXPECT_EQ(file_bytes(ppfr), old_ppfr);
+  EXPECT_EQ(file_bytes(ppdt), old_ppdt);
+
+  std::filesystem::remove(ppfr + ".tmp");
+  std::filesystem::remove(ppdt + ".tmp");
+  data::save_frames(ppfr, other);
+  save_tensor(ppdt, other[0]);
+  EXPECT_EQ(data::load_frames(ppfr).size(), other.size());
+  EXPECT_TRUE(load_tensor(ppdt).same_shape(other[0]));
+  EXPECT_FALSE(std::filesystem::exists(ppfr + ".tmp"));
+  EXPECT_FALSE(std::filesystem::exists(ppdt + ".tmp"));
+}
+
 // nn::save_checkpoint and core::save_ensemble go through write_atomic and
 // write exactly the stream format.
 TEST(FramedFile, WholeFileSavesWriteTheStreamBytes) {

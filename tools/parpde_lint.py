@@ -20,12 +20,16 @@ rule):
   include-hygiene  headers start with #pragma once; no relative-parent or
                    <bits/...> includes; a .cpp's first include is its own
                    header.
-  backend-bypass   compute call sites must go through the KernelBackend
-                   interface (src/backend/): direct free-function calls to
-                   the gemm/conv kernels outside the backend layer (and the
-                   kernel implementation files themselves) silently pin the
-                   caller to fp32 and skip the backend's telemetry/quantized
-                   dispatch.
+  backend-bypass   raw GEMM calls (gemm/gemm_acc/gemm_at/gemm_bt_acc) belong
+                   to the kernel files (src/tensor/gemm.*, src/nn/conv_ops.*):
+                   a convolution lowered anywhere else is a second fp32
+                   lowering that must be kept bit-identical by hand; layers
+                   and the fp32 backend call nn::conv2d_*_batched instead.
+  metric-catalogue every literal metric name passed to telemetry::counter /
+                   gauge / histogram in src/ has a row in a catalogue table
+                   of docs/observability.md, and every row names a metric
+                   src/ registers; a name built at run time matches a
+                   documented <placeholder> form by its literal prefix.
   unbounded-halo-recv
                    inference-phase files may not block forever on halo
                    traffic: every receive on a halo tag must be the bounded
@@ -367,24 +371,17 @@ def rule_raw_clock(rel: str, code: str, out: list):
 
 # --- rule: backend-bypass ----------------------------------------------------
 
-# Files allowed to name the raw kernels: the backend layer itself plus the
-# kernel implementation/declaration files it wraps.
+# The only files allowed to call the raw GEMM entry points: the GEMM itself
+# and the convolution lowering every layer and backend shares.
 BACKEND_EXEMPT_PREFIXES = (
-    "src/backend/",
     "src/tensor/gemm.",
-    "src/tensor/im2col.",
     "src/nn/conv_ops.",
 )
 
 # Free-function (or namespace-qualified) calls only: the lookbehind rejects
-# `.gemm(` / `->gemm(` member calls, which are exactly the KernelBackend
-# interface invocations the rule wants call sites to use.
+# `.gemm(` / `->gemm(` member calls and longer identifiers.
 _BACKEND_KERNEL_CALL = re.compile(
-    r"(?<![\w.>])"
-    r"(gemm|gemm_acc|gemm_at|gemm_bt_acc|conv2d_forward|conv2d_forward_batched"
-    r"|conv2d_backward_data|conv2d_backward_weights|conv2d_backward_batched"
-    r"|conv2d_backward_weights_batched)"
-    r"\s*\("
+    r"(?<![\w.>])(gemm|gemm_acc|gemm_at|gemm_bt_acc)\s*\("
 )
 
 
@@ -397,11 +394,95 @@ def rule_backend_bypass(rel: str, code: str, out: list):
                 "backend-bypass",
                 rel,
                 line_of(code, m.start()),
-                f"direct {m.group(1)}() call bypasses the KernelBackend "
-                "dispatch — route it through backend::blocked_f32() / the "
-                "plan's backend so int8 and telemetry keep working",
+                f"direct {m.group(1)}() call outside the kernel files — "
+                "lower convolutions through nn::conv2d_*_batched "
+                "(src/nn/conv_ops.cpp) so training, ConvLSTM and the fp32 "
+                "plan keep one lowering",
             )
         )
+
+
+# --- rule: metric-catalogue --------------------------------------------------
+
+CATALOGUE_DOC = "docs/observability.md"
+
+# The name argument of a registry call: a string literal, optionally wrapped
+# in std::string(...); a trailing `+` means the name is completed at run time
+# and only its literal prefix is known.
+_METRIC_CALL = re.compile(
+    r'\btelemetry::(?:counter|gauge|histogram)\s*\(\s*'
+    r'(?:std::string\s*\(\s*)?"([^"\\]*)"\s*\)?\s*(\+)?'
+)
+
+
+def registered_metrics(root: str, files: list) -> list:
+    """(name, is_prefix, path, line) for every registry call in `files`."""
+    found = []
+    for rel in files:
+        with open(os.path.join(root, rel), encoding="utf-8",
+                  errors="replace") as f:
+            code = sanitize_comments(f.read())
+        for m in _METRIC_CALL.finditer(code):
+            found.append((m.group(1), m.group(2) is not None,
+                          rel.replace(os.sep, "/"), line_of(code, m.start())))
+    return found
+
+
+def catalogue_rows(text: str) -> list:
+    """(name, line) for every backticked name in the first column of the
+    tables under the doc's `## Metric catalogue` heading."""
+    rows = []
+    in_section = False
+    for number, line in enumerate(text.splitlines(), 1):
+        if line.startswith("## "):
+            in_section = line.strip() == "## Metric catalogue"
+            continue
+        if in_section and line.startswith("|"):
+            first = line.split("|")[1]
+            rows.extend((name, number) for name in re.findall(r"`([^`]+)`", first))
+    return rows
+
+
+def placeholder_regex(name: str):
+    """`comm.tag.<tag>.bytes_sent` -> a regex matching any concrete name."""
+    parts = re.split(r"<[^>]*>", name)
+    return re.compile(".+".join(re.escape(p) for p in parts))
+
+
+def rule_metric_catalogue(root: str, files: list, out: list):
+    doc_path = os.path.join(root, CATALOGUE_DOC)
+    if not os.path.exists(doc_path):
+        out.append(Violation("metric-catalogue", CATALOGUE_DOC, 1,
+                             "metric catalogue missing"))
+        return
+    with open(doc_path, encoding="utf-8") as f:
+        rows = catalogue_rows(f.read())
+    literal = {name for name, _ in rows if "<" not in name}
+    forms = [(name, placeholder_regex(name)) for name, _ in rows if "<" in name]
+    metrics = registered_metrics(root, files)
+
+    def documented(name: str, is_prefix: bool) -> bool:
+        if is_prefix:
+            return any(form.startswith(name) for form, _ in forms)
+        return name in literal or any(r.fullmatch(name) for _, r in forms)
+
+    for name, is_prefix, rel, line in metrics:
+        if not documented(name, is_prefix):
+            shown = name + "…" if is_prefix else name
+            out.append(Violation(
+                "metric-catalogue", rel, line,
+                f"metric {shown} has no row in the {CATALOGUE_DOC} catalogue"))
+    for name, line in rows:
+        if "<" in name:
+            regex = placeholder_regex(name)
+            live = any(name.startswith(m) if p else bool(regex.fullmatch(m))
+                       for m, p, _, _ in metrics)
+        else:
+            live = any(m == name and not p for m, p, _, _ in metrics)
+        if not live:
+            out.append(Violation(
+                "metric-catalogue", CATALOGUE_DOC, line,
+                f"catalogue row {name} names no metric registered in src/"))
 
 
 # --- rule: raw-rank-block ----------------------------------------------------
@@ -649,13 +730,16 @@ def lint_file(root: str, rel: str) -> list:
 
 def lint_tree(root: str) -> list:
     violations = []
+    files = []
     src = os.path.join(root, "src")
-    for dirpath, _, filenames in os.walk(src):
+    for dirpath, _, filenames in sorted(os.walk(src)):
         for name in sorted(filenames):
             if not name.endswith(SOURCE_EXTENSIONS):
                 continue
             rel = os.path.relpath(os.path.join(dirpath, name), root)
+            files.append(rel)
             violations.extend(lint_file(root, rel))
+    rule_metric_catalogue(root, files, violations)
     return violations
 
 
@@ -721,24 +805,49 @@ SEEDED_FILES = {
         "  auto ok2 = partition.block_of_rank(task);\n"
         "}\n"
     ),
-    # backend-bypass: direct kernel calls outside the backend layer (one
-    # bare, one namespace-qualified) next to a legal member-call dispatch.
+    # backend-bypass: two raw GEMM calls outside the kernel files (one bare,
+    # one namespace-qualified) next to the legal layer and backend calls.
     "src/core/bad_bypass.cpp": (
         '#include "core/bad_bypass.hpp"\n'
         "void f() {\n"
         "  gemm(a, b, c, m, n, k);\n"
-        "  parpde::nn::conv2d_forward_batched(x, w, bias, pad, y, ws);\n"
-        "  parpde::backend::blocked_f32().conv2d_forward_batched(x, w, bias, pad,\n"
-        "                                                       y, ws);  // fine\n"
+        "  parpde::gemm_acc(dy, rows, dw, m, n, k);\n"
+        "  parpde::nn::conv2d_forward_batched(x, w, bias, pad, y, ws);  // fine\n"
+        "  backend.conv_forward_batched(ctx, 0, x, 1, h, w, y);  // fine\n"
         "}\n"
     ),
-    # backend layer itself may name the raw kernels.
-    "src/backend/ok_kernels.cpp": (
-        '#include "backend/ok_kernels.hpp"\n'
+    # the conv lowering itself owns the raw GEMM calls.
+    "src/nn/conv_ops.cpp": (
+        '#include "nn/conv_ops.hpp"\n'
         "void g() {\n"
         "  gemm(a, b, c, m, n, k);\n"
-        "  conv2d_backward_weights(x, gy, pad, gw, col);\n"
+        "  gemm_acc(dy, rows, dw, m, n, k);\n"
         "}\n"
+    ),
+    # metric-catalogue: one undocumented metric (flagged here) and one
+    # stale catalogue row (flagged in the doc below), next to documented
+    # literal names, a run-time name matched by its placeholder form, and a
+    # commented-out registration (all fine).
+    "src/core/bad_metric.cpp": (
+        '#include "core/bad_metric.hpp"\n'
+        "void f(int tag) {\n"
+        '  telemetry::counter("core.documented").add(1);\n'
+        '  telemetry::gauge("core.also_documented").set(1.0);\n'
+        '  telemetry::counter("comm.tag." + std::to_string(tag) + ".sent");\n'
+        '  telemetry::histogram("core.undocumented");\n'
+        '  // telemetry::counter("core.commented_out");\n'
+        "}\n"
+    ),
+    CATALOGUE_DOC: (
+        "# Observability\n\n"
+        "## Metric catalogue\n\n"
+        "| Name | Meaning |\n"
+        "|---|---|\n"
+        "| `core.documented` / `core.also_documented` | fine |\n"
+        "| `comm.tag.<tag>.sent` | built at run time |\n"
+        "| `stale.metric` | no longer registered |\n\n"
+        "## Trace schema\n\n"
+        "| `not.a.metric` | outside the catalogue, ignored |\n"
     ),
     # raw-clock: two raw chrono clocks outside util/ (each flagged) next to
     # the sanctioned telemetry::now_us() call (not flagged).
@@ -837,6 +946,7 @@ EXPECTED = {
     "unbounded-halo-recv": {"src/core/inference.cpp"},
     "include-hygiene": {"src/util/bad_header.hpp"},
     "backend-bypass": {"src/core/bad_bypass.cpp"},
+    "metric-catalogue": {"src/core/bad_metric.cpp", CATALOGUE_DOC},
     "raw-clock": {"src/core/bad_clock.cpp"},
     "raw-rank-block": {"src/core/inference.cpp"},
     "lock-held-comm": {"src/domain/bad_lock_comm.cpp"},
@@ -890,13 +1000,21 @@ def self_test() -> int:
                 f"raw-clock: expected exactly 2 findings, got "
                 f"{len(raw_clock)}"
             )
-        # Exactly the two direct calls: the member-call dispatch on the same
-        # seed and the exempt backend-layer file must not be flagged.
+        # Exactly the two raw GEMM calls: the layer and backend calls on the
+        # same seed and the exempt conv lowering must not be flagged.
         bypass = [v for v in violations if v.rule == "backend-bypass"]
         if len(bypass) != 2:
             failures.append(
                 f"backend-bypass: expected exactly 2 findings, got "
                 f"{len(bypass)}"
+            )
+        # Exactly the undocumented metric and the stale row: the documented,
+        # placeholder-matched and commented-out names must not be flagged.
+        catalogue = [v for v in violations if v.rule == "metric-catalogue"]
+        if len(catalogue) != 2:
+            failures.append(
+                f"metric-catalogue: expected exactly 2 findings, got "
+                f"{len(catalogue)}"
             )
         # Exactly the two rank-keyed lookups: the task-coordinate and
         # task-id lookups in the same seed and the file outside the rule's
