@@ -93,15 +93,17 @@ void run_variant(const std::string& name, const data::FrameDataset& train_view,
   // --- rollout error accumulation (Sec. IV-B) ------------------------------
   const int max_steps = std::min<int>(8, static_cast<int>(split.val.size()) - 1);
   if (max_steps >= 2) {
+    // Each frame is scored against its truth as the rollout delivers it.
+    std::vector<double> curve(static_cast<std::size_t>(max_steps));
+    RolloutOptions options;
+    options.on_frame = [&](int step, const Tensor& frame) {
+      curve[static_cast<std::size_t>(step)] =
+          overall_metrics(to_physical(frame), raw.frame(pair0 + step + 1))
+              .rel_l2;
+    };
     const auto rollout = parallel_rollout(config, report,
-                                          train_view.frame(pair0), max_steps);
-    std::vector<Tensor> preds;
-    std::vector<Tensor> truths;
-    for (int k = 0; k < max_steps; ++k) {
-      preds.push_back(to_physical(rollout.frames[static_cast<std::size_t>(k)]));
-      truths.push_back(raw.frame(pair0 + k + 1));
-    }
-    const auto curve = rollout_error_curve(preds, truths);
+                                          train_view.frame(pair0), max_steps,
+                                          options);
     util::Table growth({"rollout step", "rel-L2 error"});
     for (std::size_t k = 0; k < curve.size(); ++k) {
       growth.add_row({std::to_string(k + 1), util::Table::fmt_sci(curve[k])});

@@ -77,22 +77,15 @@ int main(int argc, char** argv) {
   // --- parallel rollout with halo exchange (Sec. III inference) ------------
   std::printf("\n[4/4] %d-step parallel rollout with p2p halo exchange...\n",
               rollout_steps);
-  const auto rollout =
-      parallel_rollout(config, report, dataset.frame(pair), rollout_steps);
-  std::vector<Tensor> truths;
-  for (int k = 1; k <= rollout_steps &&
-                  pair + k < dataset.num_frames();
-       ++k) {
-    truths.push_back(dataset.frame(pair + k));
-  }
-  const auto curve = rollout_error_curve(
-      std::vector<Tensor>(rollout.frames.begin(),
-                          rollout.frames.begin() +
-                              static_cast<std::ptrdiff_t>(truths.size())),
-      truths);
-  for (std::size_t k = 0; k < curve.size(); ++k) {
-    std::printf("  step %zu: rel-L2 %.4e\n", k + 1, curve[k]);
-  }
+  // Score each frame against its truth as the rollout delivers it.
+  RolloutOptions rollout_options;
+  rollout_options.on_frame = [&](int step, const Tensor& frame) {
+    if (pair + step + 1 >= dataset.num_frames()) return;
+    std::printf("  step %d: rel-L2 %.4e\n", step + 1,
+                overall_metrics(frame, dataset.frame(pair + step + 1)).rel_l2);
+  };
+  const auto rollout = parallel_rollout(config, report, dataset.frame(pair),
+                                        rollout_steps, rollout_options);
   std::printf("  halo traffic: %llu bytes | comm %.4fs | compute %.4fs\n",
               static_cast<unsigned long long>(rollout.halo_bytes),
               rollout.comm_seconds, rollout.compute_seconds);

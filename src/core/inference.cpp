@@ -129,15 +129,9 @@ RolloutResult parallel_rollout(const TrainConfig& config,
     if (options.record_every <= 0) return false;
     return (step + 1) % options.record_every == 0 || step + 1 == steps;
   };
-  std::vector<int> recorded_steps;
-  for (int s = 0; s < steps; ++s) {
-    if (recorded(s)) recorded_steps.push_back(s);
-  }
 
   RolloutResult result;
   result.backend = bk->name();
-  result.recorded_steps = recorded_steps;
-  result.frames.resize(recorded_steps.size());
   result.step_seconds.resize(static_cast<std::size_t>(steps), 0.0);
   std::vector<RankTally> tally(static_cast<std::size_t>(nranks));
   // Each task's border state at the end, written by its last host.
@@ -207,9 +201,9 @@ RolloutResult parallel_rollout(const TrainConfig& config,
     // Build the tasks this rank starts with (task t starts on rank
     // t % nranks, the Assignment's epoch-0 layout) before allocating any
     // bookkeeping: rank threads are new on every call, and small blocks
-    // allocated ahead of these buffers made peak RSS over repeated calls
-    // bimodal (+60 MiB on rollout_64_int8) through glibc's per-thread arena
-    // reuse.
+    // allocated ahead of these buffers have made peak RSS over repeated
+    // calls bimodal through glibc's per-thread arena reuse (+60 MiB on
+    // rollout_64_int8 while rank 0 still kept every recorded frame).
     for (int t = rank; t < tasks; t += nranks) activate(t);
     elastic::Assignment assign(tasks, nranks);
     std::vector<char> live(static_cast<std::size_t>(nranks), 1);
@@ -238,18 +232,21 @@ RolloutResult parallel_rollout(const TrainConfig& config,
     // is produced; rank 0 stages copies of its own blocks and collects the
     // others', by task in the same order (FIFO per channel), with up to two
     // recorded rounds in flight, so their sends overlap the following steps'
-    // compute.
+    // compute. Rounds are collected in step order into one full-grid buffer
+    // that each finished frame leaves only through the on_frame sink, so
+    // rank 0 holds one frame however many steps are recorded.
     struct Round {
-      std::size_t frame = 0;
+      int step = 0;
       int slot = 0;
     };
     std::deque<Round> pending;      // rank 0: rounds with blocks in flight
     std::vector<Tensor> stage[2];   // rank 0: its blocks of a round, by task
     int next_slot = 0;
+    Tensor full;                    // rank 0: the frame being collected
+    std::vector<float> strip;       // rank 0: one received block, staged
     auto collect = [&] {
       const Round round = pending.front();
       pending.pop_front();
-      Tensor& full = result.frames[round.frame];
       if (full.ndim() != 3) {
         full = Tensor({chans, partition.grid_h(), partition.grid_w()});
       }
@@ -257,17 +254,19 @@ RolloutResult parallel_rollout(const TrainConfig& config,
       for (int t = 0; t < tasks; ++t) {
         const domain::BlockRange& b = task[static_cast<std::size_t>(t)].block;
         const int src = assign.owner(t);
-        // A dead, unadopted task leaves a zero hole.
-        if (!live[static_cast<std::size_t>(src)]) continue;
-        if (src == 0) {
+        if (!live[static_cast<std::size_t>(src)]) {
+          // A dead, unadopted task leaves a zero hole.
+          domain::zero_region(full, b.h0, b.height(), b.w0, b.width());
+        } else if (src == 0) {
           domain::copy_window(full, b.h0, b.w0, (own++)->data(), chans,
                               b.height(), b.width());
         } else {
-          domain::gather_block(comm, src, b, full);
+          domain::gather_block(comm, src, b, full, strip);
         }
       }
+      if (options.on_frame) options.on_frame(round.step, full);
     };
-    auto post = [&](std::size_t frame_index) {
+    auto post = [&](int step) {
       if (rank != 0) {
         for (const int t : owned) {
           comm.send<float>(0, mpi::tags::kFieldGather.base,
@@ -281,7 +280,7 @@ RolloutResult parallel_rollout(const TrainConfig& config,
       for (std::size_t i = 0; i < owned.size(); ++i) {
         own[i] = task[static_cast<std::size_t>(owned[i])].interior;
       }
-      pending.push_back({frame_index, next_slot});
+      pending.push_back({step, next_slot});
       next_slot ^= 1;
     };
 
@@ -464,10 +463,7 @@ RolloutResult parallel_rollout(const TrainConfig& config,
       // distributed — record_every <= 0 skips this entirely).
       if (recorded(step)) {
         telemetry::Span gather_span("rollout.gather", "rollout");
-        post(static_cast<std::size_t>(
-            std::lower_bound(recorded_steps.begin(), recorded_steps.end(),
-                             step) -
-            recorded_steps.begin()));
+        post(step);
       }
       if (step == warm_until) warm_growths = growths();
       if (rank == 0) {
@@ -478,6 +474,8 @@ RolloutResult parallel_rollout(const TrainConfig& config,
       ++step;
     }
     while (rank == 0 && !pending.empty()) collect();
+    // The last collected round is the final step (always recorded).
+    if (rank == 0 && full.ndim() == 3) result.frames.push_back(std::move(full));
 
     mine.steady_allocs = growths() - warm_growths;
     steady_counter.add(mine.steady_allocs);

@@ -9,6 +9,8 @@
 // (elastic/rollout.hpp). The sequential (monolithic) rollout is provided for
 // the equivalence tests and accuracy baselines.
 
+#include <functional>
+
 #include "core/config.hpp"
 #include "core/parallel_trainer.hpp"
 #include "core/trainer.hpp"
@@ -81,9 +83,18 @@ struct RolloutOptions {
   // Gather the full frame on rank 0 every `record_every`-th step (the final
   // step is always recorded so callers get the end state); <= 0 disables
   // recording entirely. The gather is deferred and double-buffered: non-root
-  // strip sends overlap the next step's compute and rank 0 collects one
-  // recorded step behind.
+  // strip sends overlap the next step's compute and rank 0 collects up to two
+  // recorded steps behind, into one full-grid buffer reused for every frame.
   int record_every = 1;
+  // Sink for the recorded frames: called on rank 0's thread, in step order,
+  // right after a recorded step's frame is collected, with the 0-based step
+  // (the prediction of step k estimates frame t0+k+1). `frame` is the reused
+  // gather buffer, valid only during the call: a caller that wants a history
+  // copies what it needs. Under elastic recovery the steps after the rollback
+  // line are recomputed and delivered again, so the order restarts there; a
+  // later delivery of a step supersedes the earlier one. Empty = no sink (RolloutResult::frames still
+  // gets the final frame). The sink must not throw.
+  std::function<void(int step, const Tensor& frame)> on_frame;
   // Execution provider for the per-step forward passes (see src/backend/):
   // nullptr = the reference fp32 backend. The int8 backend
   // (backend::quantized_int8()) calibrates activation scales from the initial
@@ -142,12 +153,13 @@ struct HealthReport {
 struct RolloutResult {
   // Name of the execution provider the rollout ran on ("fp32", "int8").
   std::string backend;
-  // Predicted full-domain frames, one per recorded step (gathered on rank 0;
-  // the prediction of step k is the network's estimate of frame t0+k+1).
-  // With record_every == 1 (the default) every step is recorded.
+  // The final recorded frame (the last step's prediction, gathered on rank
+  // 0): one entry, or none when record_every <= 0. Earlier frames go only to
+  // RolloutOptions::on_frame, so the rollout's memory does not grow with the
+  // step count. A vector only because the frozen perfbench/ sources read
+  // `frames.back()`; it becomes a plain Tensor the next time perfbench/
+  // changes.
   std::vector<Tensor> frames;
-  // 0-based step index of each entry of `frames`.
-  std::vector<int> recorded_steps;
   // Wall time of each step as seen by rank 0 (drives the bench's p50/p99).
   std::vector<double> step_seconds;
   double comm_seconds = 0.0;     // max over ranks, halo exchange only

@@ -73,19 +73,6 @@ std::string channel_name(std::int64_t channel) {
   }
 }
 
-std::vector<double> rollout_error_curve(const std::vector<Tensor>& predictions,
-                                        const std::vector<Tensor>& truths) {
-  if (predictions.size() > truths.size()) {
-    throw std::invalid_argument("rollout_error_curve: not enough truth frames");
-  }
-  std::vector<double> curve;
-  curve.reserve(predictions.size());
-  for (std::size_t k = 0; k < predictions.size(); ++k) {
-    curve.push_back(overall_metrics(predictions[k], truths[k]).rel_l2);
-  }
-  return curve;
-}
-
 std::vector<float> centerline(const Tensor& frame, std::int64_t channel) {
   if (frame.ndim() != 3 || channel < 0 || channel >= frame.dim(0)) {
     throw std::invalid_argument("centerline: bad frame/channel");

@@ -2,7 +2,7 @@
 
 // Prediction-quality metrics for the Fig. 3 reproduction: per-channel and
 // overall MAPE (stabilized), RMSE, maximum absolute error, and relative L2
-// error, plus the rollout error-growth curve discussed in Sec. IV-B.
+// error (per rollout step, the error-growth curve discussed in Sec. IV-B).
 
 #include <string>
 #include <vector>
@@ -30,10 +30,6 @@ ErrorMetrics overall_metrics(const Tensor& prediction, const Tensor& target,
 
 // Display name of a channel index ("pressure", "density", "vel-x", "vel-y").
 std::string channel_name(std::int64_t channel);
-
-// Relative L2 error per rollout step: predictions[k] vs truths[k].
-std::vector<double> rollout_error_curve(const std::vector<Tensor>& predictions,
-                                        const std::vector<Tensor>& truths);
 
 // Horizontal centerline profile (row H/2) of one channel — the 1-d comparison
 // used to eyeball Fig. 3 agreement in text output.

@@ -458,16 +458,17 @@ Tensor gather_field(mpi::CartComm& cart, const Partition& partition,
   const BlockRange root = partition.block_of_rank(0);
   copy_window(full, root.h0, root.w0, interior.data(), interior.dim(0),
               root.height(), root.width());
+  std::vector<float> strip;
   for (int r = 1; r < comm.size(); ++r) {
-    gather_block(comm, r, partition.block_of_rank(r), full);
+    gather_block(comm, r, partition.block_of_rank(r), full, strip);
   }
   return full;
 }
 
 void gather_block(mpi::Communicator& comm, int source, const BlockRange& block,
-                  Tensor& full) {
+                  Tensor& full, std::vector<float>& strip) {
   const auto c = full.dim(0);
-  const auto strip = comm.recv<float>(source, mpi::tags::kFieldGather.base);
+  comm.recv_into<float>(source, mpi::tags::kFieldGather.base, &strip);
   if (strip.size() !=
       static_cast<std::size_t>(c * block.height() * block.width())) {
     throw std::runtime_error("gather_field: block size mismatch");

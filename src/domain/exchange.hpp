@@ -238,10 +238,11 @@ Tensor gather_field(mpi::CartComm& cart, const Partition& partition,
 
 // Rank 0 side of a field gather: receives the block `source` posted on
 // tags::kFieldGather (its interior values) into `block`'s window of `full`
-// ([C, H, W]). Per-channel FIFO ordering of the mailbox matches successive
-// posts from one source in order.
+// ([C, H, W]), staging the payload in `strip` (resized; reuse one across
+// calls and the gather allocates nothing). Per-channel FIFO ordering of the
+// mailbox matches successive posts from one source in order.
 void gather_block(mpi::Communicator& comm, int source, const BlockRange& block,
-                  Tensor& full);
+                  Tensor& full, std::vector<float>& strip);
 
 // Rank 0 distributes a full [C, H, W] field; every rank returns its interior
 // block [C, bh, bw]. On non-root ranks `full` is ignored.

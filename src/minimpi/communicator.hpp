@@ -155,14 +155,24 @@ class Communicator {
 
   template <typename T>
   std::vector<T> recv(int source, int tag, int* actual_source = nullptr) {
+    std::vector<T> out;
+    recv_into(source, tag, &out, actual_source);
+    return out;
+  }
+
+  // Blocking receive into the caller's vector, resized to the payload: a
+  // vector reused across receives of one size allocates nothing after the
+  // first (the rollout's frame gather stages every block through one).
+  template <typename T>
+  void recv_into(int source, int tag, std::vector<T>* out,
+                 int* actual_source = nullptr) {
     static_assert(std::is_trivially_copyable_v<T>);
     const auto bytes = recv_bytes(source, tag, actual_source, sizeof(T));
     if (bytes.size() % sizeof(T) != 0) {
       throw std::runtime_error("recv: payload size not a multiple of T");
     }
-    std::vector<T> out(bytes.size() / sizeof(T));
-    std::memcpy(out.data(), bytes.data(), bytes.size());
-    return out;
+    out->resize(bytes.size() / sizeof(T));
+    std::memcpy(out->data(), bytes.data(), bytes.size());
   }
 
   // Typed bounded-wait receive (see recv_bytes_for).

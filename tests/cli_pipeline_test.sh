@@ -19,6 +19,28 @@ trap 'rm -rf "$WORKDIR"' EXIT
 "$CLI" rollout --data="$WORKDIR/frames.ppfr" --model="$WORKDIR/model.ppde" \
   --steps=2 | grep -q "rollout error"
 
+# Recorded frames stream to the CLI's sink: --metrics gets one rollout_step
+# record per recorded step (1-based), and the summary counts them.
+steps_of() {
+  sed -n 's/.*"record":"rollout_step","step":\([0-9]*\).*/\1/p' "$1" \
+    | tr '\n' ' '
+}
+"$CLI" rollout --data="$WORKDIR/frames.ppfr" --model="$WORKDIR/model.ppde" \
+  --steps=4 --metrics="$WORKDIR/every.jsonl" > /dev/null
+if [ "$(steps_of "$WORKDIR/every.jsonl")" != "1 2 3 4 " ]; then
+  echo "rollout --steps=4 recorded steps '$(steps_of "$WORKDIR/every.jsonl")'" >&2
+  exit 1
+fi
+grep -q '"recorded_frames":4[,}]' "$WORKDIR/every.jsonl"
+"$CLI" rollout --data="$WORKDIR/frames.ppfr" --model="$WORKDIR/model.ppde" \
+  --steps=4 --record-every=3 --metrics="$WORKDIR/strided.jsonl" > /dev/null
+if [ "$(steps_of "$WORKDIR/strided.jsonl")" != "3 4 " ]; then
+  echo "rollout --record-every=3 recorded steps" \
+    "'$(steps_of "$WORKDIR/strided.jsonl")'" >&2
+  exit 1
+fi
+grep -q '"recorded_frames":2[,}]' "$WORKDIR/strided.jsonl"
+
 # The advection path exercises the non-4-channel architecture adaptation.
 "$CLI" simulate --pde=advection --grid=20 --frames=10 --out="$WORKDIR/adv.ppfr"
 "$CLI" train --data="$WORKDIR/adv.ppfr" --ranks=2 --epochs=1 --loss=mse \

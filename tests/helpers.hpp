@@ -2,14 +2,16 @@
 
 // Shared test utilities: finite-difference gradients, tensor comparisons, the
 // module-graph forward every ForwardPlan is checked against, the stepped
-// rollout oracle every parallel_rollout engine is checked against, and the
-// col2im scatter the direct conv data gradient is checked against.
+// rollout oracle every parallel_rollout engine is checked against (with the
+// sink that records a rollout's frames), and the col2im scatter the direct
+// conv data gradient is checked against.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -188,16 +190,56 @@ inline std::vector<Tensor> stepped_rollout_oracle(
   return frames;
 }
 
-// Expects every recorded frame of `result` to equal, bit for bit, the oracle
-// frame of the same step.
-inline void expect_frames_match_oracle(const core::RolloutResult& result,
+// A parallel_rollout run together with the frames its on_frame sink saw,
+// keyed by 0-based step. A later delivery of a step replaces the earlier one
+// (an elastic rollback delivers its recomputed steps again).
+struct RecordedRollout {
+  core::RolloutResult result;
+  std::map<int, Tensor> frames;
+
+  [[nodiscard]] std::vector<int> steps() const {
+    std::vector<int> out;
+    for (const auto& entry : frames) out.push_back(entry.first);
+    return out;
+  }
+};
+
+// parallel_rollout with a sink installed in `options` that records every
+// delivered frame.
+inline RecordedRollout recorded_rollout(const core::TrainConfig& cfg,
+                                        const core::ParallelTrainReport& report,
+                                        const Tensor& initial, int steps,
+                                        core::RolloutOptions options = {}) {
+  RecordedRollout out;
+  options.on_frame = [&out](int step, const Tensor& frame) {
+    out.frames[step] = frame;
+  };
+  out.result = core::parallel_rollout(cfg, report, initial, steps, options);
+  return out;
+}
+
+// Expects a rollout that recorded every step to have delivered each one
+// equal, bit for bit, to the oracle frame of the same step, and
+// RolloutResult::frames to hold just the final one.
+inline void expect_frames_match_oracle(const RecordedRollout& run,
                                        const std::vector<Tensor>& oracle) {
-  ASSERT_EQ(result.frames.size(), result.recorded_steps.size());
-  for (std::size_t i = 0; i < result.frames.size(); ++i) {
-    const auto step = static_cast<std::size_t>(result.recorded_steps[i]);
+  ASSERT_EQ(run.frames.size(), oracle.size());
+  for (const auto& [step, frame] : run.frames) {
     SCOPED_TRACE("step " + std::to_string(step));
-    ASSERT_LT(step, oracle.size());
-    expect_tensors_equal(result.frames[i], oracle[step]);
+    ASSERT_LT(static_cast<std::size_t>(step), oracle.size());
+    expect_tensors_equal(frame, oracle[static_cast<std::size_t>(step)]);
+  }
+  ASSERT_EQ(run.result.frames.size(), 1u);
+  expect_tensors_equal(run.result.frames.front(), oracle.back());
+}
+
+// Expects two runs to have recorded the same steps with bit-identical frames.
+inline void expect_frames_bit_identical(const RecordedRollout& a,
+                                        const RecordedRollout& b) {
+  ASSERT_EQ(a.steps(), b.steps());
+  for (const auto& [step, frame] : a.frames) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    expect_tensors_equal(frame, b.frames.at(step));
   }
 }
 

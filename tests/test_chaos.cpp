@@ -12,6 +12,7 @@
 
 #include "core/inference.hpp"
 #include "core/parallel_trainer.hpp"
+#include "domain/halo.hpp"
 #include "euler/simulate.hpp"
 #include "helpers.hpp"
 #include "minimpi/fault.hpp"
@@ -22,6 +23,7 @@ namespace parpde::core {
 namespace {
 
 using namespace std::chrono_literals;
+using parpde::testing::recorded_rollout;
 
 struct PlanGuard {
   explicit PlanGuard(mpi::fault::FaultPlan plan) {
@@ -158,9 +160,9 @@ TEST(Chaos, RolloutDegradesUnderMessageLossInsteadOfHanging) {
   const auto report = trainer.train(ds, ExecutionMode::kConcurrent);
 
   // Healthy rollout first: with the default patience nothing degrades.
-  const auto healthy = parallel_rollout(cfg, report, ds.frame(0), 3);
-  EXPECT_EQ(healthy.degraded_borders, 0);
-  EXPECT_TRUE(healthy.degraded_detail.empty());
+  const auto healthy = recorded_rollout(cfg, report, ds.frame(0), 3);
+  EXPECT_EQ(healthy.result.degraded_borders, 0);
+  EXPECT_TRUE(healthy.result.degraded_detail.empty());
   ASSERT_EQ(healthy.frames.size(), 3u);
 
   // Now every halo strip rank 1 sends is lost. Its neighbours must exhaust
@@ -175,17 +177,16 @@ TEST(Chaos, RolloutDegradesUnderMessageLossInsteadOfHanging) {
   rule.source = 1;
   PlanGuard guard(mpi::fault::FaultPlan(13).add_rule(rule));
 
-  domain::HaloOptions impatience;
-  impatience.recv_timeout = 10ms;
-  impatience.max_retries = 2;
-  const auto result =
-      parallel_rollout(cfg, report, ds.frame(0), 3, impatience);
+  RolloutOptions impatience;
+  impatience.halo.recv_timeout = 10ms;
+  impatience.halo.max_retries = 2;
+  const auto result = recorded_rollout(cfg, report, ds.frame(0), 3, impatience);
   ASSERT_EQ(result.frames.size(), 3u);
-  EXPECT_GT(result.degraded_borders, 0);
-  EXPECT_FALSE(result.degraded_detail.empty());
+  EXPECT_GT(result.result.degraded_borders, 0);
+  EXPECT_FALSE(result.result.degraded_detail.empty());
   EXPECT_GT(telemetry::counter("inference.degraded_borders").value(),
             degraded_before);
-  for (const auto& frame : result.frames) {
+  for (const auto& [step, frame] : result.frames) {
     for (std::int64_t i = 0; i < frame.size(); ++i) {
       ASSERT_TRUE(std::isfinite(frame[i])) << "non-finite output at " << i;
     }
@@ -203,7 +204,7 @@ TEST(Chaos, ElasticRolloutAdoptsKilledRankAndStaysBitIdentical) {
   const ParallelTrainer trainer(cfg, 4);
   const auto report = trainer.train(ds, ExecutionMode::kConcurrent);
 
-  const auto oracle = parallel_rollout(cfg, report, ds.frame(0), 4);
+  const auto oracle = recorded_rollout(cfg, report, ds.frame(0), 4);
   ASSERT_EQ(oracle.frames.size(), 4u);
 
   RolloutOptions opts;
@@ -212,19 +213,19 @@ TEST(Chaos, ElasticRolloutAdoptsKilledRankAndStaysBitIdentical) {
   opts.elastic.missed_leases = 8;
   opts.elastic.state_dir = fresh_dir("chaos_elastic_ppes");
   opts.elastic.state_every = 1;
-  RolloutResult healed;
+  parpde::testing::RecordedRollout run;
   {
     mpi::fault::KillSpec kill;
     kill.rank = 1;
     kill.at_step = 2;
     PlanGuard guard(mpi::fault::FaultPlan(7).set_kill(kill));
-    healed = parallel_rollout(cfg, report, ds.frame(0), 4, opts);
+    run = recorded_rollout(cfg, report, ds.frame(0), 4, opts);
   }
 
-  ASSERT_EQ(healed.frames.size(), oracle.frames.size());
-  for (std::size_t k = 0; k < oracle.frames.size(); ++k) {
-    parpde::testing::expect_tensors_equal(oracle.frames[k], healed.frames[k]);
-  }
+  parpde::testing::expect_frames_bit_identical(oracle, run);
+  const RolloutResult& healed = run.result;
+  parpde::testing::expect_tensors_equal(healed.frames.at(0),
+                                        oracle.frames.at(3));
   // Degrade -> detect -> adopt -> healthy: the blip is visible in the
   // recovery counters, but no border stays degraded.
   EXPECT_EQ(healed.health.recoveries, 1);
@@ -252,26 +253,25 @@ TEST(Chaos, ElasticRecoveryWithoutSnapshotsRecomputesFromInitial) {
   cfg.epochs = 2;
   const ParallelTrainer trainer(cfg, 4);
   const auto report = trainer.train(ds, ExecutionMode::kConcurrent);
-  const auto oracle = parallel_rollout(cfg, report, ds.frame(0), 3);
+  const auto oracle = recorded_rollout(cfg, report, ds.frame(0), 3);
 
   RolloutOptions opts;
   opts.elastic.enabled = true;
   opts.elastic.lease = 25ms;
   opts.elastic.missed_leases = 8;
-  RolloutResult healed;
+  parpde::testing::RecordedRollout healed;
   {
     mpi::fault::KillSpec kill;
     kill.rank = 2;
     kill.at_step = 1;
     PlanGuard guard(mpi::fault::FaultPlan(11).set_kill(kill));
-    healed = parallel_rollout(cfg, report, ds.frame(0), 3, opts);
+    healed = recorded_rollout(cfg, report, ds.frame(0), 3, opts);
   }
-  ASSERT_EQ(healed.frames.size(), oracle.frames.size());
-  for (std::size_t k = 0; k < oracle.frames.size(); ++k) {
-    parpde::testing::expect_tensors_equal(oracle.frames[k], healed.frames[k]);
-  }
-  EXPECT_EQ(healed.health.recoveries, 1);
-  EXPECT_EQ(healed.degraded_borders, 0);
+  // Steps from the rollback line on are delivered twice; the recomputed
+  // delivery (kept by the recorder) must equal the undisturbed run.
+  parpde::testing::expect_frames_bit_identical(oracle, healed);
+  EXPECT_EQ(healed.result.health.recoveries, 1);
+  EXPECT_EQ(healed.result.degraded_borders, 0);
 }
 
 TEST(Chaos, ElasticNoRecoverDegradesPermanently) {
@@ -289,23 +289,37 @@ TEST(Chaos, ElasticNoRecoverDegradesPermanently) {
   opts.elastic.recover = false;
   opts.elastic.lease = 25ms;
   opts.elastic.missed_leases = 8;
-  RolloutResult result;
+  parpde::testing::RecordedRollout run;
   {
     mpi::fault::KillSpec kill;
     kill.rank = 1;
     kill.at_step = 1;
     PlanGuard guard(mpi::fault::FaultPlan(5).set_kill(kill));
-    result = parallel_rollout(cfg, report, ds.frame(0), 3, opts);
+    run = recorded_rollout(cfg, report, ds.frame(0), 3, opts);
   }
-  ASSERT_EQ(result.frames.size(), 3u);
+  const RolloutResult& result = run.result;
+  ASSERT_EQ(run.frames.size(), 3u);
   EXPECT_EQ(result.health.recoveries, 0);
   EXPECT_EQ(result.health.failed_ranks, 1);
   EXPECT_EQ(result.health.assignment_epoch, 0);
   EXPECT_GT(result.degraded_borders, 0);
-  for (const auto& frame : result.frames) {
+  // Rank 1 posted step 0 before dying at step 1; from step 1 on its task's
+  // window of every frame is a zero hole, although the gather buffer held
+  // its step-0 block.
+  const domain::BlockRange dead =
+      domain::Partition(ds.height(), ds.width(), report.dims.px,
+                        report.dims.py)
+          .block_of_rank(1);
+  for (const auto& [step, frame] : run.frames) {
+    SCOPED_TRACE("step " + std::to_string(step));
     for (std::int64_t i = 0; i < frame.size(); ++i) {
       ASSERT_TRUE(std::isfinite(frame[i])) << "non-finite output at " << i;
     }
+    const Tensor window = domain::extract_interior(frame, dead);
+    const bool zero = std::all_of(window.values().begin(),
+                                  window.values().end(),
+                                  [](float v) { return v == 0.0f; });
+    EXPECT_EQ(zero, step >= 1);
   }
 }
 

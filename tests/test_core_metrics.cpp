@@ -72,29 +72,6 @@ TEST(Metrics, ChannelNames) {
   EXPECT_EQ(channel_name(9), "ch9");
 }
 
-TEST(Metrics, RolloutCurveGrowsWithInjectedError) {
-  Tensor truth({1, 2, 2});
-  truth.fill(1.0f);
-  std::vector<Tensor> truths = {truth, truth, truth};
-  std::vector<Tensor> preds;
-  for (int k = 0; k < 3; ++k) {
-    Tensor p({1, 2, 2});
-    p.fill(1.0f + 0.1f * static_cast<float>(k + 1));
-    preds.push_back(std::move(p));
-  }
-  const auto curve = rollout_error_curve(preds, truths);
-  ASSERT_EQ(curve.size(), 3u);
-  EXPECT_LT(curve[0], curve[1]);
-  EXPECT_LT(curve[1], curve[2]);
-  EXPECT_NEAR(curve[0], 0.1, 1e-5);
-}
-
-TEST(Metrics, RolloutCurveNeedsEnoughTruth) {
-  std::vector<Tensor> preds(3, Tensor({1, 2, 2}));
-  std::vector<Tensor> truths(2, Tensor({1, 2, 2}));
-  EXPECT_THROW(rollout_error_curve(preds, truths), std::invalid_argument);
-}
-
 TEST(Metrics, CenterlineExtractsMiddleRow) {
   Tensor frame({2, 4, 5});
   for (std::int64_t i = 0; i < frame.size(); ++i) {

@@ -25,6 +25,7 @@ namespace {
 using core::ExecutionMode;
 using core::ParallelTrainer;
 using core::TrainConfig;
+using parpde::testing::recorded_rollout;
 
 std::string fresh_dir(const std::string& stem) {
   const auto dir = std::filesystem::path(::testing::TempDir()) / stem;
@@ -163,15 +164,14 @@ TEST(ElasticRollout, MatchesDefaultEngineBitExactly) {
   const ParallelTrainer trainer(cfg, 4);
   const auto report = trainer.train(ds, ExecutionMode::kConcurrent);
 
-  const auto oracle = core::parallel_rollout(cfg, report, ds.frame(0), 3);
+  const auto oracle_run = recorded_rollout(cfg, report, ds.frame(0), 3);
   core::RolloutOptions opts;
   opts.elastic.enabled = true;
-  const auto elastic = core::parallel_rollout(cfg, report, ds.frame(0), 3, opts);
+  const auto elastic_run = recorded_rollout(cfg, report, ds.frame(0), 3, opts);
 
-  ASSERT_EQ(elastic.frames.size(), oracle.frames.size());
-  for (std::size_t k = 0; k < oracle.frames.size(); ++k) {
-    parpde::testing::expect_tensors_equal(oracle.frames[k], elastic.frames[k]);
-  }
+  parpde::testing::expect_frames_bit_identical(oracle_run, elastic_run);
+  const core::RolloutResult& oracle = oracle_run.result;
+  const core::RolloutResult& elastic = elastic_run.result;
   EXPECT_EQ(elastic.degraded_borders, 0);
   EXPECT_EQ(elastic.health.recoveries, 0);
   EXPECT_EQ(elastic.health.assignment_epoch, 0);
@@ -206,7 +206,7 @@ TEST(ElasticRollout, PlacementIndependenceUnderOverDecomposition) {
     }
   }
 
-  const auto oracle = core::parallel_rollout(cfg, spread, ds.frame(0), 3);
+  const auto oracle = recorded_rollout(cfg, spread, ds.frame(0), 3);
   // Both reports on 2 ranks x 2 tasks, then all 4 tasks on one rank (every
   // neighbour co-resident: each strip is a send to the rank itself).
   const struct {
@@ -219,16 +219,12 @@ TEST(ElasticRollout, PlacementIndependenceUnderOverDecomposition) {
     opts.elastic.enabled = true;
     opts.elastic.tasks_per_rank = in.tasks_per_rank;
     const auto elastic =
-        core::parallel_rollout(cfg, *in.report, ds.frame(0), 3, opts);
-    ASSERT_EQ(elastic.frames.size(), oracle.frames.size());
-    for (std::size_t k = 0; k < oracle.frames.size(); ++k) {
-      parpde::testing::expect_tensors_equal(oracle.frames[k],
-                                            elastic.frames[k]);
-    }
-    EXPECT_EQ(elastic.degraded_borders, 0);
-    EXPECT_EQ(elastic.steady_state_allocs, 0u);
-    EXPECT_EQ(elastic.health.max_interface_residual,
-              oracle.health.max_interface_residual);
+        recorded_rollout(cfg, *in.report, ds.frame(0), 3, opts);
+    parpde::testing::expect_frames_bit_identical(oracle, elastic);
+    EXPECT_EQ(elastic.result.degraded_borders, 0);
+    EXPECT_EQ(elastic.result.steady_state_allocs, 0u);
+    EXPECT_EQ(elastic.result.health.max_interface_residual,
+              oracle.result.health.max_interface_residual);
   }
 }
 

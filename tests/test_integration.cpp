@@ -10,6 +10,7 @@
 #include "core/parallel_trainer.hpp"
 #include "domain/halo.hpp"
 #include "euler/simulate.hpp"
+#include "helpers.hpp"
 
 namespace parpde::core {
 namespace {
@@ -116,16 +117,16 @@ TEST(Integration, TrainedModelRollsOutWithHaloExchange) {
   const auto split = p.dataset.chronological_split(p.train_config.train_fraction);
   const auto first_val = split.val.front();
   const int steps = 3;
-  const auto rollout =
-      parallel_rollout(p.train_config, report, p.dataset.frame(first_val), steps);
+  const auto rollout = parpde::testing::recorded_rollout(
+      p.train_config, report, p.dataset.frame(first_val), steps);
   ASSERT_EQ(rollout.frames.size(), static_cast<std::size_t>(steps));
-  EXPECT_GT(rollout.halo_bytes, 0u);
+  EXPECT_GT(rollout.result.halo_bytes, 0u);
 
-  std::vector<Tensor> truths;
-  for (int k = 1; k <= steps; ++k) {
-    truths.push_back(p.dataset.frame(first_val + k));
+  std::vector<double> curve;
+  for (const auto& [step, frame] : rollout.frames) {
+    curve.push_back(
+        overall_metrics(frame, p.dataset.frame(first_val + step + 1)).rel_l2);
   }
-  const auto curve = rollout_error_curve(rollout.frames, truths);
   for (const double e : curve) EXPECT_TRUE(std::isfinite(e));
   // Sec. IV-B: "the accumulative error decreases the accuracy" — later steps
   // are no better than the first.

@@ -60,6 +60,8 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace parpde::core {
 namespace {
 
+using parpde::testing::recorded_rollout;
+
 // Relative L2 divergence budget for the int8 backend over a 100-step Table-I
 // rollout (per-output-channel symmetric weights, calibrated activation scales
 // with 2x headroom). Measured divergence on the Fig. 3 configuration settles
@@ -138,15 +140,6 @@ double relative_l2(const Tensor& a, const Tensor& b) {
   return std::sqrt(num) / (std::sqrt(den) + 1e-12);
 }
 
-void expect_frames_bit_identical(const RolloutResult& a,
-                                 const RolloutResult& b) {
-  ASSERT_EQ(a.frames.size(), b.frames.size());
-  for (std::size_t s = 0; s < a.frames.size(); ++s) {
-    SCOPED_TRACE("frame " + std::to_string(s));
-    parpde::testing::expect_tensors_equal(a.frames[s], b.frames[s]);
-  }
-}
-
 TEST(QuantRollout, HundredStepDivergenceWithinBudget) {
   // The acceptance rollout: Fig. 3 configuration (Table-I net, 4 ranks,
   // halo-pad), 100 autoregressive steps, int8 vs fp32 relative L2 on every
@@ -163,21 +156,20 @@ TEST(QuantRollout, HundredStepDivergenceWithinBudget) {
   fp32.record_every = 10;
   int8.record_every = 10;
 
-  const auto ref = parallel_rollout(cfg, report, initial, steps, fp32);
-  const auto quant = parallel_rollout(cfg, report, initial, steps, int8);
+  const auto ref = recorded_rollout(cfg, report, initial, steps, fp32);
+  const auto quant = recorded_rollout(cfg, report, initial, steps, int8);
 
-  EXPECT_EQ(ref.backend, "fp32");
-  EXPECT_EQ(quant.backend, "int8");
-  EXPECT_EQ(ref.steady_state_allocs, 0u);
-  EXPECT_EQ(quant.steady_state_allocs, 0u);
-  ASSERT_EQ(ref.recorded_steps, quant.recorded_steps);
+  EXPECT_EQ(ref.result.backend, "fp32");
+  EXPECT_EQ(quant.result.backend, "int8");
+  EXPECT_EQ(ref.result.steady_state_allocs, 0u);
+  EXPECT_EQ(quant.result.steady_state_allocs, 0u);
+  ASSERT_EQ(ref.steps(), quant.steps());
   ASSERT_FALSE(ref.frames.empty());
   double worst = 0.0;
-  for (std::size_t s = 0; s < ref.frames.size(); ++s) {
-    const double err = relative_l2(quant.frames[s], ref.frames[s]);
+  for (const auto& [step, frame] : ref.frames) {
+    const double err = relative_l2(quant.frames.at(step), frame);
     worst = std::max(worst, err);
-    EXPECT_LT(err, kQuantErrorBudget)
-        << "step " << ref.recorded_steps[s] << " rel-L2 " << err;
+    EXPECT_LT(err, kQuantErrorBudget) << "step " << step << " rel-L2 " << err;
   }
   // The budget must not be slack by orders of magnitude either — that would
   // mean the test can no longer detect a quantizer regression.
@@ -197,18 +189,18 @@ TEST(QuantRollout, BitDeterministicAcrossWorkersAndOracle) {
   const auto* int8 = &backend::quantized_int8();
 
   const auto overlapped =
-      parallel_rollout(cfg, report, initial, steps, backend_options(int8));
+      recorded_rollout(cfg, report, initial, steps, backend_options(int8));
   util::ThreadPool::configure_global(3);
   const auto pooled =
-      parallel_rollout(cfg, report, initial, steps, backend_options(int8));
+      recorded_rollout(cfg, report, initial, steps, backend_options(int8));
   util::ThreadPool::configure_global(0);
 
   parpde::testing::expect_frames_match_oracle(
       overlapped,
       parpde::testing::stepped_rollout_oracle(cfg, report, initial, steps, int8));
-  expect_frames_bit_identical(overlapped, pooled);
-  EXPECT_EQ(overlapped.steady_state_allocs, 0u);
-  EXPECT_EQ(pooled.steady_state_allocs, 0u);
+  parpde::testing::expect_frames_bit_identical(overlapped, pooled);
+  EXPECT_EQ(overlapped.result.steady_state_allocs, 0u);
+  EXPECT_EQ(pooled.result.steady_state_allocs, 0u);
 }
 
 mpi::fault::Rule drop_halo_from(int source) {
@@ -242,16 +234,18 @@ TEST(QuantRollout, DegradedBordersMatchFp32Behavior) {
   const auto* int8 = &backend::quantized_int8();
 
   mpi::fault::install(mpi::fault::FaultPlan(7).add_rule(drop_halo_from(1)));
-  const auto ref = parallel_rollout(cfg, report, initial, steps, degraded(fp32));
+  const auto ref = recorded_rollout(cfg, report, initial, steps, degraded(fp32));
   mpi::fault::install(mpi::fault::FaultPlan(7).add_rule(drop_halo_from(1)));
-  const auto quant = parallel_rollout(cfg, report, initial, steps, degraded(int8));
+  const auto quant =
+      recorded_rollout(cfg, report, initial, steps, degraded(int8));
   mpi::fault::uninstall();
 
-  EXPECT_EQ(ref.degraded_borders, 2);  // rank 0, then one step later rank 1
-  EXPECT_EQ(ref.degraded_detail,
+  // rank 0, then one step later rank 1
+  EXPECT_EQ(ref.result.degraded_borders, 2);
+  EXPECT_EQ(ref.result.degraded_detail,
             (std::vector<std::string>{"rank 0: e", "rank 1: w"}));
-  EXPECT_EQ(quant.degraded_borders, ref.degraded_borders);
-  EXPECT_EQ(quant.degraded_detail, ref.degraded_detail);
+  EXPECT_EQ(quant.result.degraded_borders, ref.result.degraded_borders);
+  EXPECT_EQ(quant.result.degraded_detail, ref.result.degraded_detail);
   // Rank 0 steps on a zero halo from step 0, rank 1 from step 1.
   const std::vector<int> isolated_from = {0, 1};
   parpde::testing::expect_frames_match_oracle(

@@ -1,15 +1,18 @@
 // Rollout engine: the split halo exchange followed by one whole-tile
 // ForwardPlan run per step must be bit-identical to the stepped rollout
 // oracle (tests/helpers.hpp) — healthy, under injected message delay, and
-// under message loss with degraded borders — and its steady-state step must
+// under message loss with degraded borders — its steady-state step must
 // perform zero heap allocations (counting allocator over the ForwardPlan,
-// growth accounting over the engine). ForwardPlan itself, deconv mode
-// included, must match the module graph bit for bit.
+// growth accounting over the engine), and its recorded frames must reach the
+// sink through one reused buffer, so frame-sized allocations do not grow
+// with the step count. ForwardPlan itself, deconv mode included, must match
+// the module graph bit for bit.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
@@ -32,16 +35,23 @@
 
 // --- counting allocator ------------------------------------------------------
 // Global operator new/delete for this test binary, counting allocations while
-// g_count_allocs is set. Used to prove the ForwardPlan steady state allocates
-// nothing; everything else routes straight to malloc/free.
+// g_count_allocs is set, and separately those of at least g_large_bytes.
+// Used to prove the ForwardPlan steady state allocates nothing and that a
+// rollout's frame-sized allocations do not grow with its step count;
+// everything else routes straight to malloc/free.
 
 namespace {
 std::atomic<bool> g_count_allocs{false};
 std::atomic<std::int64_t> g_alloc_events{0};
+std::atomic<std::size_t> g_large_bytes{SIZE_MAX};
+std::atomic<std::int64_t> g_large_events{0};
 
 void* counted_alloc(std::size_t n) {
   if (g_count_allocs.load(std::memory_order_relaxed)) {
     g_alloc_events.fetch_add(1, std::memory_order_relaxed);
+    if (n >= g_large_bytes.load(std::memory_order_relaxed)) {
+      g_large_events.fetch_add(1, std::memory_order_relaxed);
+    }
   }
   void* p = std::malloc(n == 0 ? 1 : n);
   if (p == nullptr) throw std::bad_alloc();
@@ -91,16 +101,9 @@ ParallelTrainReport shared_weight_report(const TrainConfig& /*cfg*/, int ranks,
   return report;
 }
 
-void expect_frames_bit_identical(const RolloutResult& a,
-                                 const RolloutResult& b) {
-  ASSERT_EQ(a.frames.size(), b.frames.size());
-  for (std::size_t s = 0; s < a.frames.size(); ++s) {
-    SCOPED_TRACE("frame " + std::to_string(s));
-    parpde::testing::expect_tensors_equal(a.frames[s], b.frames[s]);
-  }
-}
-
+using parpde::testing::expect_frames_bit_identical;
 using parpde::testing::expect_frames_match_oracle;
+using parpde::testing::recorded_rollout;
 using parpde::testing::stepped_rollout_oracle;
 
 TEST(RolloutOverlap, BitIdenticalToOracleHaloPad) {
@@ -122,8 +125,9 @@ TEST(RolloutOverlap, BitIdenticalToOracleHaloPad) {
                                           oracle[static_cast<std::size_t>(s)]);
   }
 
-  const auto overlapped = parallel_rollout(cfg, report, initial, steps);
-  expect_frames_match_oracle(overlapped, oracle);
+  const auto run = recorded_rollout(cfg, report, initial, steps);
+  expect_frames_match_oracle(run, oracle);
+  const RolloutResult& overlapped = run.result;
   // 2x2 ranks of [4, 8, 8]: per step every rank sends one W/E strip
   // [C, bh, halo] and one S/N strip of the x-extended staging
   // [C, halo, bw + 2 halo].
@@ -140,9 +144,10 @@ TEST(RolloutOverlap, BitIdenticalToOracleHaloPad) {
   // and no steady-state allocations either way.
   RolloutOptions unmonitored;
   unmonitored.monitor_health = false;
-  const auto quiet = parallel_rollout(cfg, report, initial, steps, unmonitored);
-  expect_frames_bit_identical(overlapped, quiet);
-  EXPECT_EQ(quiet.steady_state_allocs, 0u);
+  const auto quiet =
+      recorded_rollout(cfg, report, initial, steps, unmonitored);
+  expect_frames_bit_identical(run, quiet);
+  EXPECT_EQ(quiet.result.steady_state_allocs, 0u);
 }
 
 TEST(RolloutOverlap, BitIdenticalToOracleZeroPad) {
@@ -153,12 +158,13 @@ TEST(RolloutOverlap, BitIdenticalToOracleZeroPad) {
   const auto report = shared_weight_report(cfg, 4, params, grid);
   const Tensor initial = random_frame(grid, 7);
 
-  const auto overlapped = parallel_rollout(cfg, report, initial, 3);
+  const auto overlapped = recorded_rollout(cfg, report, initial, 3);
 
   expect_frames_match_oracle(overlapped,
                              stepped_rollout_oracle(cfg, report, initial, 3));
-  EXPECT_EQ(overlapped.halo_bytes, 0u);  // zero-pad is communication-free
-  EXPECT_EQ(overlapped.steady_state_allocs, 0u);
+  // zero-pad is communication-free
+  EXPECT_EQ(overlapped.result.halo_bytes, 0u);
+  EXPECT_EQ(overlapped.result.steady_state_allocs, 0u);
 }
 
 TEST(RolloutOverlap, BitIdenticalWithPoolWorkers) {
@@ -171,9 +177,9 @@ TEST(RolloutOverlap, BitIdenticalWithPoolWorkers) {
   const auto report = shared_weight_report(cfg, 9, params, grid);
   const Tensor initial = random_frame(grid, 11);
 
-  const auto inline_run = parallel_rollout(cfg, report, initial, 3);
+  const auto inline_run = recorded_rollout(cfg, report, initial, 3);
   util::ThreadPool::configure_global(3);
-  const auto pooled = parallel_rollout(cfg, report, initial, 3);
+  const auto pooled = recorded_rollout(cfg, report, initial, 3);
   util::ThreadPool::configure_global(0);
 
   expect_frames_bit_identical(inline_run, pooled);
@@ -190,26 +196,83 @@ TEST(RolloutOverlap, RecordEveryStrideMatchesFullRecording) {
   const Tensor initial = random_frame(grid, 3);
   const int steps = 5;
 
-  const auto full = parallel_rollout(cfg, report, initial, steps);
+  const auto full = recorded_rollout(cfg, report, initial, steps);
   RolloutOptions strided;
   strided.record_every = 2;
-  const auto sparse = parallel_rollout(cfg, report, initial, steps, strided);
+  const auto sparse = recorded_rollout(cfg, report, initial, steps, strided);
 
   // Steps 1, 3 (every second) plus the final step 4.
-  ASSERT_EQ(sparse.recorded_steps, (std::vector<int>{1, 3, 4}));
-  ASSERT_EQ(sparse.frames.size(), 3u);
-  for (std::size_t i = 0; i < sparse.recorded_steps.size(); ++i) {
-    SCOPED_TRACE("recorded step " + std::to_string(sparse.recorded_steps[i]));
-    parpde::testing::expect_tensors_equal(
-        sparse.frames[i],
-        full.frames[static_cast<std::size_t>(sparse.recorded_steps[i])]);
+  ASSERT_EQ(sparse.steps(), (std::vector<int>{1, 3, 4}));
+  for (const auto& [step, frame] : sparse.frames) {
+    SCOPED_TRACE("recorded step " + std::to_string(step));
+    parpde::testing::expect_tensors_equal(frame, full.frames.at(step));
   }
+  ASSERT_EQ(sparse.result.frames.size(), 1u);
+  parpde::testing::expect_tensors_equal(sparse.result.frames.front(),
+                                        full.frames.at(steps - 1));
 
   RolloutOptions none;
   none.record_every = 0;
-  const auto silent = parallel_rollout(cfg, report, initial, steps, none);
+  const auto silent = recorded_rollout(cfg, report, initial, steps, none);
   EXPECT_TRUE(silent.frames.empty());
-  EXPECT_TRUE(silent.recorded_steps.empty());
+  EXPECT_TRUE(silent.result.frames.empty());
+}
+
+TEST(RolloutOverlap, FinalFrameIsTheSinksLastDelivery) {
+  // The sink sees every recorded step once, in step order; the result keeps
+  // only the last of them.
+  const TrainConfig cfg = small_config(BorderMode::kHaloPad);
+  const std::int64_t grid = 16;
+  NetworkTrainer reference(cfg, 0);
+  const auto params = export_parameters(reference.model());
+  const auto report = shared_weight_report(cfg, 4, params, grid);
+  const Tensor initial = random_frame(grid, 17);
+  const int steps = 4;
+
+  std::vector<int> delivered;
+  Tensor last;
+  RolloutOptions options;
+  options.on_frame = [&](int step, const Tensor& frame) {
+    delivered.push_back(step);
+    last = frame;
+  };
+  const auto result = parallel_rollout(cfg, report, initial, steps, options);
+  EXPECT_EQ(delivered, (std::vector<int>{0, 1, 2, 3}));
+  ASSERT_EQ(result.frames.size(), 1u);
+  parpde::testing::expect_tensors_equal(result.frames.front(), last);
+}
+
+TEST(RolloutOverlap, RecordedFramesDoNotGrowMemoryWithStepCount) {
+  // Rank 0 gathers every recorded frame into one reused buffer and hands it
+  // to the sink, so a rollout of twice the steps, every step recorded, makes
+  // exactly as many allocations of a full frame's size or more.
+  const TrainConfig cfg = small_config(BorderMode::kHaloPad);
+  const std::int64_t grid = 16;
+  NetworkTrainer reference(cfg, 0);
+  const auto params = export_parameters(reference.model());
+  const auto report = shared_weight_report(cfg, 4, params, grid);
+  const Tensor initial = random_frame(grid, 19);
+
+  double checksum = 0.0;
+  RolloutOptions options;
+  options.on_frame = [&](int, const Tensor& frame) { checksum += frame[0]; };
+  auto frame_sized_allocs = [&](int steps) {
+    g_large_bytes.store(static_cast<std::size_t>(initial.size()) *
+                        sizeof(float));
+    g_large_events.store(0);
+    g_count_allocs.store(true);
+    const RolloutResult result =
+        parallel_rollout(cfg, report, initial, steps, options);
+    g_count_allocs.store(false);
+    g_large_bytes.store(SIZE_MAX);
+    EXPECT_EQ(result.frames.size(), 1u);
+    return g_large_events.load();
+  };
+  const std::int64_t short_run = frame_sized_allocs(6);
+  const std::int64_t long_run = frame_sized_allocs(12);
+  EXPECT_GT(short_run, 0);  // the gather buffer at least
+  EXPECT_EQ(long_run, short_run);
+  EXPECT_TRUE(std::isfinite(checksum));
 }
 
 TEST(RolloutOverlap, InjectedDelayKeepsFramesBitIdentical) {
@@ -228,12 +291,12 @@ TEST(RolloutOverlap, InjectedDelayKeepsFramesBitIdentical) {
   delay.tag_hi = mpi::tags::kHalo.base + mpi::tags::kHalo.count - 1;
   delay.delay_ms = 2;
   mpi::fault::install(mpi::fault::FaultPlan(5).add_rule(delay));
-  const auto delayed = parallel_rollout(cfg, report, initial, 3);
+  const auto delayed = recorded_rollout(cfg, report, initial, 3);
   mpi::fault::uninstall();
 
   expect_frames_match_oracle(delayed,
                              stepped_rollout_oracle(cfg, report, initial, 3));
-  EXPECT_EQ(delayed.degraded_borders, 0);
+  EXPECT_EQ(delayed.result.degraded_borders, 0);
 }
 
 mpi::fault::Rule drop_halo_from(int source) {
@@ -267,11 +330,13 @@ TEST(RolloutOverlap, PartialDegradationMatchesIsolatedOracle) {
   const Tensor initial = random_frame(grid, 21);
 
   mpi::fault::install(mpi::fault::FaultPlan(7).add_rule(drop_halo_from(1)));
-  const auto over = parallel_rollout(cfg, report, initial, 3, degraded_options());
+  const auto over =
+      recorded_rollout(cfg, report, initial, 3, degraded_options());
   mpi::fault::uninstall();
 
-  EXPECT_EQ(over.degraded_borders, 2);  // rank 0 then, one step later, rank 1
-  EXPECT_EQ(over.degraded_detail,
+  // rank 0 then, one step later, rank 1
+  EXPECT_EQ(over.result.degraded_borders, 2);
+  EXPECT_EQ(over.result.degraded_detail,
             (std::vector<std::string>{"rank 0: e", "rank 1: w"}));
   expect_frames_match_oracle(
       over, stepped_rollout_oracle(cfg, report, initial, 3, nullptr, {0, 1}));
@@ -289,12 +354,13 @@ TEST(RolloutOverlap, TotalBlackoutMatchesIsolatedOracle) {
   const Tensor initial = random_frame(grid, 23);
 
   mpi::fault::install(mpi::fault::FaultPlan(11).add_rule(drop_halo_from(-1)));
-  const auto over = parallel_rollout(cfg, report, initial, 2, degraded_options());
+  const auto over =
+      recorded_rollout(cfg, report, initial, 2, degraded_options());
   mpi::fault::uninstall();
 
   // 2x2 grid: every rank loses its two live borders.
-  EXPECT_EQ(over.degraded_borders, 8);
-  EXPECT_EQ(over.degraded_detail,
+  EXPECT_EQ(over.result.degraded_borders, 8);
+  EXPECT_EQ(over.result.degraded_detail,
             (std::vector<std::string>{"rank 0: e,n", "rank 1: w,n",
                                       "rank 2: e,s", "rank 3: w,s"}));
   expect_frames_match_oracle(
@@ -474,16 +540,16 @@ TEST(DeconvMode, RolloutBitIdenticalToModuleGraph) {
     oracle.push_back(std::move(next));
   }
 
-  const auto classic = parallel_rollout(cfg, report, initial, steps);
+  const auto classic = recorded_rollout(cfg, report, initial, steps);
   expect_frames_match_oracle(classic, oracle);
-  EXPECT_EQ(classic.steady_state_allocs, 0u);
+  EXPECT_EQ(classic.result.steady_state_allocs, 0u);
 
   RolloutOptions elastic_options;
   elastic_options.elastic.enabled = true;
   const auto elastic =
-      parallel_rollout(cfg, report, initial, steps, elastic_options);
+      recorded_rollout(cfg, report, initial, steps, elastic_options);
   expect_frames_match_oracle(elastic, oracle);
-  EXPECT_EQ(elastic.steady_state_allocs, 0u);
+  EXPECT_EQ(elastic.result.steady_state_allocs, 0u);
 
   const SubdomainEnsemble ensemble(cfg, report, grid, grid);
   frame = initial;

@@ -18,6 +18,7 @@
 
 #include "core/inference.hpp"
 #include "core/model.hpp"
+#include "helpers.hpp"
 #include "util/random.hpp"
 #include "util/telemetry.hpp"
 
@@ -91,9 +92,10 @@ ParsedTrace run_traced_rollout(const RolloutOptions& options) {
 
   telemetry::set_enabled(true);
   telemetry::clear_trace();
-  const auto result = parallel_rollout(cfg, report, initial, kSteps, options);
+  const auto run = parpde::testing::recorded_rollout(cfg, report, initial,
+                                                    kSteps, options);
   telemetry::set_enabled(false);
-  EXPECT_EQ(result.frames.size(), static_cast<std::size_t>(kSteps));
+  EXPECT_EQ(run.frames.size(), static_cast<std::size_t>(kSteps));
 
   const std::string path = ::testing::TempDir() + "parpde_test_trace.json";
   EXPECT_TRUE(telemetry::write_chrome_trace(path));

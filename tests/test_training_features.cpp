@@ -69,10 +69,11 @@ TEST(DeconvMode, TrainsEndToEnd) {
             report.rank_outcomes[0].result.epochs.front().loss * 2.0);
 
   // Size-preserving: rollout works without halo exchange.
-  const auto rollout = parallel_rollout(cfg, report, ds.frame(8), 2);
-  EXPECT_EQ(rollout.frames.size(), 2u);
-  EXPECT_EQ(rollout.halo_bytes, 0u);
-  EXPECT_EQ(rollout.frames[0].shape(), (Shape{4, 16, 16}));
+  const auto rollout =
+      parpde::testing::recorded_rollout(cfg, report, ds.frame(8), 2);
+  ASSERT_EQ(rollout.frames.size(), 2u);
+  EXPECT_EQ(rollout.result.halo_bytes, 0u);
+  EXPECT_EQ(rollout.frames.at(0).shape(), (Shape{4, 16, 16}));
 }
 
 struct ScalarParam {

@@ -15,6 +15,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -413,18 +414,20 @@ int cmd_rollout(const util::Options& opts) {
                  backend_name.c_str());
     return 2;
   }
+  // Each recorded frame is compared with its truth as it arrives (the
+  // rollout keeps only the final frame). A step delivered again after an
+  // elastic rollback overwrites its earlier error.
+  std::map<int, double> curve;  // 1-based step -> rel-L2
+  rollout_options.on_frame = [&](int step, const Tensor& frame) {
+    curve[step + 1] =
+        overall_metrics(frame, dataset.frame(start + step + 1)).rel_l2;
+  };
   const auto result = parallel_rollout(config, checkpoint.report,
                                        dataset.frame(start), steps,
                                        rollout_options);
-  std::vector<Tensor> truths;
-  for (const int s : result.recorded_steps) {
-    truths.push_back(dataset.frame(start + s + 1));
-  }
-  const auto curve = rollout_error_curve(result.frames, truths);
   util::Table table({"step", "rel-L2"});
-  for (std::size_t k = 0; k < curve.size(); ++k) {
-    table.add_row({std::to_string(result.recorded_steps[k] + 1),
-                   util::Table::fmt_sci(curve[k])});
+  for (const auto& [step, rel_l2] : curve) {
+    table.add_row({std::to_string(step), util::Table::fmt_sci(rel_l2)});
   }
   table.print("rollout error from frame " + std::to_string(start) + ":");
   std::printf(
@@ -496,12 +499,11 @@ int cmd_rollout(const util::Options& opts) {
   if (opts.has("metrics")) {
     telemetry::JsonlWriter writer(opts.get_string("metrics", ""));
     if (writer.ok()) {
-      for (std::size_t k = 0; k < curve.size(); ++k) {
+      for (const auto& [step, rel_l2] : curve) {
         telemetry::JsonObject record;
         record.field("record", "rollout_step")
-            .field("step",
-                   static_cast<std::int64_t>(result.recorded_steps[k] + 1))
-            .field("rel_l2", curve[k]);
+            .field("step", static_cast<std::int64_t>(step))
+            .field("rel_l2", rel_l2);
         writer.write_line(record.str());
       }
       telemetry::JsonObject summary;
@@ -512,8 +514,7 @@ int cmd_rollout(const util::Options& opts) {
           .field("backend", result.backend)
           .field("record_every",
                  static_cast<std::int64_t>(rollout_options.record_every))
-          .field("recorded_frames",
-                 static_cast<std::int64_t>(result.frames.size()))
+          .field("recorded_frames", static_cast<std::int64_t>(curve.size()))
           .field("comm_seconds", result.comm_seconds)
           .field("compute_seconds", result.compute_seconds)
           .field("steady_state_allocs",
@@ -569,9 +570,9 @@ int cmd_rollout(const util::Options& opts) {
   }
   if (opts.get_bool("render", false) && !result.frames.empty()) {
     std::printf("\n%s", util::render_comparison(
-                            result.frames.back(), truths.back(), 0,
-                            "channel 0 after " + std::to_string(steps) +
-                                " steps")
+                            result.frames.back(), dataset.frame(start + steps),
+                            0, "channel 0 after " + std::to_string(steps) +
+                                   " steps")
                             .c_str());
   }
   // Non-finite values mean every frame after first_nonfinite_step is garbage;

@@ -268,7 +268,8 @@ COMPUTE_ONLY_DIRS = ("src/nn/", "src/tensor/", "src/backend/", "src/data/")
 
 _COMM_USE = re.compile(
     r"(\.\s*(?:send_value|send_bytes|isend|send|irecv|recv_value|recv_bytes"
-    r"|recv)\s*[<(])|(\b(?:allreduce|allgather|bcast|reduce|sendrecv)\s*<)"
+    r"|recv_into|recv)\s*[<(])"
+    r"|(\b(?:allreduce|allgather|bcast|reduce|sendrecv)\s*<)"
 )
 _MINIMPI_INCLUDE = re.compile(r'#\s*include\s+"minimpi/')
 
@@ -315,7 +316,8 @@ ALLOWED_BLOCKING_TAGS = ("kFieldGather", "kFieldScatter")
 # Matches the unbounded receive family only: the bounded recv_for /
 # recv_bytes_for calls fail the `\s*(?:<...>)?\s*\(` tail after the name.
 _UNBOUNDED_RECV = re.compile(
-    r"\.\s*(recv_value|recv_bytes|recv|irecv)\s*(?:<[^<>()]*>)?\s*\("
+    r"\.\s*(recv_value|recv_bytes|recv_into|recv|irecv)"
+    r"\s*(?:<[^<>()]*>)?\s*\("
 )
 
 
@@ -538,7 +540,7 @@ _LOCK_RELEASE = re.compile(r"\b(\w+)\s*\.\s*unlock\s*\(")
 # free-function collectives, every one a rendezvous.
 _LOCKED_COMM_CALL = re.compile(
     r"\.\s*(send_value|send_bytes|send|recv_value|recv_bytes_for|recv_bytes"
-    r"|recv_for|recv)\s*(?:<[^<>()]*>)?\s*\("
+    r"|recv_for|recv_into|recv)\s*(?:<[^<>()]*>)?\s*\("
     r"|\b(allreduce|allgather|bcast|reduce|sendrecv|barrier)\s*"
     r"(?:<[^<>()]*>)?\s*\("
 )

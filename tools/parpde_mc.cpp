@@ -23,6 +23,7 @@
 #include <cstring>
 #include <filesystem>
 #include <functional>
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -76,6 +77,14 @@ std::uint64_t hash_report(const ParallelTrainReport& report) {
   return h;
 }
 
+// A rollout sink that keeps each step's last delivered frame: an elastic
+// rollback delivers its recomputed steps again, and the later one counts.
+// Hashing the map in step order hashes what the rollout produced.
+std::function<void(int, const Tensor&)> keep_last_delivery(
+    std::map<int, Tensor>& frames) {
+  return [&frames](int step, const Tensor& frame) { frames[step] = frame; };
+}
+
 // --- oracle fixtures ---------------------------------------------------------
 
 TrainConfig tiny_config() {
@@ -123,14 +132,17 @@ verify::Oracle make_rollout_oracle() {
   rng.fill_uniform(initial.values(), 0.5f, 1.5f);
 
   return [cfg, report = std::move(report), initial = std::move(initial)] {
+    std::map<int, Tensor> frames;
+    core::RolloutOptions options;
+    options.on_frame = keep_last_delivery(frames);
     const auto result =
-        core::parallel_rollout(cfg, report, initial, /*steps=*/3);
+        core::parallel_rollout(cfg, report, initial, /*steps=*/3, options);
     if (result.degraded_borders != 0) {
       throw std::runtime_error("rollout degraded a border with no faults");
     }
     std::uint64_t h = kFnvSeed;
-    for (const Tensor& frame : result.frames) h = hash_tensor(frame, h);
-    for (const int s : result.recorded_steps) h = fnv1a(&s, sizeof(s), h);
+    for (const auto& [step, frame] : frames) h = hash_tensor(frame, h);
+    for (const auto& [step, frame] : frames) h = fnv1a(&step, sizeof(step), h);
     return h;
   };
 }
@@ -189,12 +201,16 @@ verify::Oracle make_checkpoint_oracle() {
       throw std::runtime_error("checkpoint oracle: rank 1 was not retrained");
     }
     std::uint64_t h = hash_report(report);
-    const auto rollout = core::parallel_rollout(cfg, report, *initial, /*steps=*/2);
+    std::map<int, Tensor> frames;
+    core::RolloutOptions options;
+    options.on_frame = keep_last_delivery(frames);
+    const auto rollout =
+        core::parallel_rollout(cfg, report, *initial, /*steps=*/2, options);
     if (rollout.degraded_borders != 0) {
       throw std::runtime_error("checkpoint oracle: post-resume rollout "
                                "degraded a border with no faults");
     }
-    for (const Tensor& frame : rollout.frames) h = hash_tensor(frame, h);
+    for (const auto& [step, frame] : frames) h = hash_tensor(frame, h);
     return h;
   };
 }
@@ -231,8 +247,10 @@ verify::Oracle make_recovery_oracle() {
     kill.at_step = 1;
     mpi::fault::install(mpi::fault::FaultPlan(7).set_kill(kill));
     core::RolloutResult result;
+    std::map<int, Tensor> frames;
     try {
       core::RolloutOptions options;
+      options.on_frame = keep_last_delivery(frames);
       options.elastic.enabled = true;
       options.elastic.lease = std::chrono::milliseconds(25);
       options.elastic.missed_leases = 6;
@@ -252,7 +270,7 @@ verify::Oracle make_recovery_oracle() {
                                "after adoption");
     }
     std::uint64_t h = kFnvSeed;
-    for (const Tensor& frame : result.frames) h = hash_tensor(frame, h);
+    for (const auto& [step, frame] : frames) h = hash_tensor(frame, h);
     h = fnv1a(&result.health.assignment_epoch,
               sizeof(result.health.assignment_epoch), h);
     h = fnv1a(&result.health.adopted_tasks, sizeof(result.health.adopted_tasks),
