@@ -14,15 +14,18 @@
 //   - quantized_int8(): inference-only low-precision provider. Weights are
 //     quantized per output channel to symmetric int8, activations to uint8
 //     with a fixed per-layer scale calibrated from one fp32 reference pass;
-//     the conv runs an int8xint8->int32 blocked micro-kernel with an fp32
-//     dequant epilogue that fuses the bias add and the activation.
+//     the conv is one direct int8xint8->int32 convolution over channel-quad
+//     uint8 activations with an fp32 dequant epilogue that fuses the bias add
+//     and the activation. Along a chain of convs (ConvLayerDesc::feeds_next)
+//     that epilogue also quantizes for the next layer, so only the chain's
+//     first layer reads fp32 and only its last writes fp32.
 //
 // The fused inference path works on a PlanContext: an opaque per-plan state
 // object the backend pre-sizes at construction (packed/quantized weights,
-// im2col workspaces), so nn::ForwardPlan keeps its zero-allocation
-// steady-state contract under any backend. Integer accumulation is exact and
-// the fp32 epilogue is elementwise, so each backend is bit-deterministic at
-// any thread count and any batch size.
+// lowering and activation workspaces), so nn::ForwardPlan keeps its
+// zero-allocation steady-state contract under any backend. Integer
+// accumulation is exact and the fp32 epilogue is elementwise, so each backend
+// is bit-deterministic at any thread count and any batch size.
 
 #include <cstdint>
 #include <memory>
@@ -48,6 +51,15 @@ struct ConvLayerDesc {
   std::int64_t pad = 0;
   Fused fused = Fused::kNone;
   float slope = 0.0f;  // kLeakyReLU only
+  // Set when this conv's output is read by nothing but the next layer of the
+  // same context, in the same pass (ForwardPlan marks each conv step followed
+  // directly by another). The backend may then hand that layer its input in
+  // its own format instead of writing y: y's contents are unspecified after
+  // the call, and the context's next conv call must be layer + 1 with x == y
+  // at the geometry this call produced (the int8 backend throws
+  // std::logic_error otherwise). Single-layer callers leave it false and get
+  // fp32 in, fp32 out.
+  bool feeds_next = false;
 };
 
 // Backend-owned per-plan state: packed/quantized weights plus every workspace
@@ -80,10 +92,11 @@ class KernelBackend {
   // the context on `batch` stacked samples x [B, Cin, h, w], both contiguous.
   // Never allocates for in-range geometries (growths are counted by the
   // context). Each sample's bytes do not depend on the batch it runs in: the
-  // GEMM's per-element k-reduction order does not depend on the matrix
-  // width, and the epilogue is elementwise. This is the contract
-  // SurrogateServer's cross-session coalescing relies on; test_serve proves
-  // it end-to-end.
+  // fp32 GEMM's per-element k-reduction order does not depend on the matrix
+  // width, int8 accumulation is exact, and the epilogues are elementwise.
+  // This is the contract SurrogateServer's cross-session coalescing relies
+  // on; test_serve proves it end-to-end. A layer marked feeds_next may leave
+  // y unwritten (see ConvLayerDesc).
   virtual void conv_forward_batched(PlanContext& ctx, int layer,
                                     const float* x, std::int64_t batch,
                                     std::int64_t h, std::int64_t w,

@@ -140,7 +140,8 @@ RolloutResult parallel_rollout(const TrainConfig& config,
 
   // The health monitor forwards the residual-probe switch into the halo
   // exchange and takes the int8 saturation count as a counter delta around
-  // the whole run (quantize_u8 accounts per chunk into the global counter).
+  // the whole run (the int8 quantizer and epilogues account per chunk into
+  // the global counter).
   domain::HaloOptions halo_options = options.halo;
   halo_options.probe_residuals = options.monitor_health;
   static telemetry::Counter& saturated =

@@ -103,6 +103,14 @@ ForwardPlan::ForwardPlan(Sequential& model, std::int64_t in_channels,
     }
     steps_.push_back(step);
   }
+  // A conv step followed directly by another conv step hands that conv its
+  // input and nothing else reads it, so the backend may keep it in its own
+  // format (the int8 backend passes channel-quad bytes down the chain).
+  for (std::size_t i = 0; i + 1 < steps_.size(); ++i) {
+    if (steps_[i].op == Op::kConv && steps_[i + 1].op == Op::kConv) {
+      descs_[static_cast<std::size_t>(steps_[i].conv)].feeds_next = true;
+    }
+  }
   out_channels_ = ch;
   shrink_ = max_h - h;
   if (shrink_ != max_w - w) {
@@ -234,6 +242,17 @@ ForwardPlan::Output ForwardPlan::walk(const backend::KernelBackend& bk,
                                       std::int64_t h, std::int64_t w,
                                       float* final_dst,
                                       std::vector<float>* ranges) {
+  // Reject a too-small input before any step runs: a pass must not stop
+  // between two chained convs (ConvLayerDesc::feeds_next).
+  {
+    std::int64_t ch = in_channels_, oh = h, ow = w;
+    for (const Step& step : steps_) {
+      advance(step, ch, oh, ow);
+      if (oh <= 0 || ow <= 0) {
+        throw std::invalid_argument("ForwardPlan: input below kernel size");
+      }
+    }
+  }
   const float* cur = x;
   float* cur_buf = nullptr;  // non-null iff `cur` is one of our buffers
   std::int64_t ch = in_channels_;
@@ -243,9 +262,6 @@ ForwardPlan::Output ForwardPlan::walk(const backend::KernelBackend& bk,
     std::int64_t oh = h;
     std::int64_t ow = w;
     advance(step, oc, oh, ow);
-    if (oh <= 0 || ow <= 0) {
-      throw std::invalid_argument("ForwardPlan: input below kernel size");
-    }
     const bool pointwise = step.op != Op::kConv && step.op != Op::kDeconv;
     float* dst = nullptr;
     if (&step == &steps_.back() && final_dst != nullptr) {

@@ -1,8 +1,8 @@
 #pragma once
 
-// 64-byte-aligned allocation for kernel workspaces. Every micro-kernel in
-// src/tensor and src/backend loads its packed panels with full-width vector
-// loads; std::vector's default allocator only guarantees 16 bytes on this
+// 64-byte-aligned allocation for kernel workspaces. The micro-kernels in
+// src/tensor and src/backend load their packed panels and activation quads
+// with full-width vector loads; std::vector's default allocator only guarantees 16 bytes on this
 // ABI, which splits those loads across cache lines. AlignedVector pins the
 // start of each workspace to a cache-line boundary (which is also the widest
 // vector width we dispatch to, 64 bytes for AVX-512).

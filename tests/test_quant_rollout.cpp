@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "backend/int8_detail.hpp"
 #include "backend/kernel_backend.hpp"
 #include "core/inference.hpp"
 #include "core/model.hpp"
@@ -25,10 +26,14 @@
 #include "minimpi/cart.hpp"
 #include "minimpi/fault.hpp"
 #include "minimpi/tags.hpp"
+#include "nn/activation.hpp"
+#include "nn/conv2d.hpp"
 #include "nn/forward_plan.hpp"
 #include "nn/serialize.hpp"
 #include "serve/surrogate_server.hpp"
+#include "util/crc32.hpp"
 #include "util/random.hpp"
+#include "util/telemetry.hpp"
 #include "util/thread_pool.hpp"
 
 // --- counting allocator ------------------------------------------------------
@@ -434,6 +439,251 @@ TEST(QuantPlan, SteadyStateAllocationFree) {
   g_count_allocs.store(false);
   EXPECT_EQ(g_alloc_events.load(), 0);
   EXPECT_EQ(plan.growth_events(), 0u);
+}
+
+// --- pinned int8 bytes -------------------------------------------------------
+// CRC-32s of int8 ForwardPlan outputs, recorded before the conv lowering
+// moved to the direct channel-quad kernel. Weights, inputs and activation
+// ranges are all literal or drawn from util::Rng, never from an fp32 pass
+// (calibrate() runs the fp32 GEMM, whose bits follow the FMA clones), so the
+// pins hold in every build, sanitizer legs included.
+
+enum class PinNet { kHaloPad, kZeroPad, kMixed };
+
+std::unique_ptr<nn::Sequential> pin_net(PinNet net) {
+  util::Rng rng(static_cast<std::uint64_t>(net) + 11);
+  std::unique_ptr<nn::Sequential> model;
+  if (net == PinNet::kMixed) {
+    // Tanh, ReLU and no-activation layers; channel counts that are not
+    // multiples of four on both sides of a conv.
+    model = std::make_unique<nn::Sequential>();
+    model->emplace<nn::Conv2d>(4, 6, 5, 0).init(rng);
+    model->emplace<nn::Tanh>();
+    model->emplace<nn::Conv2d>(6, 16, 3, 1).init(rng);
+    model->emplace<nn::ReLU>();
+    model->emplace<nn::Conv2d>(16, 5, 5, 2).init(rng);
+    model->emplace<nn::Conv2d>(5, 4, 3, 0).init(rng);
+    model->emplace<nn::LeakyReLU>(0.05f);
+  } else {
+    const BorderMode mode =
+        net == PinNet::kHaloPad ? BorderMode::kHaloPad : BorderMode::kZeroPad;
+    model = build_model(NetworkConfig{}, mode, rng);
+  }
+  for (std::size_t i = 0; i < model->layer_count(); ++i) {
+    if (auto* conv = dynamic_cast<nn::Conv2d*>(&model->layer(i))) {
+      rng.fill_uniform(conv->bias().values(), -0.2f, 0.2f);
+    }
+  }
+  return model;
+}
+
+// Literal activation ranges, one per conv layer: below what calibrate()
+// records for these nets on uniform [-1, 1] inputs (about 1.0 / 2.0 / 1.3 /
+// 0.8 for the Table-I nets), so a few values clip and the saturating pack
+// is pinned too.
+std::vector<float> pin_ranges(PinNet net) {
+  if (net == PinNet::kMixed) return {1.0f, 0.6f, 0.7f, 0.45f};
+  return {1.0f, 0.9f, 0.6f, 0.5f};
+}
+
+struct Int8Pin {
+  PinNet net;
+  std::int64_t h, w, batch;
+  std::uint32_t crc;
+  std::uint64_t saturated;  // backend.int8.saturated delta of the pass
+};
+
+// CRC of the stacked output of an int8 pass over `batch` uniform [-1, 1]
+// samples: run() at batch 1, run_batched() otherwise.
+std::uint32_t int8_output_crc(nn::ForwardPlan& plan, const Int8Pin& pin) {
+  Tensor x({pin.batch, 4, pin.h, pin.w});
+  util::Rng rng(static_cast<std::uint64_t>(pin.h * 1000 + pin.w));
+  rng.fill_uniform(x.values(), -1.0f, 1.0f);
+  const nn::ForwardPlan::Output out =
+      pin.batch == 1 ? plan.run(x.data(), pin.h, pin.w)
+                     : plan.run_batched(x.data(), pin.batch, pin.h, pin.w);
+  const auto floats = static_cast<std::size_t>(pin.batch * out.size());
+  return util::crc32(out.data, floats * sizeof(float));
+}
+
+const std::vector<Int8Pin>& int8_pins() {
+  static const std::vector<Int8Pin> pins = {
+      {PinNet::kHaloPad, 48, 48, 1, 0x88e038c6u, 8},
+      {PinNet::kHaloPad, 48, 48, 3, 0xeb275dcdu, 22},
+      {PinNet::kHaloPad, 45, 37, 1, 0x5495a7c2u, 7},
+      {PinNet::kHaloPad, 45, 37, 3, 0x80a699b6u, 14},
+      {PinNet::kZeroPad, 64, 64, 1, 0xf2917c87u, 2},
+      {PinNet::kZeroPad, 64, 64, 3, 0x7c00fe46u, 9},
+      {PinNet::kZeroPad, 33, 47, 1, 0x7b179477u, 2},
+      {PinNet::kZeroPad, 33, 47, 3, 0x7d3143f7u, 4},
+      {PinNet::kMixed, 30, 26, 1, 0x9ad847ebu, 7},
+      {PinNet::kMixed, 30, 26, 3, 0x899e7589u, 17},
+      {PinNet::kMixed, 21, 35, 1, 0x7e52a336u, 6},
+      {PinNet::kMixed, 21, 35, 3, 0xa6cce629u, 20},
+  };
+  return pins;
+}
+
+// Runs every pin through one plan per net (pre-sized for the net's largest
+// pin, so smaller geometries reuse its buffers) on `bk`.
+void expect_int8_pins(const backend::KernelBackend& bk) {
+  for (PinNet net : {PinNet::kHaloPad, PinNet::kZeroPad, PinNet::kMixed}) {
+    auto model = pin_net(net);
+    std::int64_t max_h = 0, max_w = 0, max_b = 0;
+    for (const Int8Pin& pin : int8_pins()) {
+      if (pin.net != net) continue;
+      max_h = std::max(max_h, pin.h);
+      max_w = std::max(max_w, pin.w);
+      max_b = std::max(max_b, pin.batch);
+    }
+    nn::ForwardPlan plan(*model, 4, max_h, max_w, &bk, max_b);
+    plan.set_calibration(pin_ranges(net));
+    auto& sat = telemetry::counter("backend.int8.saturated");
+    for (const Int8Pin& pin : int8_pins()) {
+      if (pin.net != net) continue;
+      const auto s0 = sat.value();
+      const std::uint32_t crc = int8_output_crc(plan, pin);
+      EXPECT_EQ(crc, pin.crc)
+          << "net " << static_cast<int>(net) << " at " << pin.h << "x"
+          << pin.w << " batch " << pin.batch;
+      EXPECT_EQ(sat.value() - s0, pin.saturated)
+          << "net " << static_cast<int>(net) << " at " << pin.h << "x"
+          << pin.w << " batch " << pin.batch;
+    }
+  }
+}
+
+TEST(QuantPins, ForwardPlanOutputsMatchPinnedCrcs) {
+  expect_int8_pins(backend::quantized_int8());
+}
+
+TEST(QuantPins, EveryHostKernelMatchesPins) {
+  // The backend dispatches to the fastest kernel the host has, so on its own
+  // a VNNI host never runs the AVX2 or scalar kernel.
+  const std::vector<std::string> kernels = backend::detail::int8_kernels();
+  ASSERT_FALSE(kernels.empty());
+  EXPECT_EQ(kernels.back(), "scalar");
+  const std::string dispatched = kernels.front();
+  for (const std::string& kernel : kernels) {
+    SCOPED_TRACE("int8 kernel " + kernel);
+    backend::detail::use_int8_kernel(kernel);
+    expect_int8_pins(backend::quantized_int8());
+  }
+  backend::detail::use_int8_kernel(dispatched);
+  EXPECT_THROW(backend::detail::use_int8_kernel("no-such-kernel"),
+               std::invalid_argument);
+}
+
+TEST(QuantPins, PortableBranchMatchesPins) {
+  // The non-x86 branch (scalar quantizer, kernel and epilogue), built into
+  // this test with the x86 branch off.
+  expect_int8_pins(backend::detail::portable_quantized_int8());
+}
+
+TEST(QuantPlan, ChainedLayerMustBeFollowedByTheNextLayer) {
+  // A feeds_next layer leaves its output in the context, not in y; the only
+  // valid next call is the next layer on that y. Single-layer callers leave
+  // the flag off and keep fp32 in, fp32 out.
+  const backend::KernelBackend& int8 = backend::quantized_int8();
+  util::Rng rng(5);
+  std::vector<float> w1(6 * 4 * 9), w2(4 * 6 * 9);
+  rng.fill_uniform(w1, -0.3f, 0.3f);
+  rng.fill_uniform(w2, -0.3f, 0.3f);
+  std::vector<backend::ConvLayerDesc> descs(2);
+  descs[0] = {w1.data(), nullptr, 4, 6, 3, 0};
+  descs[1] = {w2.data(), nullptr, 6, 4, 3, 1};
+  const std::int64_t h = 12, w = 10;
+  std::vector<float> x(4 * h * w), mid(6 * 10 * 8), out(4 * 10 * 8),
+      ref(4 * 10 * 8);
+  rng.fill_uniform(x, -1.0f, 1.0f);
+
+  auto plain = int8.make_plan_context(descs, h, w, 1);
+  int8.set_input_ranges(*plain, {1.0f, 1.0f});
+  int8.conv_forward(*plain, 0, x.data(), h, w, mid.data());
+  int8.conv_forward(*plain, 1, mid.data(), 10, 8, ref.data());
+
+  descs[0].feeds_next = true;
+  auto chained = int8.make_plan_context(descs, h, w, 1);
+  int8.set_input_ranges(*chained, {1.0f, 1.0f});
+  std::vector<float> unused(mid.size());
+  int8.conv_forward(*chained, 0, x.data(), h, w, unused.data());
+  int8.conv_forward(*chained, 1, unused.data(), 10, 8, out.data());
+  EXPECT_EQ(out, ref);  // the fused quantize matches quantizing y
+
+  int8.conv_forward(*chained, 0, x.data(), h, w, unused.data());
+  EXPECT_THROW(int8.conv_forward(*chained, 1, mid.data(), 10, 8, out.data()),
+               std::logic_error);
+  int8.conv_forward(*chained, 0, x.data(), h, w, unused.data());
+  EXPECT_THROW(int8.conv_forward(*chained, 0, x.data(), h, w, unused.data()),
+               std::logic_error);
+  // A failed call clears the chain: the context is usable again.
+  int8.conv_forward(*chained, 0, x.data(), h, w, unused.data());
+  int8.conv_forward(*chained, 1, unused.data(), 10, 8, out.data());
+  EXPECT_EQ(out, ref);
+
+  descs[1].feeds_next = true;  // the last layer has no next layer to feed
+  EXPECT_THROW((void)int8.make_plan_context(descs, h, w, 1),
+               std::invalid_argument);
+}
+
+// The int8 backend with fixed activation ranges: calibrate() still runs, but
+// the ranges it measured are replaced by literal ones (which keeps the fp32
+// calibration pass's build-dependent bits out of the result).
+class FixedRangeInt8 final : public backend::KernelBackend {
+ public:
+  explicit FixedRangeInt8(std::vector<float> ranges)
+      : ranges_(std::move(ranges)) {}
+
+  [[nodiscard]] const char* name() const noexcept override {
+    return int8().name();
+  }
+  [[nodiscard]] std::unique_ptr<backend::PlanContext> make_plan_context(
+      const std::vector<backend::ConvLayerDesc>& layers, std::int64_t max_h,
+      std::int64_t max_w, std::int64_t max_batch) const override {
+    return int8().make_plan_context(layers, max_h, max_w, max_batch);
+  }
+  void conv_forward_batched(backend::PlanContext& ctx, int layer,
+                            const float* x, std::int64_t batch, std::int64_t h,
+                            std::int64_t w, float* y) const override {
+    int8().conv_forward_batched(ctx, layer, x, batch, h, w, y);
+  }
+  [[nodiscard]] bool needs_calibration(
+      const backend::PlanContext& ctx) const override {
+    return int8().needs_calibration(ctx);
+  }
+  void set_input_ranges(backend::PlanContext& ctx,
+                        const std::vector<float>& measured) const override {
+    (void)measured;
+    int8().set_input_ranges(ctx, ranges_);
+  }
+
+ private:
+  static const backend::KernelBackend& int8() {
+    return backend::quantized_int8();
+  }
+  std::vector<float> ranges_;
+};
+
+TEST(QuantRollout, SaturationCountIsExact) {
+  // A 2x2 int8 rollout whose layers 2-4 quantize at a quarter of the ranges
+  // calibrate() measures on these tiles (1.50, 1.04-1.11, 0.51-0.55,
+  // 0.35-0.36), so they clip: health.quant_saturations counts every clipped
+  // value exactly once, whichever kernel ran and however the quantize step
+  // is fused into the conv epilogues. Layer 1 keeps its measured range.
+  const TrainConfig cfg = fig3_config();
+  const std::int64_t grid = 48;
+  const auto params = contractive_params(cfg);
+  const auto report = shared_weight_report(4, params, grid);
+  const Tensor initial = random_frame(grid, 33);
+  const FixedRangeInt8 quarter({1.5f, 0.27f, 0.135f, 0.09f});
+  const RolloutResult result =
+      parallel_rollout(cfg, report, initial, 4, backend_options(&quarter));
+  EXPECT_EQ(result.health.quant_saturations, 50410u);
+  util::ThreadPool::configure_global(3);
+  const RolloutResult pooled =
+      parallel_rollout(cfg, report, initial, 4, backend_options(&quarter));
+  util::ThreadPool::configure_global(0);
+  EXPECT_EQ(pooled.health.quant_saturations, 50410u);
 }
 
 }  // namespace
