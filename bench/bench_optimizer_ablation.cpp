@@ -30,25 +30,25 @@ int main(int argc, char** argv) {
   std::vector<Run> runs = {{"adam"}, {"sgd"}, {"momentum"}};
 
   // Fair comparison: each optimizer gets its best learning rate from a short
-  // probe grid (the raw MAPE gradients are ~1e4x larger than MSE gradients,
+  // search grid (the raw MAPE gradients are ~1e4x larger than MSE gradients,
   // so a single shared rate would just show SGD diverging).
-  const double probe_lrs[] = {3e-2, 1e-2, 3e-3, 1e-3, 1e-4, 1e-5, 1e-6};
+  const double grid_lrs[] = {3e-2, 1e-2, 3e-3, 1e-3, 1e-4, 1e-5, 1e-6};
   for (auto& run : runs) {
     double best_loss = std::numeric_limits<double>::infinity();
-    for (const double lr : probe_lrs) {
+    for (const double lr : grid_lrs) {
       TrainConfig config = bench::make_train_config(setup);
       config.optimizer = run.name;
       config.learning_rate = lr;
       config.epochs = 2;
-      const ParallelTrainer probe(config, 1);
-      const auto report = probe.train(dataset, ExecutionMode::kIsolated);
+      const ParallelTrainer trial(config, 1);
+      const auto report = trial.train(dataset, ExecutionMode::kIsolated);
       const double loss = report.mean_final_loss();
       if (std::isfinite(loss) && loss < best_loss) {
         best_loss = loss;
         run.lr = lr;
       }
     }
-    std::printf("%-9s picked lr=%g from the probe grid\n", run.name.c_str(),
+    std::printf("%-9s picked lr=%g from the search grid\n", run.name.c_str(),
                 run.lr);
     std::fflush(stdout);
   }

@@ -65,15 +65,6 @@ struct RankTally {
 RolloutResult parallel_rollout(const TrainConfig& config,
                                const ParallelTrainReport& trained,
                                const Tensor& initial, int steps,
-                               const domain::HaloOptions& halo_options) {
-  RolloutOptions options;
-  options.halo = halo_options;
-  return parallel_rollout(config, trained, initial, steps, options);
-}
-
-RolloutResult parallel_rollout(const TrainConfig& config,
-                               const ParallelTrainReport& trained,
-                               const Tensor& initial, int steps,
                                const RolloutOptions& options) {
   if (config.border == BorderMode::kValidInner) {
     throw std::invalid_argument(
@@ -138,7 +129,7 @@ RolloutResult parallel_rollout(const TrainConfig& config,
   std::vector<domain::BorderHealth> final_health(
       static_cast<std::size_t>(tasks));
 
-  // The health monitor forwards the residual-probe switch into the halo
+  // The health monitor forwards the `probe_residuals` switch into the halo
   // exchange and takes the int8 saturation count as a counter delta around
   // the whole run (the int8 quantizer and epilogues account per chunk into
   // the global counter).

@@ -197,7 +197,7 @@ struct RolloutResult {
 // (p2p halo exchange per step); kValidInner cannot roll out because its
 // output loses the subdomain rim (the limitation Sec. III points out).
 //
-// Halo receives are bounded by `halo_options`; a border whose neighbour is
+// Halo receives are bounded by `options.halo`; a border whose neighbour is
 // definitively lost degrades (sticky, per task) to zero padding and the
 // rollout keeps going — it never deadlocks under message loss, with the
 // elastic runtime on or off.
@@ -205,13 +205,6 @@ RolloutResult parallel_rollout(const TrainConfig& config,
                                const ParallelTrainReport& trained,
                                const Tensor& initial, int steps,
                                const RolloutOptions& options);
-
-// Compatibility overload: default options (every step recorded) with the
-// given halo patience.
-RolloutResult parallel_rollout(const TrainConfig& config,
-                               const ParallelTrainReport& trained,
-                               const Tensor& initial, int steps,
-                               const domain::HaloOptions& halo_options = {});
 
 // Monolithic rollout with a single full-domain network.
 std::vector<Tensor> sequential_rollout(NetworkTrainer& trainer,

@@ -324,7 +324,7 @@ void HaloExchange::finish(util::AccumulatingTimer* comm_time) {
       telemetry::gauge("halo.interface_residual");
   telemetry::Span span("halo.finish", "comm");
   util::WallTimer finish_timer;
-  const auto probe = [this](const Placed& p) {
+  const auto monitored = [this](const Placed& p) {
     return p.tile.health != nullptr && options_.probe_residuals;
   };
   const auto observe_seam = [](const Placed& p, double r) {
@@ -357,7 +357,7 @@ void HaloExchange::finish(util::AccumulatingTimer* comm_time) {
         robust_recv(p, mpi::Direction::kEast, comm_time)) {
       // East neighbour's west strip travelled west into our east halo.
       unpack_region(out, halo_, bh, halo_ + bw, halo_, recv_strip_);
-      if (probe(p)) {
+      if (monitored(p)) {
         observe_seam(p,
                      col_residual(out, halo_ + bw, halo_ + bw - 1, halo_, bh));
       }
@@ -365,7 +365,7 @@ void HaloExchange::finish(util::AccumulatingTimer* comm_time) {
     if (live(p, mpi::Direction::kWest) &&
         robust_recv(p, mpi::Direction::kWest, comm_time)) {
       unpack_region(out, halo_, bh, 0, halo_, recv_strip_);
-      if (probe(p)) {
+      if (monitored(p)) {
         observe_seam(p, col_residual(out, halo_ - 1, halo_, halo_, bh));
       }
     }
@@ -394,7 +394,7 @@ void HaloExchange::finish(util::AccumulatingTimer* comm_time) {
     if (live(p, mpi::Direction::kNorth) &&
         robust_recv(p, mpi::Direction::kNorth, comm_time)) {
       unpack_region(out, halo_ + bh, halo_, 0, w, recv_strip_);
-      if (probe(p)) {
+      if (monitored(p)) {
         observe_seam(p,
                      row_residual(out, halo_ + bh, halo_ + bh - 1, halo_, bw));
       }
@@ -402,7 +402,7 @@ void HaloExchange::finish(util::AccumulatingTimer* comm_time) {
     if (live(p, mpi::Direction::kSouth) &&
         robust_recv(p, mpi::Direction::kSouth, comm_time)) {
       unpack_region(out, 0, halo_, 0, w, recv_strip_);
-      if (probe(p)) {
+      if (monitored(p)) {
         observe_seam(p, row_residual(out, halo_ - 1, halo_, halo_, bw));
       }
     }
@@ -475,32 +475,6 @@ void gather_block(mpi::Communicator& comm, int source, const BlockRange& block,
   }
   copy_window(full, block.h0, block.w0, strip.data(), c, block.height(),
               block.width());
-}
-
-Tensor scatter_field(mpi::CartComm& cart, const Partition& partition,
-                     const Tensor& full) {
-  mpi::Communicator& comm = cart.comm();
-  const BlockRange mine = partition.block(cart.cx(), cart.cy());
-  if (comm.rank() == 0) {
-    if (full.ndim() != 3 || full.dim(1) != partition.grid_h() ||
-        full.dim(2) != partition.grid_w()) {
-      throw std::invalid_argument("scatter_field: bad full field shape");
-    }
-    std::vector<float> strip;
-    for (int r = 1; r < comm.size(); ++r) {
-      const BlockRange block = partition.block_of_rank(r);
-      pack_region_into(full, block.h0, block.height(), block.w0, block.width(),
-                       strip);
-      comm.send<float>(r, mpi::tags::kFieldScatter.base, strip);
-    }
-    return extract_interior(full, mine);
-  }
-  const auto strip = comm.recv<float>(0, mpi::tags::kFieldScatter.base);
-  const std::int64_t c =
-      static_cast<std::int64_t>(strip.size()) / (mine.height() * mine.width());
-  Tensor mine_t({c, mine.height(), mine.width()});
-  unpack_region(mine_t, 0, mine.height(), 0, mine.width(), strip);
-  return mine_t;
 }
 
 }  // namespace parpde::domain

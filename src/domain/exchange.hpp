@@ -3,7 +3,7 @@
 // Parallel field plumbing for inference (Sec. III): point-to-point halo
 // exchange between neighbouring subdomains ("each processor sends the
 // boundary data to the corresponding neighbor ... no central instance is
-// used"), plus gather/scatter of full fields for validation and I/O.
+// used"), plus the gather of full fields to rank 0 for validation and I/O.
 //
 // The halo exchange is fault-aware: receives are bounded (timeout + retry,
 // never an unbounded wait — lint rule `unbounded-halo-recv`), and a border
@@ -243,10 +243,5 @@ Tensor gather_field(mpi::CartComm& cart, const Partition& partition,
 // mailbox matches successive posts from one source in order.
 void gather_block(mpi::Communicator& comm, int source, const BlockRange& block,
                   Tensor& full, std::vector<float>& strip);
-
-// Rank 0 distributes a full [C, H, W] field; every rank returns its interior
-// block [C, bh, bw]. On non-root ranks `full` is ignored.
-Tensor scatter_field(mpi::CartComm& cart, const Partition& partition,
-                     const Tensor& full);
 
 }  // namespace parpde::domain

@@ -19,16 +19,12 @@ enum class ReduceOp { kSum, kMin, kMax };
 
 // Collective traffic uses the reserved tags::kCollectives block (see
 // minimpi/tags.hpp); re-exported here so call sites keep their names.
-using tags::kTagAlltoall;
-using tags::kTagBarrier;
 using tags::kTagBcast;
 using tags::kTagGather;
 using tags::kTagReduce;
-using tags::kTagScan;
-using tags::kTagScatter;
-using tags::kTagSendrecv;
 
-// Blocks until all ranks have entered the barrier.
+// Blocks until all ranks have entered the barrier. A shared condition
+// variable, not messages: it sends nothing and no fault plan can drop it.
 void barrier(Communicator& comm);
 
 namespace detail {
@@ -135,84 +131,6 @@ std::vector<T> allgather(Communicator& comm, std::span<const T> local) {
   std::vector<T> out = gather(comm, local, /*root=*/0);
   bcast(comm, out, /*root=*/0);
   return out;
-}
-
-// Root splits `data` (size must be a multiple of the communicator size) into
-// equal contiguous blocks; every rank returns its block. Non-root ranks
-// ignore `data`.
-template <typename T>
-std::vector<T> scatter(Communicator& comm, std::span<const T> data, int root) {
-  const int size = comm.size();
-  if (comm.rank() == root) {
-    if (data.size() % static_cast<std::size_t>(size) != 0) {
-      throw std::invalid_argument("scatter: size not divisible by ranks");
-    }
-    const std::size_t block = data.size() / static_cast<std::size_t>(size);
-    for (int r = 0; r < size; ++r) {
-      if (r == root) continue;
-      comm.send<T>(r, kTagScatter,
-                   data.subspan(static_cast<std::size_t>(r) * block, block));
-    }
-    const auto mine = data.subspan(static_cast<std::size_t>(root) * block, block);
-    return std::vector<T>(mine.begin(), mine.end());
-  }
-  return comm.recv<T>(root, kTagScatter);
-}
-
-// Inclusive prefix reduction: rank r's `inout` becomes op(contribution of
-// ranks 0..r), elementwise. Linear chain (latency O(P)), fine at these rank
-// counts.
-template <typename T>
-void scan(Communicator& comm, std::span<T> inout, ReduceOp op) {
-  const int rank = comm.rank();
-  if (rank > 0) {
-    const auto prefix = comm.recv<T>(rank - 1, kTagScan);
-    if (prefix.size() != inout.size()) {
-      throw std::runtime_error("scan: contribution size mismatch");
-    }
-    detail::apply_op<T>(op, inout, prefix);
-  }
-  if (rank + 1 < comm.size()) {
-    comm.send<T>(rank + 1, kTagScan,
-                 std::span<const T>(inout.data(), inout.size()));
-  }
-}
-
-// Personalized all-to-all: `data` holds one equal block per destination rank
-// (size must be size() * block); returns the blocks received from every rank
-// in rank order.
-template <typename T>
-std::vector<T> alltoall(Communicator& comm, std::span<const T> data) {
-  const int size = comm.size();
-  if (data.size() % static_cast<std::size_t>(size) != 0) {
-    throw std::invalid_argument("alltoall: size not divisible by ranks");
-  }
-  const std::size_t block = data.size() / static_cast<std::size_t>(size);
-  for (int r = 0; r < size; ++r) {
-    comm.send<T>(r, kTagAlltoall,
-                 data.subspan(static_cast<std::size_t>(r) * block, block));
-  }
-  std::vector<T> out;
-  out.reserve(data.size());
-  for (int r = 0; r < size; ++r) {
-    const auto recv_block = comm.recv<T>(r, kTagAlltoall);
-    if (recv_block.size() != block) {
-      throw std::runtime_error("alltoall: block size mismatch");
-    }
-    out.insert(out.end(), recv_block.begin(), recv_block.end());
-  }
-  return out;
-}
-
-// Combined exchange with two (possibly different) peers — the MPI_Sendrecv
-// shape used by shift communication. Either peer may be kProcNull (no-op on
-// that side; an empty vector is returned when the source is null).
-template <typename T>
-std::vector<T> sendrecv(Communicator& comm, int dest, std::span<const T> send_data,
-                        int source) {
-  comm.send<T>(dest, kTagSendrecv, send_data);
-  if (source == kProcNull) return {};
-  return comm.recv<T>(source, kTagSendrecv);
 }
 
 }  // namespace parpde::mpi

@@ -1,7 +1,5 @@
 #include "minimpi/communicator.hpp"
 
-#include <chrono>
-
 #include "minimpi/fault.hpp"
 #include "minimpi/tags.hpp"
 #include "util/crc32.hpp"
@@ -63,18 +61,6 @@ void Communicator::check_phase(const char* what, int peer, int tag) const {
   throw validate::PhaseError(msg);
 }
 
-void Communicator::flag_isend_over_cap(int dest, int tag,
-                                       std::size_t bytes) const {
-  telemetry::counter("validate.isend_over_cap").add(1);
-  validate::emit_report(
-      "rank " + std::to_string(rank_) + ": isend of " + std::to_string(bytes) +
-      " bytes to rank " + std::to_string(dest) + " (tag " +
-      tags::describe(tag) + ") exceeds the buffered-send cap of " +
-      std::to_string(validate::isend_cap_bytes()) +
-      " bytes; the eager copy is unbounded buffering — chunk the transfer or "
-      "use a blocking send");
-}
-
 std::string Communicator::pending_ops_report() const {
   std::string out;
   std::lock_guard<std::mutex> lock(state_->validate_mutex);
@@ -127,6 +113,8 @@ void Communicator::send_bytes(int dest, int tag,
   bytes.add(payload.size());
   msgs.add(1);
   count_tag_bytes("bytes_sent", tag, payload.size());
+  bool deliver = true;
+  Mailbox& box = state_->mailboxes[static_cast<std::size_t>(dest)];
   if (fault::enabled()) {
     // CRC of the payload as it left the sender; the injected corruption below
     // happens "on the wire", after the checksum — which is what lets the
@@ -139,52 +127,76 @@ void Communicator::send_bytes(int dest, int tag,
                                  static_cast<std::uint64_t>(tag));
     }
     if (verdict.drop) {
+      // The message never reaches the destination mailbox.
       static telemetry::Counter& dropped = telemetry::counter("comm.dropped");
       dropped.add(1);
-      fault::on_send_complete(rank_);
-      return;  // the message never reaches the destination mailbox
-    }
-    if (verdict.duplicate) {
+      deliver = false;
+    } else if (verdict.duplicate) {
       Message copy = m;
       copy.flow_id = 0;  // keep flows 1:1 — the injected twin is untraced
-      state_->mailboxes[static_cast<std::size_t>(dest)].push(std::move(copy));
+      box.push(std::move(copy));
     }
-    state_->mailboxes[static_cast<std::size_t>(dest)].push(std::move(m));
-    fault::on_send_complete(rank_);
-    return;
   }
-  state_->mailboxes[static_cast<std::size_t>(dest)].push(std::move(m));
+  if (deliver) box.push(std::move(m));
+  fault::on_send_complete(rank_);
 }
 
-RecvStatus Communicator::recv_bytes_for(int source, int tag,
-                                        std::chrono::milliseconds timeout,
-                                        std::vector<std::byte>* out,
-                                        int* actual_source,
-                                        std::size_t expect_elem_size) {
+RecvStatus Communicator::receive_bytes(
+    int source, int tag, std::optional<std::chrono::milliseconds> timeout,
+    std::size_t elem_size, std::vector<std::byte>* payload,
+    int* actual_source) {
   if (source == kProcNull) {
-    throw std::invalid_argument("recv_for: source is kProcNull");
+    throw std::invalid_argument("recv: source is kProcNull");
   }
-  if (source != kAnySource) check_peer(source, "recv_for");
-  if (validate::enabled()) check_phase("recv_for", source, tag);
+  if (source != kAnySource) check_peer(source, "recv");
+  // Only a blocking receive is watchdogged; a bounded one has its own
+  // deadline and never trips the watchdog.
+  const bool bounded = timeout.has_value();
+  const bool watchdog = !bounded && validate::enabled();
+  if (validate::enabled()) check_phase("recv", source, tag);
+  if (watchdog) {
+    timeout = std::chrono::milliseconds(validate::timeout_ms());
+    std::lock_guard<std::mutex> lock(state_->validate_mutex);
+    state_->pending_recvs[static_cast<std::size_t>(rank_)] = {true, source,
+                                                              tag, phase_};
+  }
   Mailbox& box = state_->mailboxes[static_cast<std::size_t>(rank_)];
   Message m;
-  if (!box.pop_matching_for(source, tag, timeout, &m)) {
-    return RecvStatus::kTimeout;
+  if (!box.pop_matching(source, tag, &m, timeout)) {
+    if (!watchdog) return RecvStatus::kTimeout;
+    // Leave this rank's pending slot active so the dump shows the receive
+    // that starved; other timed-out ranks produce their own dumps.
+    const std::string report =
+        "deadlock watchdog: rank " + std::to_string(rank_) +
+        " made no progress on recv(source=" +
+        (source == kAnySource ? std::string("any") : std::to_string(source)) +
+        ", tag=" + tags::describe(tag) + ") within " +
+        std::to_string(validate::timeout_ms()) +
+        " ms; pending operations:\n" + pending_ops_report();
+    validate::emit_report(report);
+    throw validate::DeadlockError(report);
+  }
+  if (watchdog) {
+    std::lock_guard<std::mutex> lock(state_->validate_mutex);
+    state_->pending_recvs[static_cast<std::size_t>(rank_)].active = false;
   }
   if (m.crc != 0 && util::crc32(m.payload.data(), m.payload.size()) != m.crc) {
     static telemetry::Counter& corrupt =
         telemetry::counter("comm.corrupt_detected");
     corrupt.add(1);
-    return RecvStatus::kCorrupt;
+    if (bounded) return RecvStatus::kCorrupt;
+    throw std::runtime_error(
+        "rank " + std::to_string(rank_) + ": CRC mismatch on recv(source=" +
+        std::to_string(m.source) + ", tag=" + tags::describe(tag) +
+        "): payload corrupted in transit");
   }
-  if (validate::enabled() && expect_elem_size != 0 && m.elem_size != 0 &&
-      m.elem_size != expect_elem_size) {
+  if (validate::enabled() && m.elem_size != 0 && m.elem_size != elem_size) {
     const std::string msg =
         "rank " + std::to_string(rank_) + ": typed-envelope mismatch on "
-        "recv_for(source=" + std::to_string(m.source) + ", tag=" +
+        "recv(source=" + std::to_string(m.source) + ", tag=" +
         tags::describe(tag) + "): sender element size " +
         std::to_string(m.elem_size) + " bytes, receiver expects " +
-        std::to_string(expect_elem_size) + " bytes";
+        std::to_string(elem_size) + " bytes";
     validate::emit_report(msg);
     throw validate::EnvelopeError(msg);
   }
@@ -198,93 +210,8 @@ RecvStatus Communicator::recv_bytes_for(int source, int tag,
   msgs.add(1);
   count_tag_bytes("bytes_received", tag, m.payload.size());
   close_flow(m);
-  *out = std::move(m.payload);
+  *payload = std::move(m.payload);
   return RecvStatus::kOk;
-}
-
-std::vector<std::byte> Communicator::recv_bytes(int source, int tag,
-                                                int* actual_source,
-                                                std::size_t expect_elem_size) {
-  if (source == kProcNull) {
-    throw std::invalid_argument("recv: source is kProcNull");
-  }
-  if (source != kAnySource) check_peer(source, "recv");
-  Mailbox& box = state_->mailboxes[static_cast<std::size_t>(rank_)];
-  Message m;
-  if (validate::enabled()) {
-    check_phase("recv", source, tag);
-    {
-      std::lock_guard<std::mutex> lock(state_->validate_mutex);
-      state_->pending_recvs[static_cast<std::size_t>(rank_)] = {true, source,
-                                                                tag, phase_};
-    }
-    const bool got = box.pop_matching_for(
-        source, tag, std::chrono::milliseconds(validate::timeout_ms()), &m);
-    if (!got) {
-      // Leave this rank's pending slot active so the dump shows the receive
-      // that starved; other timed-out ranks produce their own dumps.
-      const std::string report =
-          "deadlock watchdog: rank " + std::to_string(rank_) +
-          " made no progress on recv(source=" +
-          (source == kAnySource ? std::string("any") : std::to_string(source)) +
-          ", tag=" + tags::describe(tag) + ") within " +
-          std::to_string(validate::timeout_ms()) +
-          " ms; pending operations:\n" + pending_ops_report();
-      validate::emit_report(report);
-      throw validate::DeadlockError(report);
-    }
-    {
-      std::lock_guard<std::mutex> lock(state_->validate_mutex);
-      state_->pending_recvs[static_cast<std::size_t>(rank_)].active = false;
-    }
-    if (expect_elem_size != 0 && m.elem_size != 0 &&
-        m.elem_size != expect_elem_size) {
-      const std::string msg =
-          "rank " + std::to_string(rank_) + ": typed-envelope mismatch on "
-          "recv(source=" + std::to_string(m.source) + ", tag=" +
-          tags::describe(tag) + "): sender element size " +
-          std::to_string(m.elem_size) + " bytes, receiver expects " +
-          std::to_string(expect_elem_size) + " bytes";
-      validate::emit_report(msg);
-      throw validate::EnvelopeError(msg);
-    }
-  } else {
-    m = box.pop_matching(source, tag);
-  }
-  if (m.crc != 0 && util::crc32(m.payload.data(), m.payload.size()) != m.crc) {
-    // Blocking receivers have no retry protocol; fail loudly rather than
-    // handing garbage bytes to a tensor. Bounded receivers (recv_bytes_for)
-    // report kCorrupt instead and let the caller retry or degrade.
-    static telemetry::Counter& corrupt =
-        telemetry::counter("comm.corrupt_detected");
-    corrupt.add(1);
-    throw std::runtime_error(
-        "rank " + std::to_string(rank_) + ": CRC mismatch on recv(source=" +
-        std::to_string(m.source) + ", tag=" + tags::describe(tag) +
-        "): payload corrupted in transit");
-  }
-  if (actual_source != nullptr) *actual_source = m.source;
-  bytes_received_ += m.payload.size();
-  ++messages_received_;
-  static telemetry::Counter& bytes = telemetry::counter("comm.bytes_received");
-  static telemetry::Counter& msgs =
-      telemetry::counter("comm.messages_received");
-  bytes.add(m.payload.size());
-  msgs.add(1);
-  count_tag_bytes("bytes_received", tag, m.payload.size());
-  close_flow(m);
-  return std::move(m.payload);
-}
-
-bool Communicator::probe(int source, int tag) {
-  // A peek, not a pop/re-push round trip: re-pushing would move the probed
-  // message behind later arrivals of its own channel, silently breaking the
-  // non-overtaking guarantee whenever more than one message is queued.
-  // Threading (src/minimpi/README.md): contains() is individually
-  // thread-safe, but probe-then-recv is only race-free when the calling
-  // thread is the channel's sole consumer.
-  Mailbox& box = state_->mailboxes[static_cast<std::size_t>(rank_)];
-  return box.contains(source, tag);
 }
 
 }  // namespace parpde::mpi

@@ -1,7 +1,7 @@
 #pragma once
 
 // Rank-local communication endpoint. Mirrors the subset of MPI the paper's
-// scheme needs: blocking and nonblocking point-to-point with tags, plus the
+// scheme needs: blocking and bounded-wait point-to-point with tags, plus the
 // collectives in collectives.hpp. Ranks are threads of one process; payloads
 // are copied through shared mailboxes, so the programming model (no shared
 // mutable state between ranks, explicit messages) is preserved even though
@@ -18,23 +18,22 @@
 // corruption. Without a plan both hooks are one relaxed atomic load.
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
-#include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
-
-#include <chrono>
 
 #include "minimpi/mailbox.hpp"
 #include "minimpi/validate.hpp"
 
 namespace parpde::mpi {
 
-// Outcome of a bounded receive (recv_for / recv_bytes_for).
+// Outcome of a bounded receive (recv_for).
 enum class RecvStatus {
   kOk,       // message delivered
   kTimeout,  // nothing matched within the deadline; nothing consumed
@@ -74,33 +73,6 @@ struct SharedState {
   std::vector<PendingRecv> pending_recvs;
 };
 
-// Completion handle for nonblocking operations. isend completes immediately
-// (sends are buffered); irecv completes at wait(), which performs the matching
-// blocking receive. This is a legal MPI execution (completion delayed until
-// wait) and is sufficient for the exchange patterns in this library.
-class Request {
- public:
-  Request() = default;
-  explicit Request(std::function<void()> on_wait) : on_wait_(std::move(on_wait)) {}
-
-  void wait() {
-    if (on_wait_) {
-      auto f = std::move(on_wait_);
-      on_wait_ = nullptr;
-      f();
-    }
-  }
-
-  [[nodiscard]] bool pending() const { return static_cast<bool>(on_wait_); }
-
- private:
-  std::function<void()> on_wait_;
-};
-
-inline void wait_all(std::span<Request> requests) {
-  for (auto& r : requests) r.wait();
-}
-
 // Whether a phase may generate message traffic. kForbidden phases (the
 // paper's communication-free training regions) trap any send or receive with
 // validate::PhaseError when the validator is enabled.
@@ -113,46 +85,28 @@ class Communicator {
   [[nodiscard]] int rank() const noexcept { return rank_; }
   [[nodiscard]] int size() const noexcept { return size_; }
 
-  // --- byte-level point-to-point -----------------------------------------
+  // --- point-to-point (trivially copyable element types) -----------------
 
   // Buffered send: copies the payload into the destination mailbox and
   // returns immediately. dest == kProcNull is a no-op (boundary neighbors).
-  // `elem_size` is the validation envelope (sizeof(T) for typed sends,
-  // 0 = untyped bytes).
-  void send_bytes(int dest, int tag, std::span<const std::byte> payload,
-                  std::size_t elem_size = 0);
-
-  // Blocking receive matching (source|kAnySource, tag). Returns the payload;
-  // if `actual_source` is non-null it receives the sender's rank. With the
-  // validator enabled, `expect_elem_size` != 0 is checked against the
-  // sender's envelope, and the receive is watchdogged: instead of hanging
-  // past validate::timeout_ms() it dumps every rank's pending operations and
-  // throws validate::DeadlockError.
-  std::vector<std::byte> recv_bytes(int source, int tag,
-                                    int* actual_source = nullptr,
-                                    std::size_t expect_elem_size = 0);
-
-  // Bounded-wait receive: waits at most `timeout` for a message matching
-  // (source|kAnySource, tag). Never hangs and never trips the deadlock
-  // watchdog — this is the receive the fault-tolerant inference path uses on
-  // halo tags (lint rule `unbounded-halo-recv`). On kOk the payload lands in
-  // `*out`; on kTimeout nothing is consumed and the caller may retry or
-  // degrade; on kCorrupt an injected-corruption message was detected by its
-  // CRC envelope, consumed and discarded.
-  RecvStatus recv_bytes_for(int source, int tag,
-                            std::chrono::milliseconds timeout,
-                            std::vector<std::byte>* out,
-                            int* actual_source = nullptr,
-                            std::size_t expect_elem_size = 0);
-
-  // --- typed convenience (trivially copyable element types) ---------------
-
   template <typename T>
   void send(int dest, int tag, std::span<const T> values) {
     static_assert(std::is_trivially_copyable_v<T>);
     send_bytes(dest, tag, std::as_bytes(values), sizeof(T));
   }
 
+  template <typename T>
+  void send_value(int dest, int tag, const T& value) {
+    send<T>(dest, tag, std::span<const T>(&value, 1));
+  }
+
+  // Blocking receive matching (source|kAnySource, tag); if `actual_source`
+  // is non-null it receives the sender's rank. With the validator enabled the
+  // sender's element size is checked against T, and the receive is
+  // watchdogged: instead of hanging past validate::timeout_ms() it dumps
+  // every rank's pending operations and throws validate::DeadlockError. A
+  // payload that fails its CRC envelope throws std::runtime_error (a
+  // blocking receiver has no retry protocol).
   template <typename T>
   std::vector<T> recv(int source, int tag, int* actual_source = nullptr) {
     std::vector<T> out;
@@ -166,35 +120,7 @@ class Communicator {
   template <typename T>
   void recv_into(int source, int tag, std::vector<T>* out,
                  int* actual_source = nullptr) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    const auto bytes = recv_bytes(source, tag, actual_source, sizeof(T));
-    if (bytes.size() % sizeof(T) != 0) {
-      throw std::runtime_error("recv: payload size not a multiple of T");
-    }
-    out->resize(bytes.size() / sizeof(T));
-    std::memcpy(out->data(), bytes.data(), bytes.size());
-  }
-
-  // Typed bounded-wait receive (see recv_bytes_for).
-  template <typename T>
-  RecvStatus recv_for(int source, int tag, std::chrono::milliseconds timeout,
-                      std::vector<T>* out, int* actual_source = nullptr) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    std::vector<std::byte> bytes;
-    const RecvStatus status =
-        recv_bytes_for(source, tag, timeout, &bytes, actual_source, sizeof(T));
-    if (status != RecvStatus::kOk) return status;
-    if (bytes.size() % sizeof(T) != 0) {
-      throw std::runtime_error("recv_for: payload size not a multiple of T");
-    }
-    out->resize(bytes.size() / sizeof(T));
-    std::memcpy(out->data(), bytes.data(), bytes.size());
-    return RecvStatus::kOk;
-  }
-
-  template <typename T>
-  void send_value(int dest, int tag, const T& value) {
-    send<T>(dest, tag, std::span<const T>(&value, 1));
+    (void)receive(source, tag, std::nullopt, out, actual_source);
   }
 
   template <typename T>
@@ -204,36 +130,18 @@ class Communicator {
     return v.front();
   }
 
-  // --- nonblocking ---------------------------------------------------------
-
-  // Buffered-send contract: the payload is copied eagerly into the
-  // destination mailbox, so the returned Request is already complete and the
-  // caller's buffer may be reused immediately (MPI_Bsend semantics, not
-  // MPI_Isend: completion never waits for the receiver). The cost is
-  // unbounded buffering — a fast sender can grow the receiver's mailbox
-  // without backpressure — so the validator flags payloads larger than
-  // validate::isend_cap_bytes() (stderr warning + the
-  // "validate.isend_over_cap" counter); such transfers should use a blocking
-  // send or be chunked.
+  // Bounded-wait receive: waits at most `timeout` for a message matching
+  // (source|kAnySource, tag). Never hangs and never trips the deadlock
+  // watchdog — this is the receive the fault-tolerant inference path uses on
+  // halo tags (lint rule `unbounded-halo-recv`). On kOk the payload lands in
+  // `*out`; on kTimeout nothing is consumed and the caller may retry or
+  // degrade; on kCorrupt an injected-corruption message was detected by its
+  // CRC envelope, consumed and discarded.
   template <typename T>
-  Request isend(int dest, int tag, std::span<const T> values) {
-    if (validate::enabled() &&
-        values.size_bytes() > validate::isend_cap_bytes()) {
-      flag_isend_over_cap(dest, tag, values.size_bytes());
-    }
-    send(dest, tag, values);
-    return Request{};
+  RecvStatus recv_for(int source, int tag, std::chrono::milliseconds timeout,
+                      std::vector<T>* out, int* actual_source = nullptr) {
+    return receive(source, tag, timeout, out, actual_source);
   }
-
-  // The receive runs when the returned Request is waited on; `out` must stay
-  // alive until then.
-  template <typename T>
-  Request irecv(int source, int tag, std::vector<T>* out) {
-    return Request([this, source, tag, out] { *out = recv<T>(source, tag); });
-  }
-
-  // Non-destructive check whether a matching message is queued.
-  [[nodiscard]] bool probe(int source, int tag);
 
   // --- validation phases ---------------------------------------------------
 
@@ -273,7 +181,43 @@ class Communicator {
   void check_peer(int peer, const char* what) const;
   // Throws validate::PhaseError if traffic is forbidden in the current phase.
   void check_phase(const char* what, int peer, int tag) const;
-  void flag_isend_over_cap(int dest, int tag, std::size_t bytes) const;
+
+  // `elem_size` is the validation envelope (sizeof(T) for typed sends).
+  void send_bytes(int dest, int tag, std::span<const std::byte> payload,
+                  std::size_t elem_size);
+
+  // The one receive path: takes the earliest message matching
+  // (source|kAnySource, tag) into `*payload`. With a `timeout` it waits at
+  // most that long (kTimeout, nothing consumed) and reports a payload that
+  // fails its CRC envelope as kCorrupt. Without one it is the blocking
+  // receive: it waits under the validator's watchdog when that is on
+  // (validate::DeadlockError), else for as long as it takes, and throws on a
+  // corrupt payload. A corrupt message is consumed and counted either way;
+  // with the validator on, an `elem_size` that disagrees with the sender's
+  // throws validate::EnvelopeError.
+  RecvStatus receive_bytes(int source, int tag,
+                           std::optional<std::chrono::milliseconds> timeout,
+                           std::size_t elem_size,
+                           std::vector<std::byte>* payload,
+                           int* actual_source);
+
+  // receive_bytes, then the payload copied into `*out` as T elements.
+  template <typename T>
+  RecvStatus receive(int source, int tag,
+                     std::optional<std::chrono::milliseconds> timeout,
+                     std::vector<T>* out, int* actual_source) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    std::vector<std::byte> bytes;
+    const RecvStatus status = receive_bytes(source, tag, timeout, sizeof(T),
+                                            &bytes, actual_source);
+    if (status != RecvStatus::kOk) return status;
+    if (bytes.size() % sizeof(T) != 0) {
+      throw std::runtime_error("recv: payload size not a multiple of T");
+    }
+    out->resize(bytes.size() / sizeof(T));
+    std::memcpy(out->data(), bytes.data(), bytes.size());
+    return RecvStatus::kOk;
+  }
 
   int rank_;
   int size_;

@@ -21,8 +21,8 @@ namespace parpde::mpi {
 namespace {
 
 // NTP-style clock-offset handshake against rank 0, run once per rank at
-// startup while span tracing is enabled. Each non-root rank sends K probes;
-// rank 0 answers each with its own now_us(). The probe with the smallest
+// startup while span tracing is enabled. Each non-root rank sends K pings;
+// rank 0 answers each with its own now_us(). The ping with the smallest
 // round-trip gives offset = t_root − (t0 + t2)/2, i.e. how far this rank's
 // clock sits behind rank 0's. The offsets are registered with telemetry so
 // write_chrome_trace can shift every lane onto rank 0's timeline, and are
@@ -42,7 +42,7 @@ namespace {
 void align_rank_clock(Communicator& comm) {
   constexpr int kRounds = 8;
   constexpr std::chrono::milliseconds kReplyTimeout(200);
-  const int probe_tag = tags::kClockSync.base;
+  const int ping_tag = tags::kClockSync.base;
   const int reply_tag = tags::kClockSync.base + 1;
   if (comm.size() < 2) {
     telemetry::set_rank_clock_offset(0, 0);
@@ -52,10 +52,10 @@ void align_rank_clock(Communicator& comm) {
     telemetry::set_rank_clock_offset(0, 0);
     for (int peer = 1; peer < comm.size(); ++peer) {
       for (int round = 0; round < kRounds; ++round) {
-        std::vector<std::int64_t> probe;
-        if (comm.recv_for<std::int64_t>(peer, probe_tag, kReplyTimeout,
-                                        &probe) != RecvStatus::kOk) {
-          break;  // peer gave up (or its probes were dropped); stop serving
+        std::vector<std::int64_t> ping;
+        if (comm.recv_for<std::int64_t>(peer, ping_tag, kReplyTimeout,
+                                        &ping) != RecvStatus::kOk) {
+          break;  // peer gave up (or its pings were dropped); stop serving
         }
         comm.send_value<std::int64_t>(peer, reply_tag, telemetry::now_us());
       }
@@ -65,7 +65,7 @@ void align_rank_clock(Communicator& comm) {
     std::int64_t best_offset = 0;
     for (int round = 0; round < kRounds; ++round) {
       const std::int64_t t0 = telemetry::now_us();
-      comm.send_value<std::int64_t>(0, probe_tag, t0);
+      comm.send_value<std::int64_t>(0, ping_tag, t0);
       std::vector<std::int64_t> reply;
       if (comm.recv_for<std::int64_t>(0, reply_tag, kReplyTimeout, &reply) !=
               RecvStatus::kOk ||
@@ -98,7 +98,7 @@ void align_rank_clock(Communicator& comm) {
   std::vector<std::int64_t> stale;
   if (comm.rank() == 0) {
     for (int peer = 1; peer < comm.size(); ++peer) {
-      while (comm.recv_for<std::int64_t>(peer, probe_tag,
+      while (comm.recv_for<std::int64_t>(peer, ping_tag,
                                          std::chrono::milliseconds(0),
                                          &stale) == RecvStatus::kOk) {
       }

@@ -53,27 +53,12 @@ void Mailbox::audit_match_locked(int source, int tag,
                      chosen);
 }
 
-Message Mailbox::pop_matching(int source, int tag) {
+bool Mailbox::pop_matching(int source, int tag, Message* out,
+                           std::optional<std::chrono::milliseconds> timeout) {
   if (verify::active()) verify::hook_recv_wait(owner_, source, tag);
   std::unique_lock<std::mutex> lock(mutex_);
   std::size_t idx = kNpos;
-  cv_.wait(lock, [&] {
-    idx = find_locked(source, tag);
-    return idx != kNpos;
-  });
-  if (verify::active()) audit_match_locked(source, tag, idx);
-  Message out = std::move(queue_[idx]);
-  queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(idx));
-  return out;
-}
-
-bool Mailbox::pop_matching_for(int source, int tag,
-                               std::chrono::milliseconds timeout,
-                               Message* out) {
-  if (verify::active()) verify::hook_recv_wait(owner_, source, tag);
-  std::unique_lock<std::mutex> lock(mutex_);
-  std::size_t idx = kNpos;
-  const bool matched = cv_.wait_for(lock, timeout, [&] {
+  const bool matched = wait_ready(cv_, lock, timeout, [&] {
     idx = find_locked(source, tag);
     return idx != kNpos;
   });
@@ -82,21 +67,6 @@ bool Mailbox::pop_matching_for(int source, int tag,
   *out = std::move(queue_[idx]);
   queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(idx));
   return true;
-}
-
-bool Mailbox::try_pop_matching(int source, int tag, Message* out) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const std::size_t idx = find_locked(source, tag);
-  if (idx == kNpos) return false;
-  if (verify::active()) audit_match_locked(source, tag, idx);
-  *out = std::move(queue_[idx]);
-  queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(idx));
-  return true;
-}
-
-bool Mailbox::contains(int source, int tag) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return find_locked(source, tag) != kNpos;
 }
 
 std::size_t Mailbox::pending() const {

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <deque>
 #include <mutex>
+#include <optional>
 #include <vector>
 
 namespace parpde::mpi {
@@ -19,12 +20,26 @@ inline constexpr int kAnySource = -1;
 // Null neighbor (off-domain); sends to it are dropped, recvs are invalid.
 inline constexpr int kProcNull = -2;
 
+// Waits on `cv` until `ready()` holds: at most `timeout` when one is given
+// (false if it never did), else without bound (always true). The mailbox pop
+// and the CV barrier share it.
+template <typename Ready>
+bool wait_ready(std::condition_variable& cv, std::unique_lock<std::mutex>& lock,
+                std::optional<std::chrono::milliseconds> timeout,
+                Ready ready) {
+  if (!timeout) {
+    cv.wait(lock, ready);
+    return true;
+  }
+  return cv.wait_for(lock, *timeout, ready);
+}
+
 struct Message {
   int source = 0;
   int tag = 0;
-  // Validation envelope: sizeof(T) stamped by typed sends, 0 for raw byte
-  // sends. Checked against the receiving type by recv<T> when the validator
-  // is enabled (minimpi/validate.hpp).
+  // Validation envelope: sizeof(T) stamped by the sender (0 = unstamped).
+  // Checked against the receiving type when the validator is enabled
+  // (minimpi/validate.hpp).
   std::size_t elem_size = 0;
   // Integrity envelope: CRC-32 of the payload as it left the sender, stamped
   // only while fault injection is active (0 = unstamped). Lets receivers
@@ -57,21 +72,12 @@ class Mailbox {
   // that is deadlock-free under buffered MPI semantics is deadlock-free here.
   void push(Message message);
 
-  // Blocks until a message matching (source|kAnySource, tag) is available and
-  // removes the earliest such message.
-  Message pop_matching(int source, int tag);
-
-  // Bounded-wait variant used by the validation watchdog: returns false if no
-  // matching message arrived within `timeout` (nothing is removed).
-  bool pop_matching_for(int source, int tag, std::chrono::milliseconds timeout,
-                        Message* out);
-
-  // Non-blocking variant; returns false if no matching message is queued.
-  bool try_pop_matching(int source, int tag, Message* out);
-
-  // Non-destructive probe: whether a matching message is queued. Unlike a
-  // pop/re-push round trip this cannot reorder the queue.
-  [[nodiscard]] bool contains(int source, int tag) const;
+  // Removes the earliest message matching (source|kAnySource, tag) into
+  // `*out`, waiting for one to arrive: at most `timeout` when one is given
+  // (false if none matched in time; nothing is removed), else without bound
+  // (always true).
+  bool pop_matching(int source, int tag, Message* out,
+                    std::optional<std::chrono::milliseconds> timeout);
 
   // The rank whose inbox this is; lets the parpde-mc scheduler key delivery
   // decisions and receive audits by destination. Set once by SharedState.

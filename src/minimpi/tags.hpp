@@ -39,12 +39,10 @@ struct TagRange {
 inline constexpr TagRange kHalo{4096, 4, "domain.halo"};
 // domain/exchange.cpp: full-field gather to rank 0 (validation / I/O).
 inline constexpr TagRange kFieldGather{4200, 1, "domain.field_gather"};
-// domain/exchange.cpp: full-field scatter from rank 0.
-inline constexpr TagRange kFieldScatter{4201, 1, "domain.field_scatter"};
 // euler/parallel_solver.cpp: per-field halo blocks (4 fields x stride 10,
 // direction offset 0..3 within each).
 inline constexpr TagRange kEulerHalo{8200, 40, "euler.halo"};
-// minimpi/environment.cpp: startup clock-offset handshake (probe + reply)
+// minimpi/environment.cpp: startup clock-offset handshake (ping + reply)
 // used to align per-rank trace timestamps while telemetry is enabled.
 inline constexpr TagRange kClockSync{4300, 2, "mpi.clocksync"};
 // minimpi/collectives.hpp: reserved block so collective traffic can never
@@ -59,9 +57,9 @@ inline constexpr TagRange kElastic{16384, 2048, "elastic"};
 // — there is no actual message traffic on this range.
 inline constexpr TagRange kServe{4400, 1, "serve.dispatch"};
 
-inline constexpr std::array<TagRange, 8> kAllRanges{
-    kHalo,      kFieldGather, kFieldScatter, kEulerHalo,
-    kClockSync, kCollectives, kElastic,      kServe};
+inline constexpr std::array<TagRange, 7> kAllRanges{
+    kHalo,        kFieldGather, kEulerHalo, kClockSync,
+    kCollectives, kElastic,     kServe};
 
 // --- compile-time overlap detection -----------------------------------------
 
@@ -82,16 +80,12 @@ static_assert(ranges_valid(kAllRanges),
 
 // --- collective operation tags ----------------------------------------------
 
-inline constexpr int kTagBarrier = kCollectives.base + 0;
+// The barrier is a condition variable and sends nothing, so it has no tag.
 inline constexpr int kTagBcast = kCollectives.base + 1;
 inline constexpr int kTagReduce = kCollectives.base + 2;
 inline constexpr int kTagGather = kCollectives.base + 3;
-inline constexpr int kTagScatter = kCollectives.base + 4;
-inline constexpr int kTagScan = kCollectives.base + 5;
-inline constexpr int kTagAlltoall = kCollectives.base + 6;
-inline constexpr int kTagSendrecv = kCollectives.base + 7;
-static_assert(kTagSendrecv == kCollectives.last(),
-              "collective tags must exactly fill the kCollectives range");
+static_assert(kTagGather <= kCollectives.last(),
+              "collective tags must fit inside the kCollectives range");
 
 // --- elastic runtime sub-layout ---------------------------------------------
 

@@ -37,12 +37,6 @@ std::atomic<int>& timeout_value() {
   return ms;
 }
 
-std::atomic<std::size_t>& isend_cap_value() {
-  static std::atomic<std::size_t> cap{static_cast<std::size_t>(
-      env_long("PARPDE_MPI_VALIDATE_ISEND_CAP", 8l << 20))};
-  return cap;
-}
-
 }  // namespace
 
 bool enabled() noexcept { return enabled_flag().load(std::memory_order_relaxed); }
@@ -57,14 +51,6 @@ int timeout_ms() noexcept {
 
 void set_timeout_ms(int ms) noexcept {
   timeout_value().store(ms > 0 ? ms : 1, std::memory_order_relaxed);
-}
-
-std::size_t isend_cap_bytes() noexcept {
-  return isend_cap_value().load(std::memory_order_relaxed);
-}
-
-void set_isend_cap_bytes(std::size_t bytes) noexcept {
-  isend_cap_value().store(bytes, std::memory_order_relaxed);
 }
 
 void emit_report(const std::string& report) {

@@ -25,7 +25,6 @@
 //
 // Cost when disabled: one relaxed atomic load per transport call.
 
-#include <cstddef>
 #include <stdexcept>
 #include <string>
 
@@ -40,13 +39,6 @@ void set_enabled(bool on) noexcept;
 // PARPDE_MPI_VALIDATE_TIMEOUT_MS. Default 10000.
 [[nodiscard]] int timeout_ms() noexcept;
 void set_timeout_ms(int ms) noexcept;
-
-// Largest isend payload considered safe for the buffered-send contract
-// (communicator.hpp): larger payloads are flagged (stderr warning + the
-// "validate.isend_over_cap" counter). Environment override:
-// PARPDE_MPI_VALIDATE_ISEND_CAP (bytes). Default 8 MiB.
-[[nodiscard]] std::size_t isend_cap_bytes() noexcept;
-void set_isend_cap_bytes(std::size_t bytes) noexcept;
 
 // --- diagnostics ------------------------------------------------------------
 

@@ -101,7 +101,8 @@ TEST(ParallelRollout, ZeroPadIsCommunicationFreeButApproximate) {
   const auto params = export_parameters(reference.model());
   const auto report = shared_weight_report(cfg, 4, params, grid);
   const Tensor initial = random_frame(grid, 13);
-  const auto parallel = parallel_rollout(cfg, report, initial, 1);
+  const auto parallel =
+      parallel_rollout(cfg, report, initial, 1, RolloutOptions{});
   EXPECT_EQ(parallel.halo_bytes, 0u);  // no halo traffic in zero-pad mode
   ASSERT_EQ(parallel.frames.size(), 1u);  // the final (only) step
 
@@ -126,7 +127,8 @@ TEST(ParallelRollout, ValidInnerModeRefuses) {
   NetworkTrainer reference(small_config(BorderMode::kHaloPad), 0);
   const auto params = export_parameters(reference.model());
   const auto report = shared_weight_report(cfg, 4, params, 16);
-  EXPECT_THROW(parallel_rollout(cfg, report, random_frame(16, 1), 1),
+  EXPECT_THROW(parallel_rollout(cfg, report, random_frame(16, 1), 1,
+                                RolloutOptions{}),
                std::invalid_argument);
 }
 
@@ -135,9 +137,11 @@ TEST(ParallelRollout, RejectsBadArguments) {
   NetworkTrainer reference(cfg, 0);
   const auto params = export_parameters(reference.model());
   const auto report = shared_weight_report(cfg, 4, params, 16);
-  EXPECT_THROW(parallel_rollout(cfg, report, Tensor({1, 4, 16, 16}), 1),
+  EXPECT_THROW(parallel_rollout(cfg, report, Tensor({1, 4, 16, 16}), 1,
+                                RolloutOptions{}),
                std::invalid_argument);
-  EXPECT_THROW(parallel_rollout(cfg, report, random_frame(16, 2), 0),
+  EXPECT_THROW(parallel_rollout(cfg, report, random_frame(16, 2), 0,
+                                RolloutOptions{}),
                std::invalid_argument);
 }
 

@@ -1,6 +1,6 @@
 // Domain decomposition: partition invariants (parameterized sweep), halo
-// extraction, halo exchange against the monolithic reference, and
-// gather/scatter roundtrips.
+// extraction, halo exchange against the monolithic reference, and the
+// full-field gather.
 
 #include <gtest/gtest.h>
 
@@ -208,17 +208,15 @@ TEST(Exchange, HaloLargerThanBlockThrows) {
                std::invalid_argument);
 }
 
-TEST(GatherScatter, RoundtripRestoresField) {
+TEST(Gather, ReassemblesPartitionedField) {
   const Tensor frame = random_frame(4, 12, 12, 11);
   const Partition part(12, 12, 3, 2);
   Tensor gathered;
   mpi::Environment env(6);
   env.run([&](mpi::Communicator& comm) {
     mpi::CartComm cart(comm, 3, 2);
-    const Tensor mine = scatter_field(cart, part, frame);
-    const BlockRange block = part.block(cart.cx(), cart.cy());
-    EXPECT_EQ(mine.dim(1), block.height());
-    EXPECT_EQ(mine.dim(2), block.width());
+    const Tensor mine =
+        extract_interior(frame, part.block(cart.cx(), cart.cy()));
     const Tensor full = gather_field(cart, part, mine);
     if (comm.rank() == 0) gathered = full;
   });

@@ -1,8 +1,8 @@
 // Fault-injection substrate and the robustness plumbing it feeds: FaultPlan
 // parsing, deterministic drop/dup/corrupt/delay decisions, bounded receives
-// (Communicator::recv_for and Mailbox::pop_matching_for), run_collect's
-// failed-rank reporting, CRC framing of the serialized formats, and the
-// crash-consistent training checkpoint files. The end-to-end soaks (kill ->
+// (Communicator::recv_for and Mailbox::pop_matching with a timeout),
+// run_collect's failed-rank reporting, CRC framing of the serialized formats,
+// and the crash-consistent training checkpoint files. The end-to-end soaks (kill ->
 // resume bit-identity, degraded rollout) live in test_chaos.cpp.
 
 #include <gtest/gtest.h>
@@ -302,7 +302,7 @@ TEST(Mailbox, PopMatchingForExpiresWithoutConsuming) {
   mpi::Mailbox box;
   mpi::Message out;
   const auto t0 = std::chrono::steady_clock::now();
-  EXPECT_FALSE(box.pop_matching_for(0, 1, 30ms, &out));
+  EXPECT_FALSE(box.pop_matching(0, 1, &out, 30ms));
   EXPECT_GE(std::chrono::steady_clock::now() - t0, 25ms);
 
   mpi::Message msg;
@@ -311,9 +311,9 @@ TEST(Mailbox, PopMatchingForExpiresWithoutConsuming) {
   msg.payload.resize(4);
   box.push(std::move(msg));
   // A non-matching tag still expires — and leaves the queued message alone.
-  EXPECT_FALSE(box.pop_matching_for(0, 1, 10ms, &out));
+  EXPECT_FALSE(box.pop_matching(0, 1, &out, 10ms));
   EXPECT_EQ(box.pending(), 1u);
-  EXPECT_TRUE(box.pop_matching_for(0, 2, 10ms, &out));
+  EXPECT_TRUE(box.pop_matching(0, 2, &out, 10ms));
   EXPECT_EQ(out.tag, 2);
   EXPECT_EQ(box.pending(), 0u);
 }
@@ -328,7 +328,7 @@ TEST(Mailbox, PopMatchingForWakesOnLateArrival) {
     box.push(std::move(msg));
   });
   mpi::Message out;
-  EXPECT_TRUE(box.pop_matching_for(mpi::kAnySource, 9, 2000ms, &out));
+  EXPECT_TRUE(box.pop_matching(mpi::kAnySource, 9, &out, 2000ms));
   EXPECT_EQ(out.source, 3);
   producer.join();
 }

@@ -1,8 +1,10 @@
 // Point-to-point semantics of the message-passing substrate: matching by
-// source and tag, non-overtaking order, any-source receives, nonblocking
-// operations, traffic counters, and error handling.
+// source and tag, non-overtaking order, any-source receives, traffic
+// counters, and error handling.
 
 #include <gtest/gtest.h>
+
+#include <chrono>
 
 #include "minimpi/environment.hpp"
 #include "minimpi/validate.hpp"
@@ -101,7 +103,7 @@ TEST(P2P, SendToProcNullIsDropped) {
 TEST(P2P, RecvFromProcNullThrows) {
   Environment env(1);
   env.run([](Communicator& comm) {
-    EXPECT_THROW(comm.recv_bytes(kProcNull, 0), std::invalid_argument);
+    EXPECT_THROW(comm.recv<int>(kProcNull, 0), std::invalid_argument);
   });
 }
 
@@ -109,57 +111,7 @@ TEST(P2P, OutOfRangePeerThrows) {
   Environment env(2);
   env.run([](Communicator& comm) {
     EXPECT_THROW(comm.send_value<int>(5, 0, 1), std::invalid_argument);
-    EXPECT_THROW(comm.recv_bytes(-7, 0), std::invalid_argument);
-  });
-}
-
-TEST(P2P, NonblockingExchangeCompletesOnWait) {
-  Environment env(2);
-  env.run([](Communicator& comm) {
-    const int peer = 1 - comm.rank();
-    const std::vector<float> mine = {static_cast<float>(comm.rank()) + 0.5f};
-    std::vector<float> theirs;
-    // Post both operations, then wait — the buffered-send semantics make this
-    // deadlock-free in any order.
-    Request rs = comm.isend<float>(peer, 9, mine);
-    Request rr = comm.irecv<float>(peer, 9, &theirs);
-    std::array<Request, 2> reqs{std::move(rs), std::move(rr)};
-    wait_all(reqs);
-    ASSERT_EQ(theirs.size(), 1u);
-    EXPECT_FLOAT_EQ(theirs[0], static_cast<float>(peer) + 0.5f);
-  });
-}
-
-TEST(P2P, RequestPendingLifecycle) {
-  Environment env(2);
-  env.run([](Communicator& comm) {
-    if (comm.rank() == 0) {
-      comm.send_value<int>(1, 4, 17);
-    } else {
-      std::vector<int> out;
-      Request r = comm.irecv<int>(0, 4, &out);
-      EXPECT_TRUE(r.pending());
-      r.wait();
-      EXPECT_FALSE(r.pending());
-      ASSERT_EQ(out.size(), 1u);
-      EXPECT_EQ(out[0], 17);
-      r.wait();  // second wait is a no-op
-    }
-  });
-}
-
-TEST(P2P, ProbeSeesQueuedMessageNonDestructively) {
-  Environment env(2);
-  env.run([](Communicator& comm) {
-    if (comm.rank() == 0) {
-      comm.send_value<int>(1, 2, 5);
-    } else {
-      while (!comm.probe(0, 2)) {
-      }
-      EXPECT_TRUE(comm.probe(0, 2));  // still there
-      EXPECT_EQ(comm.recv_value<int>(0, 2), 5);
-      EXPECT_FALSE(comm.probe(0, 2));
-    }
+    EXPECT_THROW(comm.recv<int>(-7, 0), std::invalid_argument);
   });
 }
 
@@ -205,7 +157,11 @@ TEST(P2P, EnvironmentRunsAreIsolated) {
     if (comm.rank() == 0) comm.send_value<int>(1, 8, 1);  // never received
   });
   env.run([](Communicator& comm) {
-    if (comm.rank() == 1) EXPECT_FALSE(comm.probe(0, 8));
+    if (comm.rank() == 1) {
+      std::vector<int> out;
+      EXPECT_EQ(comm.recv_for<int>(0, 8, std::chrono::milliseconds(0), &out),
+                RecvStatus::kTimeout);
+    }
   });
   validate::set_enabled(was_validating);
 }

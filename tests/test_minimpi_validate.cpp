@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
 
 #include "core/parallel_trainer.hpp"
@@ -29,7 +30,6 @@ class ValidateTest : public ::testing::Test {
   void TearDown() override {
     validate::set_enabled(false);
     validate::set_timeout_ms(10000);
-    validate::set_isend_cap_bytes(std::size_t{8} << 20);
   }
 };
 
@@ -45,21 +45,28 @@ TEST_F(ValidateTest, MatchedTrafficPassesUnchanged) {
 }
 
 TEST_F(ValidateTest, TypeMismatchRecvTraps) {
-  Environment env(2);
-  try {
-    env.run([](Communicator& comm) {
-      if (comm.rank() == 0) {
-        comm.send_value<float>(1, kTestTag, 1.0f);
-      } else {
-        comm.recv_value<double>(0, kTestTag);
-      }
-    });
-    FAIL() << "expected validate::EnvelopeError";
-  } catch (const validate::EnvelopeError& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("typed-envelope mismatch"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("sender element size 4"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("receiver expects 8"), std::string::npos) << msg;
+  // The blocking and the bounded receive share one typed-envelope check.
+  for (const bool bounded : {false, true}) {
+    Environment env(2);
+    try {
+      env.run([bounded](Communicator& comm) {
+        if (comm.rank() == 0) {
+          comm.send_value<float>(1, kTestTag, 1.0f);
+        } else if (bounded) {
+          std::vector<double> out;
+          (void)comm.recv_for<double>(0, kTestTag, std::chrono::seconds(2),
+                                      &out);
+        } else {
+          comm.recv_value<double>(0, kTestTag);
+        }
+      });
+      FAIL() << "expected validate::EnvelopeError (bounded=" << bounded << ")";
+    } catch (const validate::EnvelopeError& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("typed-envelope mismatch"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("sender element size 4"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("receiver expects 8"), std::string::npos) << msg;
+    }
   }
 }
 
@@ -174,23 +181,6 @@ TEST_F(ValidateTest, PhaseScopeRestoresOuterPolicy) {
       EXPECT_EQ(comm.recv_value<int>(0, kTestTag), 3);
     }
   });
-}
-
-TEST_F(ValidateTest, IsendOverCapIsFlagged) {
-  validate::set_isend_cap_bytes(16);
-  auto& flagged = telemetry::counter("validate.isend_over_cap");
-  const auto before = flagged.value();
-  Environment env(2);
-  env.run([](Communicator& comm) {
-    if (comm.rank() == 0) {
-      const std::vector<float> big(64, 1.0f);
-      auto req = comm.isend<float>(1, kTestTag, big);
-      req.wait();
-    } else {
-      EXPECT_EQ(comm.recv<float>(0, kTestTag).size(), 64u);
-    }
-  });
-  EXPECT_EQ(flagged.value(), before + 1);
 }
 
 TEST_F(ValidateTest, TrainingUnderValidatorRecordsZeroMessages) {

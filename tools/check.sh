@@ -41,12 +41,12 @@ cmake -S "$root" -B "$build_root/tsan" \
   -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread" >/dev/null
 cmake --build "$build_root/tsan" -j "$jobs" --target \
-  test_minimpi_p2p test_minimpi_collectives test_minimpi_collectives2 \
-  test_minimpi_cart test_gemm_blocked test_conv_ops test_core_parallel \
+  test_minimpi_p2p test_minimpi_collectives test_minimpi_cart \
+  test_gemm_blocked test_conv_ops test_core_parallel \
   test_fault test_rollout_overlap test_trace test_quant_rollout \
   test_serve >/dev/null
 (cd "$build_root/tsan" && ctest --output-on-failure -R \
-  'test_minimpi_p2p|test_minimpi_collectives|test_minimpi_collectives2|test_minimpi_cart|test_gemm_blocked|test_conv_ops|test_core_parallel|test_fault|test_rollout_overlap|test_trace|test_quant_rollout|test_serve')
+  'test_minimpi_p2p|test_minimpi_collectives|test_minimpi_cart|test_gemm_blocked|test_conv_ops|test_core_parallel|test_fault|test_rollout_overlap|test_trace|test_quant_rollout|test_serve')
 
 echo "== Address/UB sanitizer + checked tensor accessors: full test suite =="
 cmake -S "$root" -B "$build_root/asan" \

@@ -862,13 +862,13 @@ int main(int argc, char** argv) {
   if (!trace_path.empty()) {
     // Fail fast when the trace destination is unwritable: finding out after
     // the run would silently throw the whole trace away.
-    std::FILE* probe = std::fopen(trace_path.c_str(), "w");
-    if (probe == nullptr) {
+    std::FILE* trace_file = std::fopen(trace_path.c_str(), "w");
+    if (trace_file == nullptr) {
       std::fprintf(stderr, "error: cannot open --trace file %s\n",
                    trace_path.c_str());
       return 3;
     }
-    std::fclose(probe);
+    std::fclose(trace_file);
     telemetry::set_enabled(true);
   }
 

@@ -33,10 +33,10 @@ rule):
   unbounded-halo-recv
                    inference-phase files may not block forever on halo
                    traffic: every receive on a halo tag must be the bounded
-                   recv_for/recv_bytes_for so a lost neighbour degrades the
-                   border instead of hanging the rollout. Blocking receives
-                   on the registry's rendezvous tags (field gather/scatter)
-                   are allowlisted.
+                   recv_for so a lost neighbour degrades the border instead
+                   of hanging the rollout. Blocking receives on the
+                   registry's rendezvous tag (the field gather) are
+                   allowlisted.
   raw-clock        src/ outside util/ may not call std::chrono clocks
                    directly: all timing must flow through
                    telemetry::now_us()/util::WallTimer so cross-rank trace
@@ -124,12 +124,34 @@ class Violation:
         return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
 
 
+# --- the Communicator's call surface ----------------------------------------
+
+# The point-to-point members of mpi::Communicator
+# (src/minimpi/communicator.hpp) and the free-function collectives
+# (src/minimpi/collectives.hpp). Every communication rule below builds its
+# pattern from these lists, so a call added to or removed from minimpi is
+# edited here once.
+BLOCKING_RECV_CALLS = ("recv_value", "recv_into", "recv")
+P2P_CALLS = ("send_value", "send", "recv_for") + BLOCKING_RECV_CALLS
+COLLECTIVE_CALLS = (
+    "allreduce", "allgather", "gather", "bcast", "reduce", "barrier",
+)
+
+# The name, optional template arguments, then the call's open paren.
+_CALL_TAIL = r"\s*(?:<[^<>()]*>)?\s*\("
+
+
+def member_call(names) -> str:
+    return r"\.\s*(" + "|".join(names) + r")" + _CALL_TAIL
+
+
+def free_call(names) -> str:
+    return r"\b(" + "|".join(names) + r")" + _CALL_TAIL
+
+
 # --- rule: literal-tag -------------------------------------------------------
 
-_COMM_CALL = re.compile(
-    r"\.\s*(send_value|send_bytes|isend|send|irecv|recv_value|recv_bytes"
-    r"|recv|probe)\s*(?:<[^<>()]*>)?\s*\("
-)
+_COMM_CALL = re.compile(member_call(P2P_CALLS))
 _INT_LITERAL = re.compile(r"[+-]?\d+")
 _TAG_CONSTANT = re.compile(r"\bkTag\w*\s*=\s*(?:\(?\s*)?[+-]?\d")
 
@@ -267,9 +289,7 @@ TRAINING_PHASE_FILES = (
 COMPUTE_ONLY_DIRS = ("src/nn/", "src/tensor/", "src/backend/", "src/data/")
 
 _COMM_USE = re.compile(
-    r"(\.\s*(?:send_value|send_bytes|isend|send|irecv|recv_value|recv_bytes"
-    r"|recv_into|recv)\s*[<(])"
-    r"|(\b(?:allreduce|allgather|bcast|reduce|sendrecv)\s*<)"
+    member_call(P2P_CALLS) + "|" + free_call(COLLECTIVE_CALLS)
 )
 _MINIMPI_INCLUDE = re.compile(r'#\s*include\s+"minimpi/')
 
@@ -309,16 +329,11 @@ INFERENCE_PHASE_FILES = (
     "src/domain/exchange.cpp",
     "src/core/inference.cpp",
 )
-# Registry tags whose owner implements a rendezvous with a live root (full
-# field gather/scatter); blocking on them is the intended protocol.
-ALLOWED_BLOCKING_TAGS = ("kFieldGather", "kFieldScatter")
+# Registry tags whose owner implements a rendezvous with a live root (the
+# full-field gather); blocking on them is the intended protocol.
+ALLOWED_BLOCKING_TAGS = ("kFieldGather",)
 
-# Matches the unbounded receive family only: the bounded recv_for /
-# recv_bytes_for calls fail the `\s*(?:<...>)?\s*\(` tail after the name.
-_UNBOUNDED_RECV = re.compile(
-    r"\.\s*(recv_value|recv_bytes|recv_into|recv|irecv)"
-    r"\s*(?:<[^<>()]*>)?\s*\("
-)
+_UNBOUNDED_RECV = re.compile(member_call(BLOCKING_RECV_CALLS))
 
 
 def rule_unbounded_halo_recv(rel: str, code: str, out: list):
@@ -337,8 +352,8 @@ def rule_unbounded_halo_recv(rel: str, code: str, out: list):
                 line_of(code, m.start()),
                 f"unbounded .{m.group(1)}() in an inference-phase file — a "
                 "dead neighbour would hang the rollout forever; use "
-                "recv_for/recv_bytes_for with a timeout and degrade the "
-                "border (docs/robustness.md)",
+                "recv_for with a timeout and degrade the border "
+                "(docs/robustness.md)",
             )
         )
 
@@ -539,10 +554,7 @@ _LOCK_RELEASE = re.compile(r"\b(\w+)\s*\.\s*unlock\s*\(")
 # 200ms under a contended lock is still a stall the pool can observe) and the
 # free-function collectives, every one a rendezvous.
 _LOCKED_COMM_CALL = re.compile(
-    r"\.\s*(send_value|send_bytes|send|recv_value|recv_bytes_for|recv_bytes"
-    r"|recv_for|recv_into|recv)\s*(?:<[^<>()]*>)?\s*\("
-    r"|\b(allreduce|allgather|bcast|reduce|sendrecv|barrier)\s*"
-    r"(?:<[^<>()]*>)?\s*\("
+    member_call(P2P_CALLS) + "|" + free_call(COLLECTIVE_CALLS)
 )
 
 
@@ -748,13 +760,16 @@ def lint_tree(root: str) -> list:
 # --- self-test ---------------------------------------------------------------
 
 SEEDED_FILES = {
-    # literal-tag: raw tag argument and a stray registry constant.
+    # literal-tag: raw tag arguments (a blocking receive into a caller's
+    # vector and a bounded receive among them) and a stray registry constant.
     "src/core/bad_tags.cpp": (
         '#include "core/bad_tags.hpp"\n'
         "constexpr int kTagRogue = 9000;\n"
         "void f(parpde::mpi::Communicator& comm) {\n"
         "  comm.send<float>(1, 4242, data);\n"
         "  comm.recv<float>(0, 17);\n"
+        "  comm.recv_into<float>(0, 18, &strip);\n"
+        "  comm.recv_for<float>(0, 19, std::chrono::milliseconds(10), &out);\n"
         "}\n"
     ),
     # nondeterminism: rand + unordered_map in a kernel path.
@@ -773,11 +788,14 @@ SEEDED_FILES = {
         '  telemetry::Span("halo.exchange", "comm");\n'
         "}\n"
     ),
-    # zero-comm: a send inside the training phase and a minimpi include in nn.
+    # zero-comm: a send and a bounded receive inside the training phase and
+    # a minimpi include in nn.
     "src/core/parallel_trainer.cpp": (
         '#include "core/parallel_trainer.hpp"\n'
         "void g(parpde::mpi::Communicator& comm) {\n"
         "  comm.send<float>(0, parpde::mpi::tags::kHalo.base, w);\n"
+        "  comm.recv_for<float>(0, parpde::mpi::tags::kHalo.base,\n"
+        "                       std::chrono::milliseconds(10), &w);\n"
         "}\n"
     ),
     "src/nn/bad_layer.cpp": (
@@ -978,11 +996,18 @@ def self_test() -> int:
         ]
         if flagged_clean:
             failures.append(f"clean file flagged: {flagged_clean}")
-        # The literal-tag seed has 3 findings (two calls + one constant).
+        # The literal-tag seed has 5 findings (four calls + one constant).
         literal = [v for v in violations if v.rule == "literal-tag"]
-        if len(literal) != 3:
+        if len(literal) != 5:
             failures.append(
-                f"literal-tag: expected 3 findings, got {len(literal)}"
+                f"literal-tag: expected 5 findings, got {len(literal)}"
+            )
+        # The zero-comm seeds have 3 findings: the send and the bounded
+        # receive in the training phase, and the minimpi include in nn.
+        zero_comm = [v for v in violations if v.rule == "zero-comm"]
+        if len(zero_comm) != 3:
+            failures.append(
+                f"zero-comm: expected 3 findings, got {len(zero_comm)}"
             )
         # Exactly the blocking halo receive: the allowlisted gather receive
         # and the bounded recv_for in the same seed must not be flagged.
