@@ -1,12 +1,19 @@
-// Kernel microbenchmark seeding the BENCH trajectory: GFLOP/s of the blocked
-// GEMM against the naive reference on the Table I conv shapes, plus the
-// samples/sec of a full Table-I training step. Emits a single JSON object on
-// stdout so runs can be archived and diffed.
+// Kernel microbenchmark: GFLOP/s of the direct fp32 forward convolution
+// (nn::conv2d_forward_batched) on each Table-I layer at the training
+// geometry, the blocked GEMM against the naive reference on one sample
+// group's weight-gradient GEMM of Table-I layer 2 (the only GEMM training
+// runs, once per group of nn::conv2d_batch_group samples), the
+// per-backend inference convs, and the samples/sec of a full Table-I training
+// step. Emits a single JSON object on stdout so runs can be archived and
+// diffed.
 //
 //   bench_kernels [--threads N] [--grid G] [--batch B] [--full]
 //
-// --threads sets the intra-rank pool size (1 = fully inline). The paper's
-// full-scale shapes (grid 256) are selected with --full / PARPDE_FULL=1.
+// --threads sets the intra-rank pool size (1 = fully inline). --grid is the
+// subdomain tile: the forward rows run the halo-padded training geometry,
+// layer l reading a (G + 16 - 4(l-1))^2 tile unpadded, so --grid=32 times
+// train_64's layers. The paper's full-scale shapes (grid 256) are selected
+// with --full / PARPDE_FULL=1.
 
 #include <cstdio>
 #include <string>
@@ -15,6 +22,7 @@
 #include "backend/kernel_backend.hpp"
 #include "core/config.hpp"
 #include "core/trainer.hpp"
+#include "nn/conv_ops.hpp"
 #include "tensor/gemm.hpp"
 #include "util/options.hpp"
 #include "util/random.hpp"
@@ -44,11 +52,6 @@ double time_call(Fn&& fn) {
   return timer.seconds() / reps;
 }
 
-struct GemmCase {
-  std::string name;
-  std::int64_t m, k, n;
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -60,66 +63,69 @@ int main(int argc, char** argv) {
   const int threads = opts.get_int("threads", 1);
   parpde::util::ThreadPool::configure_global(threads - 1);
 
-  // Table I: conv layers 4 -> 6 -> 16 -> 6 -> 4, 5x5 kernels, same padding.
-  // Forward GEMM per layer: [Cout x Cin*25] * [Cin*25 x batch*grid^2].
-  const std::int64_t plane = static_cast<std::int64_t>(grid) * grid * batch;
+  // Table I: conv layers 4 -> 6 -> 16 -> 6 -> 4, 5x5 kernels.
   const std::vector<std::int64_t> channels = {4, 6, 16, 6, 4};
-  std::vector<GemmCase> cases;
-  for (std::size_t l = 0; l + 1 < channels.size(); ++l) {
-    cases.push_back({"layer" + std::to_string(l + 1) + "_fwd",
-                     channels[l + 1], channels[l] * 25, plane});
-  }
-  // Backward shapes of the widest layer: data (A^T) and weights (B^T).
-  cases.push_back({"layer2_bwd_data", channels[1] * 25, channels[2], plane});
-  cases.push_back({"layer2_bwd_weights", channels[2], plane, channels[1] * 25});
-
   parpde::util::Rng rng(20260805);
   std::printf("{\n  \"threads\": %d,\n  \"grid\": %d,\n  \"batch\": %d,\n",
               threads, grid, batch);
-  std::printf("  \"gemm\": [\n");
-  for (std::size_t ci = 0; ci < cases.size(); ++ci) {
-    const auto& gc = cases[ci];
-    const auto a = random_vec(gc.m * gc.k, rng);
-    const auto b = random_vec(gc.k * gc.n, rng);
-    std::vector<float> c(static_cast<std::size_t>(gc.m * gc.n));
-    const double flops = 2.0 * static_cast<double>(gc.m) *
-                         static_cast<double>(gc.k) * static_cast<double>(gc.n);
 
-    double naive_s = 0.0, blocked_s = 0.0;
-    if (gc.name == "layer2_bwd_data") {
-      // A stored [k x m]: same buffer sizes, strided reads.
-      naive_s = time_call([&] {
-        parpde::gemm_naive_at(a.data(), b.data(), c.data(), gc.m, gc.k, gc.n);
-      });
-      blocked_s = time_call([&] {
-        parpde::gemm_at(a.data(), b.data(), c.data(), gc.m, gc.k, gc.n);
-      });
-    } else if (gc.name == "layer2_bwd_weights") {
-      naive_s = time_call([&] {
-        parpde::gemm_naive_bt_acc(a.data(), b.data(), c.data(), gc.m, gc.k,
-                                  gc.n);
-      });
-      blocked_s = time_call([&] {
-        parpde::gemm_bt_acc(a.data(), b.data(), c.data(), gc.m, gc.k, gc.n);
-      });
-    } else {
-      naive_s = time_call([&] {
-        parpde::gemm_naive(a.data(), b.data(), c.data(), gc.m, gc.k, gc.n);
-      });
-      blocked_s = time_call([&] {
-        parpde::gemm(a.data(), b.data(), c.data(), gc.m, gc.k, gc.n);
-      });
-    }
-    std::printf("    {\"name\": \"%s\", \"m\": %lld, \"k\": %lld, \"n\": %lld, "
-                "\"naive_gflops\": %.3f, \"blocked_gflops\": %.3f, "
-                "\"speedup\": %.2f}%s\n",
-                gc.name.c_str(), static_cast<long long>(gc.m),
-                static_cast<long long>(gc.k), static_cast<long long>(gc.n),
-                flops / naive_s * 1e-9, flops / blocked_s * 1e-9,
-                naive_s / blocked_s, ci + 1 < cases.size() ? "," : "");
+  // Direct forward per layer on the halo-padded tile: 4 * (5 - 1) / 2 = 8
+  // halo cells per side, each unpadded 5x5 layer trimming 2 of them.
+  std::printf("  \"conv_forward\": [\n");
+  for (std::size_t l = 0; l + 1 < channels.size(); ++l) {
+    const std::int64_t cin = channels[l], cout = channels[l + 1];
+    const std::int64_t in = grid + 16 - 4 * static_cast<std::int64_t>(l);
+    parpde::Tensor x({batch, cin, in, in}), w({cout, cin, 5, 5}), b({cout});
+    rng.fill_uniform(x.values(), -1.0f, 1.0f);
+    rng.fill_uniform(w.values(), -1.0f, 1.0f);
+    rng.fill_uniform(b.values(), -1.0f, 1.0f);
+    parpde::Tensor y;
+    parpde::nn::Conv2dWorkspace ws;
+    const double s = time_call(
+        [&] { parpde::nn::conv2d_forward_batched(x, w, b, 0, y, ws); });
+    const std::int64_t out = in - 4;
+    const double flops = 2.0 * static_cast<double>(cout * cin * 25) *
+                         static_cast<double>(batch * out * out);
+    std::printf("    {\"name\": \"layer%zu_fwd\", \"cin\": %lld, "
+                "\"cout\": %lld, \"in\": %lld, \"ms\": %.3f, "
+                "\"gflops\": %.3f}%s\n",
+                l + 1, static_cast<long long>(cin),
+                static_cast<long long>(cout), static_cast<long long>(in),
+                s * 1e3, flops / s * 1e-9,
+                l + 2 < channels.size() ? "," : "");
     std::fflush(stdout);
   }
   std::printf("  ],\n");
+
+  // One sample group's weight-gradient GEMM of the widest layer (6 -> 16)
+  // at its training geometry: dW [Cout x Cin*25] += dY [Cout x G*OH*OW] *
+  // rows [G*OH*OW x Cin*25], G from the backward's own grouping rule.
+  {
+    const std::int64_t in = grid + 12, out = in - 4;
+    const std::int64_t group = parpde::nn::conv2d_batch_group(
+        parpde::ConvGeometry{channels[1], in, in, 5, 0}, batch);
+    const std::int64_t m = channels[2], n = channels[1] * 25;
+    const std::int64_t k = group * out * out;
+    const auto a = random_vec(m * k, rng);
+    const auto b = random_vec(k * n, rng);
+    std::vector<float> c(static_cast<std::size_t>(m * n));
+    const double flops = 2.0 * static_cast<double>(m) *
+                         static_cast<double>(k) * static_cast<double>(n);
+    const double naive_s = time_call([&] {
+      parpde::gemm_naive_acc(a.data(), b.data(), c.data(), m, k, n);
+    });
+    const double blocked_s = time_call(
+        [&] { parpde::gemm_acc(a.data(), b.data(), c.data(), m, k, n); });
+    std::printf("  \"gemm\": [\n    {\"name\": \"layer2_bwd_weights\", "
+                "\"group\": %lld, \"m\": %lld, \"k\": %lld, \"n\": %lld, "
+                "\"naive_gflops\": %.3f, \"blocked_gflops\": %.3f, "
+                "\"speedup\": %.2f}\n  ],\n",
+                static_cast<long long>(group), static_cast<long long>(m),
+                static_cast<long long>(k), static_cast<long long>(n),
+                flops / naive_s * 1e-9,
+                flops / blocked_s * 1e-9, naive_s / blocked_s);
+    std::fflush(stdout);
+  }
 
   // Per-backend fused inference conv on each Table-I layer: the single-sample
   // [Cin, grid+4, grid+4] valid conv the rollout's ForwardPlan runs (halo-pad

@@ -1,7 +1,5 @@
 #include "backend/kernel_backend.hpp"
 
-#include <algorithm>
-
 #include "util/telemetry.hpp"
 
 namespace parpde::backend {
@@ -9,30 +7,19 @@ namespace parpde::backend {
 namespace {
 
 // fp32 plan state: the layer list plus one Conv2dWorkspace that every layer
-// shares, pre-sized for the widest sample group any layer lowers at up to
-// max_batch samples. At max_batch 1 that is one column buffer for the widest
-// layer and no output staging (a one-sample group's GEMM writes y directly).
+// shares, pre-sized for what the direct forward of any layer stages at up to
+// max_batch samples.
 struct F32PlanContext final : PlanContext {
   F32PlanContext(const std::vector<ConvLayerDesc>& descs, std::int64_t max_h,
                  std::int64_t max_w, std::int64_t max_batch)
       : layers(descs) {
-    std::int64_t h = max_h, w = max_w, col = 0, out = 0;
+    std::int64_t h = max_h, w = max_w;
     for (const ConvLayerDesc& l : layers) {
       const ConvGeometry g{l.in_channels, h, w, l.kernel, l.pad};
-      // conv2d_batch_group is not monotone in the batch, so take the widest
-      // group over every batch size the plan may run.
-      for (std::int64_t b = 1; b <= max_batch; ++b) {
-        const std::int64_t group = nn::conv2d_batch_group(g, b);
-        col = std::max(col, g.col_rows() * group * g.col_cols());
-        if (group > 1) {
-          out = std::max(out, l.out_channels * group * g.col_cols());
-        }
-      }
+      nn::conv2d_forward_reserve(g, l.out_channels, max_batch, ws);
       h = g.out_height();
       w = g.out_width();
     }
-    ws.col.resize(static_cast<std::size_t>(col));
-    ws.out.resize(static_cast<std::size_t>(out));
   }
 
   [[nodiscard]] std::uint64_t growth_events() const noexcept override {
@@ -44,7 +31,7 @@ struct F32PlanContext final : PlanContext {
   std::uint64_t growths = 0;
 };
 
-// The fp32 provider: the plan's convs run the training lowering
+// The fp32 provider: the plan's convs run the training forward
 // (nn::conv2d_forward_batched) with the layer's fused activation, so plan and
 // module graph share one kernel and agree bit for bit.
 class BlockedF32Backend final : public KernelBackend {
@@ -67,10 +54,10 @@ class BlockedF32Backend final : public KernelBackend {
         telemetry::counter("backend.fp32.gemm_flops");
     telemetry::Span span(batch == 1 ? "conv.fp32" : "conv.fp32.batched",
                          "backend");
-    const std::size_t sized = c.ws.col.size() + c.ws.out.size();
+    const std::size_t sized = c.ws.elements();
     nn::conv2d_forward_batched(x, batch, g, l.weight, l.out_channels, l.bias,
                                l.fused, l.slope, y, c.ws);
-    if (c.ws.col.size() + c.ws.out.size() != sized) ++c.growths;
+    if (c.ws.elements() != sized) ++c.growths;
     flops.add(static_cast<std::uint64_t>(2 * l.out_channels * g.col_rows() *
                                          batch * g.col_cols()));
   }

@@ -88,12 +88,12 @@ class KernelBackend {
       const std::vector<ConvLayerDesc>& layers, std::int64_t max_h,
       std::int64_t max_w, std::int64_t max_batch = 1) const = 0;
 
-  // y [B, Cout, OH, OW] = fused_act(W * im2col(x) + b) for layer `layer` of
+  // y [B, Cout, OH, OW] = fused_act(W (*) x + b) for layer `layer` of
   // the context on `batch` stacked samples x [B, Cin, h, w], both contiguous.
   // Never allocates for in-range geometries (growths are counted by the
   // context). Each sample's bytes do not depend on the batch it runs in: the
-  // fp32 GEMM's per-element k-reduction order does not depend on the matrix
-  // width, int8 accumulation is exact, and the epilogues are elementwise.
+  // fp32 conv's per-element tap-reduction order does not depend on the
+  // batch, int8 accumulation is exact, and the epilogues are elementwise.
   // This is the contract SurrogateServer's cross-session coalescing relies
   // on; test_serve proves it end-to-end. A layer marked feeds_next may leave
   // y unwritten (see ConvLayerDesc).

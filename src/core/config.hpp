@@ -52,7 +52,7 @@ struct TrainConfig {
   std::uint64_t seed = 42;
   bool shuffle = true;
 
-  // Intra-rank compute threads for the GEMM / im2col / elementwise kernels
+  // Intra-rank compute threads for the conv / GEMM / elementwise kernels
   // (0 = auto: the hardware concurrency divided across concurrent ranks).
   // The trainers cap ranks * threads at the hardware concurrency so the
   // thread-per-rank concurrent mode never oversubscribes; every kernel is

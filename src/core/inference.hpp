@@ -35,7 +35,7 @@ enum class RolloutEngine {
   // One step: post every hosted task's border strips (HaloExchange::begin),
   // receive the neighbours' into the halo-padded tiles (finish), run each
   // task's pre-sized ForwardPlan once on its whole tile, and hand the outputs
-  // to the deferred frame gather. All per-layer activations, im2col
+  // to the deferred frame gather. All per-layer activations, conv
   // workspaces and halo staging buffers are pre-sized at rollout start, so
   // the steady-state step performs zero heap allocations. Bit-identical to stepping every
   // subdomain network on halo-extended tiles of the previous full frame (the
@@ -182,7 +182,7 @@ struct RolloutResult {
   // read it; it goes, with RolloutEngine, the next time perfbench/ changes.
   double overlap_seconds = 0.0;
   // Total buffer regrowths after the warm-up step, summed over ranks (plan
-  // activations, im2col workspaces, halo staging). 0 means the steady-state
+  // activations, conv workspaces, halo staging). 0 means the steady-state
   // step ran allocation-free; also exported as the
   // `inference.steady_state_allocs` telemetry counter.
   std::uint64_t steady_state_allocs = 0;

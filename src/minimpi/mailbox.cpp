@@ -69,17 +69,12 @@ bool Mailbox::pop_matching(int source, int tag, Message* out,
   return true;
 }
 
-std::size_t Mailbox::pending() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return queue_.size();
-}
-
 std::vector<MessageInfo> Mailbox::snapshot() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<MessageInfo> out;
   out.reserve(queue_.size());
   for (const Message& m : queue_) {
-    out.push_back({m.source, m.tag, m.elem_size, m.payload.size()});
+    out.push_back({m.source, m.tag, m.payload.size()});
   }
   return out;
 }

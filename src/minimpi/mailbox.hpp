@@ -61,7 +61,6 @@ struct Message {
 struct MessageInfo {
   int source = 0;
   int tag = 0;
-  std::size_t elem_size = 0;
   std::size_t bytes = 0;
 };
 
@@ -83,9 +82,6 @@ class Mailbox {
   // decisions and receive audits by destination. Set once by SharedState.
   void set_owner(int rank) noexcept { owner_ = rank; }
   [[nodiscard]] int owner() const noexcept { return owner_; }
-
-  // Number of queued (undelivered) messages; used by shutdown sanity checks.
-  [[nodiscard]] std::size_t pending() const;
 
   // Headers of all queued messages in queue order (payloads not copied).
   [[nodiscard]] std::vector<MessageInfo> snapshot() const;

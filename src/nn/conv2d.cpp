@@ -38,8 +38,14 @@ Tensor Conv2d::forward(const Tensor& x) {
   static telemetry::Counter& calls = telemetry::counter("nn.conv2d.forward");
   calls.add(1);
   telemetry::Span span("conv2d.forward", "nn");
-  // Batched lowering: one wide im2col + one GEMM per cache-sized sample group
-  // (conv2d_batch_group), bit-identical to a whole-batch GEMM.
+  // dW's im2row rows, the largest buffer the layer keeps, are sized on the
+  // first forward rather than in the backward: allocated after the batch's
+  // tensors have churned the heap, they raised training's peak RSS ~2 MiB.
+  conv2d_backward_reserve(
+      ConvGeometry{in_channels_, x.dim(2), x.dim(3), kernel_, pad_}, x.dim(0),
+      ws_);
+  // Direct convolution over the whole batch, bit-identical to the im2col +
+  // GEMM lowering it replaced.
   Tensor y;
   conv2d_forward_batched(x, weight_, bias_, pad_, y, ws_);
   return y;

@@ -1,9 +1,10 @@
 #pragma once
 
 // 2-d convolution layer (stride 1, square kernel, optional symmetric zero
-// padding), lowered to GEMM via im2col. This is the layer type of Table I in
-// the paper; with pad = (k-1)/2 ("same" padding) the spatial size is
-// preserved, with pad = 0 ("valid") the output shrinks by k-1.
+// padding) over the kernels of nn/conv_ops.hpp: a direct forward and data
+// gradient and an im2row + GEMM weight gradient. This is the layer type of
+// Table I in the paper; with pad = (k-1)/2 ("same" padding) the spatial size
+// is preserved, with pad = 0 ("valid") the output shrinks by k-1.
 
 #include "nn/conv_ops.hpp"
 #include "nn/module.hpp"
@@ -51,7 +52,7 @@ class Conv2d final : public Module {
   void check_backward(const Tensor& grad_out) const;
 
   Tensor input_;         // cached forward input [N, Cin, H, W]
-  Conv2dWorkspace ws_;   // persistent batched lowering / GEMM scratch
+  Conv2dWorkspace ws_;   // persistent conv kernel scratch
 };
 
 }  // namespace parpde::nn

@@ -15,53 +15,259 @@ namespace parpde::nn {
 
 namespace {
 
-// Budget for one sample group's column buffer. A group's col (its im2row
-// rows in the backward pass) must survive in L2/LLC from the lowering that
-// writes it to the GEMM that reads it; whole-batch columns (12-33 MB per
-// Table-I layer at batch 16 on 32x32 tiles) stream through DRAM instead, and
-// concurrent ranks then contend for the shared LLC.
+// Budget for one sample group's im2row buffer in the weight gradient. A
+// group's rows must survive in L2/LLC from the lowering that writes them to
+// the GEMM that reads them; whole-batch rows (12-33 MB per Table-I layer at
+// batch 16 on 32x32 tiles) stream through DRAM instead, and concurrent ranks
+// then contend for the shared LLC.
 constexpr std::int64_t kColBudgetBytes = std::int64_t{1} << 20;
 
 // Workspace buffers only grow: a shared workspace (the inference plan's,
 // used by every layer in turn) never pays a reallocation or a re-fill when a
 // narrower layer follows a wider one.
-float* grow(util::AlignedVector<float>& buf, std::int64_t floats) {
-  if (static_cast<std::int64_t>(buf.size()) < floats) {
-    buf.resize(static_cast<std::size_t>(floats));
+template <typename T>
+T* grow(util::AlignedVector<T>& buf, std::int64_t count) {
+  if (static_cast<std::int64_t>(buf.size()) < count) {
+    buf.resize(static_cast<std::size_t>(count));
   }
   return buf.data();
 }
 
-// dst = act(src + b) over one channel plane (src == dst allowed): the exact
-// per-element float sequence of a bias pass followed by an activation pass,
-// so fusing them changes nothing but memory traffic. Without a bias b is +0;
-// without a bias or an activation dst is src.
-void epilogue(const float* src, float* dst, std::int64_t len,
-              const float* bias, FusedActivation act, float slope) {
-  const float b = bias != nullptr ? *bias : 0.0f;
+constexpr std::int64_t ceil_div(std::int64_t a, std::int64_t b) {
+  return (a + b - 1) / b;
+}
+
+// Output pixels per vector: adjacent pixels of one flattened plane row.
+constexpr std::int64_t kLanes = 16;
+
+typedef float vLf __attribute__((vector_size(kLanes * sizeof(float))));
+
+// v = act(v + b) on one vector of lanes: per lane the exact float sequence
+// of a bias pass followed by an activation pass, so fusing them changes
+// nothing but memory traffic. Without a bias b is +0; without a bias or an
+// activation v is left as it is.
+[[gnu::always_inline]] inline void epilogue(vLf& v, const float* bias,
+                                            FusedActivation act, float slope) {
+  if (bias == nullptr && act == FusedActivation::kNone) return;
+  v = v + (bias != nullptr ? *bias : 0.0f);
   switch (act) {
     case FusedActivation::kNone:
-      if (bias != nullptr) {
-        for (std::int64_t i = 0; i < len; ++i) dst[i] = src[i] + b;
-      } else if (src != dst) {
-        std::memcpy(dst, src, static_cast<std::size_t>(len) * sizeof(float));
-      }
       break;
     case FusedActivation::kLeakyReLU:
-      for (std::int64_t i = 0; i < len; ++i) {
-        const float v = src[i] + b;
-        dst[i] = v >= 0.0f ? v : slope * v;
-      }
+      v = v >= 0.0f ? v : slope * v;
       break;
     case FusedActivation::kReLU:
-      for (std::int64_t i = 0; i < len; ++i) {
-        const float v = src[i] + b;
-        dst[i] = v > 0.0f ? v : 0.0f;
-      }
+      v = v > 0.0f ? v : vLf{};
       break;
     case FusedActivation::kTanh:
-      for (std::int64_t i = 0; i < len; ++i) dst[i] = std::tanh(src[i] + b);
+      for (int l = 0; l < kLanes; ++l) v[l] = std::tanh(v[l]);
       break;
+  }
+}
+
+// dst [channels, rows, cols] = src [channels, h, w] moved `border` rows down
+// and `border` columns right, zero everywhere else.
+void pad_planes(const float* src, std::int64_t channels, std::int64_t h,
+                std::int64_t w, std::int64_t border, std::int64_t rows,
+                std::int64_t cols, float* dst) {
+  for (std::int64_t c = 0; c < channels; ++c) {
+    for (std::int64_t r = 0; r < rows; ++r) {
+      float* d = dst + (c * rows + r) * cols;
+      const std::int64_t y = r - border;
+      if (y < 0 || y >= h) {
+        std::fill_n(d, cols, 0.0f);
+        continue;
+      }
+      std::fill_n(d, border, 0.0f);
+      std::memcpy(d + border, src + (c * h + y) * w,
+                  static_cast<std::size_t>(w) * sizeof(float));
+      std::fill_n(d + border + w, cols - border - w, 0.0f);
+    }
+  }
+}
+
+// Channel blocks of `c`: full blocks of `full`, then the remainder split
+// into blocks of 4, 2 and 1 (its binary digits), so every kernel instance
+// runs a fixed register block.
+std::int64_t channel_blocks(std::int64_t c, std::int64_t full) {
+  return c / full +
+         __builtin_popcountll(static_cast<unsigned long long>(c % full));
+}
+
+struct ChannelBlock {
+  std::int64_t c0, cb;
+};
+
+ChannelBlock channel_block(std::int64_t b, std::int64_t c, std::int64_t full) {
+  const std::int64_t whole = c / full;
+  if (b < whole) return {b * full, full};
+  std::int64_t c0 = whole * full;
+  const std::int64_t rem = c - c0;
+  for (std::int64_t size = 4;; size /= 2) {
+    if ((rem & size) == 0) continue;
+    if (b-- == whole) return {c0, size};
+    c0 += size;
+  }
+}
+
+// --- direct forward ----------------------------------------------------------
+//
+// y[co][oy][ox] = act(b[co] + s), s = sum over taps t = (ci, kh, kw) of
+//                 w[co][t] * x[ci][oy + kh - pad][ox + kw - pad]
+// evaluated in exactly the order of the lowering it replaces: the blocked
+// GEMM W * im2col(x), then the epilogue. The GEMM summed an element's taps in
+// ascending t, one kGemmKBlock-deep register partial at a time, each started
+// from +0; the first partial became s and each later one was added to it.
+// The kernel forms the same partials with the same `x += a * b` statement
+// (so each clone contracts it as its GEMM does), reading x in place instead
+// of a column matrix. How the GEMM grouped the batch or tiled its columns
+// never entered an element's sum, so the kernel tiles as it likes.
+//
+// An output plane is flattened with the source's row stride: lane
+// n = oy * cols + ox reads tap t at source float n + off[t], where
+// off[t] = (ci * rows + kh) * cols + kw, so adjacent lanes are adjacent
+// floats and a tap is one unaligned vector load. The k - 1 lanes past OW at
+// the end of each row are computed and discarded.
+
+// Output channels per register block (the remainder runs blocks of 4, 2, 1).
+// Each block takes kForwardVectors vectors of lanes at once: 12 independent
+// accumulation chains for a full block.
+constexpr std::int64_t kForwardBlock = 6;
+constexpr std::int64_t kForwardVectors = 2;
+constexpr std::int64_t kForwardStep = kForwardVectors * kLanes;
+// Lanes per task: sample x channel block x lane chunk is the parallel grain.
+constexpr std::int64_t kForwardChunk = 32 * kForwardStep;
+// Floats a source buffer must hold past its last sample: the last lane
+// vectors of a plane read up to 2 * kLanes - 1 floats past the sample.
+constexpr std::int64_t kForwardSlack = kForwardStep;
+
+// The planes a sample's taps read: x itself when pad is 0, otherwise a copy
+// with a `pad`-wide zero border, where a padded tap multiplies a real 0 as
+// the im2col matrix's zeros did (so an Inf weight still makes a NaN there).
+struct ForwardSource {
+  std::int64_t rows = 0, cols = 0, plane = 0, sample = 0;
+  // Trailing samples read from the staging copy rather than in place: all of
+  // them when padded, otherwise those whose last vectors would run past x.
+  std::int64_t staged = 0;
+
+  ForwardSource(const ConvGeometry& g, std::int64_t n)
+      : rows(g.height + 2 * g.pad),
+        cols(g.width + 2 * g.pad),
+        plane(rows * cols),
+        sample(g.in_channels * plane) {
+    const std::int64_t slack_samples =
+        ceil_div(kForwardSlack, std::max<std::int64_t>(sample, 1));
+    staged = g.pad > 0 ? n : std::min(n, slack_samples);
+  }
+
+  [[nodiscard]] std::int64_t staging_floats() const {
+    return staged * sample + kForwardSlack;
+  }
+};
+
+struct ForwardArgs {
+  const float* x;          // source sample [Cin, rows, cols]
+  const float* w;          // this block's packed weights [taps][cb]
+  const std::int64_t* off;  // source offset of each tap
+  float* y;                // y plane of the block's first channel
+  const float* bias;       // bias of the block's first channel, or null
+  FusedActivation act;
+  float slope;
+  std::int64_t taps, cols, ow, plane;
+  std::int64_t begin, end;  // flattened lanes [begin, end) of this task
+};
+
+const float* block_bias(const ForwardArgs& a, int i) {
+  return a.bias != nullptr ? a.bias + i : nullptr;
+}
+
+// part[i][v] += sum over taps [t0, t1) of w[t][i] * x[n + off[t]], for CB
+// channels of kForwardVectors lane vectors at src.
+template <int CB>
+[[gnu::always_inline]] inline void forward_partial(
+    vLf (&part)[CB][kForwardVectors], const float* src, const ForwardArgs& a,
+    std::int64_t t0, std::int64_t t1) {
+  for (std::int64_t t = t0; t < t1; ++t) {
+    vLf d[kForwardVectors];
+    for (int v = 0; v < kForwardVectors; ++v) {
+      __builtin_memcpy(&d[v], src + a.off[t] + v * kLanes, sizeof(vLf));
+    }
+    const float* wt = a.w + t * CB;
+    for (int i = 0; i < CB; ++i) {
+      for (int v = 0; v < kForwardVectors; ++v) part[i][v] += wt[i] * d[v];
+    }
+  }
+}
+
+template <int CB>
+[[gnu::always_inline]] inline void forward_block(const ForwardArgs& a) {
+  for (std::int64_t n0 = a.begin; n0 < a.end; n0 += kForwardStep) {
+    const float* src = a.x + n0;
+    vLf s[CB][kForwardVectors] = {};
+    forward_partial<CB>(s, src, a, 0, std::min(a.taps, kGemmKBlock));
+    for (std::int64_t t0 = kGemmKBlock; t0 < a.taps; t0 += kGemmKBlock) {
+      vLf part[CB][kForwardVectors] = {};
+      forward_partial<CB>(part, src, a, t0, std::min(a.taps, t0 + kGemmKBlock));
+      for (int i = 0; i < CB; ++i) {
+        for (int v = 0; v < kForwardVectors; ++v) s[i][v] += part[i][v];
+      }
+    }
+    for (int v = 0; v < kForwardVectors; ++v) {
+      const std::int64_t n = n0 + v * kLanes;
+      if (n >= a.end) break;
+      const std::int64_t oy = n / a.cols, ox = n - oy * a.cols;
+      for (int i = 0; i < CB; ++i) {
+        epilogue(s[i][v], block_bias(a, i), a.act, a.slope);
+      }
+      if (ox + kLanes <= a.ow && n + kLanes <= a.end) {
+        for (int i = 0; i < CB; ++i) {
+          __builtin_memcpy(a.y + i * a.plane + oy * a.ow + ox, &s[i][v],
+                           sizeof(vLf));
+        }
+        continue;
+      }
+      // A vector that crosses a row end: store its real pixels one by one,
+      // skipping the discarded columns (x >= OW) and the lanes of the next
+      // task.
+      for (std::int64_t l = 0, y = oy, x = ox; l < kLanes && n + l < a.end;
+           ++l, ++x) {
+        if (x == a.cols) {
+          x = 0;
+          ++y;
+        }
+        if (x >= a.ow) continue;
+        for (int i = 0; i < CB; ++i) {
+          a.y[i * a.plane + y * a.ow + x] = s[i][v][l];
+        }
+      }
+    }
+  }
+}
+
+PARPDE_TARGET_CLONES void forward_block6(const ForwardArgs& a) {
+  forward_block<6>(a);
+}
+PARPDE_TARGET_CLONES void forward_block4(const ForwardArgs& a) {
+  forward_block<4>(a);
+}
+PARPDE_TARGET_CLONES void forward_block2(const ForwardArgs& a) {
+  forward_block<2>(a);
+}
+PARPDE_TARGET_CLONES void forward_block1(const ForwardArgs& a) {
+  forward_block<1>(a);
+}
+
+// Weights regrouped for the forward kernel: output-channel block
+// [c0, c0+cb) occupies dst[c0*taps ...] as [tap][cb].
+void pack_forward_weights(const float* w, std::int64_t cout, std::int64_t taps,
+                          float* dst) {
+  for (std::int64_t b = 0; b < channel_blocks(cout, kForwardBlock); ++b) {
+    const ChannelBlock cb = channel_block(b, cout, kForwardBlock);
+    for (std::int64_t t = 0; t < taps; ++t) {
+      for (std::int64_t i = 0; i < cb.cb; ++i) {
+        *dst++ = w[(cb.c0 + i) * taps + t];
+      }
+    }
   }
 }
 
@@ -84,14 +290,10 @@ void epilogue(const float* src, float* dst, std::int64_t len,
 // which each clone compiles to the same instruction (a fused multiply-add
 // where the ISA has one), so every clone reproduces its own GEMM's bits.
 
-// Output pixels per vector: adjacent sx of one dx row.
-constexpr std::int64_t kLanes = 16;
 // Input channels per register block. A block of CB channels also takes
 // 8 / CB dx rows at once, so every block runs 8 independent accumulation
 // chains — enough to hide the multiply-add latency.
 constexpr std::int64_t kChannelBlock = 4;
-
-typedef float vLf __attribute__((vector_size(kLanes * sizeof(float))));
 
 // One sample's dY plane with a zero border: row r, column j hold
 // dy[r - border][j - border]. The border and the extra right columns cover
@@ -110,52 +312,13 @@ struct PaddedDy {
   [[nodiscard]] std::int64_t plane() const { return rows * cols; }
 };
 
-// dst [Cout, rows, cols] = dy [Cout, OH, OW] with its zero border.
-void pad_dy(const float* dy, std::int64_t cout, const ConvGeometry& g,
-            const PaddedDy& p, float* dst) {
-  const std::int64_t oh = g.out_height(), ow = g.out_width();
-  for (std::int64_t co = 0; co < cout; ++co) {
-    for (std::int64_t r = 0; r < p.rows; ++r) {
-      float* d = dst + (co * p.rows + r) * p.cols;
-      const std::int64_t y = r - p.border;
-      if (y < 0 || y >= oh) {
-        std::fill_n(d, p.cols, 0.0f);
-        continue;
-      }
-      std::fill_n(d, p.border, 0.0f);
-      std::memcpy(d + p.border, dy + (co * oh + y) * ow,
-                  static_cast<std::size_t>(ow) * sizeof(float));
-      std::fill_n(d + p.border + ow, p.cols - p.border - ow, 0.0f);
-    }
-  }
-}
-
-// Channel blocks of `cin`: full blocks of 4, then a remainder of 3 splits
-// into 2 + 1 so every kernel instance runs a fixed register block.
-std::int64_t channel_blocks(std::int64_t cin) {
-  const std::int64_t rem = cin % kChannelBlock;
-  return cin / kChannelBlock + (rem >= 2) + (rem % 2);
-}
-
-struct ChannelBlock {
-  std::int64_t c0, cb;
-};
-
-ChannelBlock channel_block(std::int64_t b, std::int64_t cin) {
-  const std::int64_t full = cin / kChannelBlock;
-  if (b < full) return {b * kChannelBlock, kChannelBlock};
-  const std::int64_t c0 = full * kChannelBlock;
-  if (b == full && cin - c0 >= 2) return {c0, 2};
-  return {cin - 1, 1};
-}
-
-// Weights regrouped for the kernel: channel block [c0, c0+cb) occupies
-// dst[c0*k*k*Cout ...] as [tap][co][cb], so each tap's Cout x cb broadcasts
-// are contiguous.
+// Weights regrouped for the data-gradient kernel: channel block [c0, c0+cb)
+// occupies dst[c0*k*k*Cout ...] as [tap][co][cb], so each tap's Cout x cb
+// broadcasts are contiguous.
 void pack_weights(const float* w, std::int64_t cout, std::int64_t cin,
                   std::int64_t kk, float* dst) {
-  for (std::int64_t b = 0; b < channel_blocks(cin); ++b) {
-    const ChannelBlock cb = channel_block(b, cin);
+  for (std::int64_t b = 0; b < channel_blocks(cin, kChannelBlock); ++b) {
+    const ChannelBlock cb = channel_block(b, cin, kChannelBlock);
     for (std::int64_t tap = 0; tap < kk; ++tap) {
       for (std::int64_t co = 0; co < cout; ++co) {
         for (std::int64_t i = 0; i < cb.cb; ++i) {
@@ -264,7 +427,7 @@ void conv2d_data_grad(const float* dy_pad, const float* w_packed,
   const std::int64_t cin = g.in_channels;
   const std::int64_t plane = g.height * g.width;
   const std::int64_t kk = g.kernel * g.kernel;
-  const std::int64_t blocks = channel_blocks(cin);
+  const std::int64_t blocks = channel_blocks(cin, kChannelBlock);
   // Counted as the W^T * dY GEMM it replaces, so per-step FLOP figures keep
   // their meaning.
   static telemetry::Counter& flops = telemetry::counter("gemm.flops");
@@ -274,7 +437,7 @@ void conv2d_data_grad(const float* dy_pad, const float* w_packed,
       n * blocks, 1, [&](std::int64_t begin, std::int64_t end) {
         for (std::int64_t t = begin; t < end; ++t) {
           const std::int64_t s = t / blocks;
-          const ChannelBlock cb = channel_block(t % blocks, cin);
+          const ChannelBlock cb = channel_block(t % blocks, cin, kChannelBlock);
           const DataGradArgs a{dy_pad + s * cout * p.plane(),
                                w_packed + cb.c0 * kk * cout,
                                dx + (s * cin + cb.c0) * plane,
@@ -338,6 +501,18 @@ void conv2d_forward_batched(const Tensor& x, const Tensor& w, const Tensor& b,
                          0.0f, y.data(), ws);
 }
 
+void conv2d_forward_reserve(const ConvGeometry& g, std::int64_t cout,
+                            std::int64_t batch, Conv2dWorkspace& ws) {
+  grow(ws.staging, ForwardSource(g, batch).staging_floats());
+  grow(ws.w_packed, cout * g.col_rows());
+  grow(ws.tap_offsets, g.col_rows());
+}
+
+void conv2d_backward_reserve(const ConvGeometry& g, std::int64_t batch,
+                             Conv2dWorkspace& ws) {
+  grow(ws.staging, conv2d_batch_group(g, batch) * g.col_cols() * g.col_rows());
+}
+
 void conv2d_forward_batched(const float* x, std::int64_t n,
                             const ConvGeometry& g, const float* w,
                             std::int64_t cout, const float* bias,
@@ -347,36 +522,71 @@ void conv2d_forward_batched(const float* x, std::int64_t n,
     throw std::invalid_argument(
         "conv2d_forward_batched: input smaller than kernel");
   }
-  const std::int64_t plane = g.out_height() * g.out_width();
+  conv2d_forward_reserve(g, cout, n, ws);
+  const ForwardSource src(g, n);
+  const std::int64_t taps = g.col_rows();
+  const std::int64_t ow = g.out_width(), plane = g.out_height() * ow;
+  const std::int64_t in_place = n - src.staged;
   const std::int64_t in_stride = g.in_channels * g.height * g.width;
-  const std::int64_t out_stride = cout * plane;
-  const std::int64_t group = conv2d_batch_group(g, n);
-  float* col = grow(ws.col, g.col_rows() * group * plane);
-  float* out = group > 1 ? grow(ws.out, cout * group * plane) : nullptr;
-  for (std::int64_t g0 = 0; g0 < n; g0 += group) {
-    const std::int64_t gn = std::min(group, n - g0);
-    const std::int64_t wide = gn * plane;
-    float* y_group = y + g0 * out_stride;
-    im2col_batched(x + g0 * in_stride, gn, g, col);
-    // [Cout x gn*plane] = W [Cout x Cin*k*k] * col: one wide GEMM for the
-    // whole group instead of gn narrow ones. Each element's k order does not
-    // depend on the matrix width, so grouping cannot change the bits. One
-    // sample's channel-major product is already NCHW, so it lands in y.
-    float* product = gn == 1 ? y_group : out;
-    gemm(w, col, product, cout, g.col_rows(), wide);
-    // Bias + activation epilogue, scattering a group's channel-major product
-    // into NCHW order on the way. Planes are disjoint, so the parallel loop
-    // is deterministic.
-    util::ThreadPool::global().parallel_for(
-        gn * cout, 1, [&](std::int64_t begin, std::int64_t end) {
-          for (std::int64_t t = begin; t < end; ++t) {
-            const std::int64_t s = t / cout, c = t % cout;
-            epilogue(product + c * wide + s * plane,
-                     y_group + s * out_stride + c * plane, plane,
-                     bias != nullptr ? bias + c : nullptr, act, slope);
-          }
-        });
+  float* staged = ws.staging.data();
+  auto& pool = util::ThreadPool::global();
+  pool.parallel_for(src.staged, 1, [&](std::int64_t begin, std::int64_t end) {
+    for (std::int64_t s = begin; s < end; ++s) {
+      pad_planes(x + (in_place + s) * in_stride, g.in_channels, g.height,
+                 g.width, g.pad, src.rows, src.cols, staged + s * src.sample);
+    }
+  });
+  std::fill_n(staged + src.staged * src.sample, kForwardSlack, 0.0f);
+  pack_forward_weights(w, cout, taps, ws.w_packed.data());
+  std::int64_t* off = ws.tap_offsets.data();
+  for (std::int64_t c = 0, t = 0; c < g.in_channels; ++c) {
+    for (std::int64_t kh = 0; kh < g.kernel; ++kh) {
+      for (std::int64_t kw = 0; kw < g.kernel; ++kw) {
+        off[t++] = (c * src.rows + kh) * src.cols + kw;
+      }
+    }
   }
+  // Counted as the W * im2col(x) GEMM it replaces, so per-step FLOP figures
+  // keep their meaning.
+  static telemetry::Counter& flops = telemetry::counter("gemm.flops");
+  flops.add(static_cast<std::uint64_t>(2 * cout * taps * n * plane));
+
+  // Parallel over (sample x lane chunk x channel block), blocks innermost so
+  // a thread's consecutive tasks reuse the same source window. Each output
+  // element is one task's, so any worker count gives the same bits.
+  const std::int64_t lanes = (g.out_height() - 1) * src.cols + ow;
+  const std::int64_t chunks = ceil_div(lanes, kForwardChunk);
+  const std::int64_t blocks = channel_blocks(cout, kForwardBlock);
+  pool.parallel_for(
+      n * chunks * blocks, 1, [&](std::int64_t begin, std::int64_t end) {
+        for (std::int64_t t = begin; t < end; ++t) {
+          const std::int64_t s = t / (chunks * blocks);
+          const std::int64_t chunk = t / blocks % chunks;
+          const ChannelBlock cb =
+              channel_block(t % blocks, cout, kForwardBlock);
+          const ForwardArgs a{
+              s < in_place ? x + s * in_stride
+                           : staged + (s - in_place) * src.sample,
+              ws.w_packed.data() + cb.c0 * taps,
+              off,
+              y + (s * cout + cb.c0) * plane,
+              bias != nullptr ? bias + cb.c0 : nullptr,
+              act,
+              slope,
+              taps,
+              src.cols,
+              ow,
+              plane,
+              chunk * kForwardChunk,
+              std::min(lanes, (chunk + 1) * kForwardChunk)};
+          switch (cb.cb) {
+            case 6: forward_block6(a); break;
+            case 4: forward_block4(a); break;
+            case 2: forward_block2(a); break;
+            default: forward_block1(a); break;
+          }
+        }
+      });
 }
 
 namespace {
@@ -427,12 +637,13 @@ void backward_batched(const Tensor& x, const Tensor& dy, const Tensor& w,
     });
   }
 
+  conv2d_backward_reserve(g, n, ws);
+  float* rows = ws.staging.data();
   const std::int64_t group = conv2d_batch_group(g, n);
   for (std::int64_t g0 = 0; g0 < n; g0 += group) {
     const std::int64_t gn = std::min(group, n - g0);
     const std::int64_t wide = gn * plane;
     const float* dy_group = dy.data() + g0 * out_stride;
-    float* rows = grow(ws.col, wide * g.col_rows());
     // dW [Cout x Cin*k*k] += dY [Cout x wide] * rows [wide x Cin*k*k]. The
     // channel-major dY is the group's sample itself when it holds one;
     // otherwise gather it from NCHW.
@@ -462,8 +673,8 @@ void backward_batched(const Tensor& x, const Tensor& dy, const Tensor& w,
       float* padded = grow(ws.dy_padded, gn * cout * p.plane());
       pool.parallel_for(gn, 1, [&](std::int64_t begin, std::int64_t end) {
         for (std::int64_t s = begin; s < end; ++s) {
-          pad_dy(dy_group + s * out_stride, cout, g, p,
-                 padded + s * cout * p.plane());
+          pad_planes(dy_group + s * out_stride, cout, oh, ow, p.border,
+                     p.rows, p.cols, padded + s * cout * p.plane());
         }
       });
       conv2d_data_grad(padded, ws.w_packed.data(), gn, cout, g, p,

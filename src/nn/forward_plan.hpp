@@ -4,12 +4,12 @@
 // pointwise activation layers (the paper's Table-I subdomain network and its
 // deconv border-mode variant). The plan walks the model once at construction,
 // pre-allocates every per-layer activation buffer, asks the selected
-// KernelBackend for a PlanContext holding the backend-side state (im2col
-// workspace for fp32; quantized weights and channel-quad activations for
-// int8), and marks every conv whose output feeds only the next conv
-// (ConvLayerDesc::feeds_next, which lets the int8 backend pass uint8
-// activations down the chain). It then evaluates forward passes into those
-// buffers: the steady-state step
+// KernelBackend for a PlanContext holding the backend-side state (the direct
+// conv's staging workspace for fp32; quantized weights and channel-quad
+// activations for int8), and marks every conv whose output feeds only the
+// next conv (ConvLayerDesc::feeds_next, which lets the int8 backend pass
+// uint8 activations down the chain). It then evaluates forward passes into
+// those buffers: the steady-state step
 // performs zero heap allocations on either backend (verified by the
 // counting-allocator tests in tests/test_rollout_overlap.cpp and
 // tests/test_quant_rollout.cpp).
@@ -18,8 +18,8 @@
 // SubdomainEnsemble, SurrogateServer) runs one plan pass per step on the
 // whole input tile; run() accepts any input no larger than the pre-sized
 // maximum. On the fp32 backend results are bit-identical to Module::forward:
-// the convs run the training lowering nn::conv2d_forward_batched (whose
-// per-element k-reduction order is independent of the matrix width and the
+// the convs run the training forward nn::conv2d_forward_batched (whose
+// per-element tap-reduction order is independent of the batch and the
 // worker count), transpose convs and standalone activations call the layers'
 // own kernels, and the fused bias/activation epilogue applies the layers'
 // exact per-element formulas. On the int8 backend results are

@@ -13,10 +13,10 @@
 // The scheduler thread pops up to max_batch requests (waiting at most
 // coalesce_window_ms for the batch to fill), stacks the sessions' frames into
 // one [B, C, H, W] staging buffer and advances all of them with a single
-// ForwardPlan::run_batched call — one wide im2col + GEMM per layer instead of
-// B narrow ones. With coalesce = false the scheduler dispatches one request
-// at a time with no coalesce window, a batch of one (the serial baseline,
-// `parpde_cli serve --serial`).
+// ForwardPlan::run_batched call — one conv call per layer over the whole
+// batch instead of B single-sample ones. With coalesce = false the
+// scheduler dispatches one request at a time with no coalesce window, a
+// batch of one (the serial baseline, `parpde_cli serve --serial`).
 //
 // Determinism contract (docs/serving.md): a session's trajectory is
 // bit-identical whether it ran solo or coalesced into any batch, on both the

@@ -1,8 +1,9 @@
 #pragma once
 
-// Single-precision matrix multiplication kernels. The convolution layers are
-// lowered to GEMM through im2col, so this is the compute hot spot of the whole
-// library.
+// Single-precision matrix multiplication kernels. Training runs one GEMM
+// per conv layer, the weight gradient dW += dY * im2row(x); the direct
+// forward and data-gradient kernels in nn/conv_ops.cpp reproduce, bit for
+// bit, the GEMM lowerings they replaced (the k-block contract below).
 //
 // The production kernels are cache-blocked and register-tiled: A is packed
 // into MR-tall k-major panels, B is consumed in place when row-major (packed

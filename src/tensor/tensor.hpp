@@ -2,7 +2,7 @@
 
 // Dense row-major float32 tensor. The whole library standardizes on the NCHW
 // layout for 4-d tensors (batch, channels, height, width); lower-rank tensors
-// are used for weights, flattened buffers and im2col matrices.
+// are used for weights, flattened buffers and im2row matrices.
 //
 // Element accessors are unchecked by default. Building with
 // -DPARPDE_CHECKED_TENSOR=ON (the ASan leg of tools/check.sh does) makes

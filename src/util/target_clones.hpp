@@ -1,13 +1,13 @@
 #pragma once
 
 // Function multi-versioning for the fp32 compute kernels (the blocked GEMM
-// micro-kernels and the direct conv data-gradient kernel).
+// micro-kernels and the direct conv forward and data-gradient kernels).
 //
 // target_clones compiles AVX-512/AVX2+FMA versions next to the baseline and
 // picks one at load time, so the kernels run at full SIMD width without
 // requiring -march=native for the whole build. Clone choice is fixed per
 // machine, so it cannot break thread-count determinism. Kernels that must
-// agree bit for bit (the conv data gradient and the GEMM it replaces) share
+// agree bit for bit (the direct conv kernels and the GEMM they replace) share
 // the clone set and write their products as the same `x += a * b`, which a
 // clone contracts the same way in both (src/CMakeLists.txt pins
 // -ffp-contract=fast for the library). The dispatch runs through an

@@ -3,8 +3,8 @@
 // Shared test utilities: finite-difference gradients, tensor comparisons, the
 // module-graph forward every ForwardPlan is checked against, the stepped
 // rollout oracle every parallel_rollout engine is checked against (with the
-// sink that records a rollout's frames), and the col2im scatter the direct
-// conv data gradient is checked against.
+// sink that records a rollout's frames), and the im2col lowering and col2im
+// scatter the direct conv forward and data gradient are checked against.
 
 #include <gtest/gtest.h>
 
@@ -25,6 +25,48 @@
 #include "tensor/tensor.hpp"
 
 namespace parpde {
+
+// im2col: expands one CHW sample `x` into the column matrix `col`
+// [Cin*k*k x OH*OW] (row stride `ld`, -1 = dense), row (c, ky, kx) holding
+// that tap of every output pixel; out-of-range taps are zeros. With one GEMM
+// W * col and the bias/activation epilogue this was the library's forward
+// before the direct kernel replaced it; conv2d_forward_batched must match it
+// bit for bit.
+inline void im2col(const float* x, const ConvGeometry& g, float* col,
+                   std::int64_t ld = -1) {
+  const std::int64_t oh = g.out_height();
+  const std::int64_t ow = g.out_width();
+  const std::int64_t cols = ld < 0 ? oh * ow : ld;
+  std::int64_t row = 0;
+  for (std::int64_t c = 0; c < g.in_channels; ++c) {
+    const float* plane = x + c * g.height * g.width;
+    for (std::int64_t ky = 0; ky < g.kernel; ++ky) {
+      for (std::int64_t kx = 0; kx < g.kernel; ++kx, ++row) {
+        float* out = col + row * cols;
+        for (std::int64_t y = 0; y < oh; ++y) {
+          const std::int64_t sy = y + ky - g.pad;
+          for (std::int64_t xo = 0; xo < ow; ++xo) {
+            const std::int64_t sx = xo + kx - g.pad;
+            const bool inside =
+                sy >= 0 && sy < g.height && sx >= 0 && sx < g.width;
+            out[y * ow + xo] = inside ? plane[sy * g.width + sx] : 0.0f;
+          }
+        }
+      }
+    }
+  }
+}
+
+// Whole-batch im2col: sample s occupies columns [s*OH*OW, (s+1)*OH*OW) of
+// one wide [Cin*k*k x batch*OH*OW] matrix.
+inline void im2col_batched(const float* x, std::int64_t batch,
+                           const ConvGeometry& g, float* col) {
+  const std::int64_t in_stride = g.in_channels * g.height * g.width;
+  const std::int64_t cols = g.col_cols();
+  for (std::int64_t s = 0; s < batch; ++s) {
+    im2col(x + s * in_stride, g, col + s * cols, batch * cols);
+  }
+}
 
 // col2im: scatters a column matrix (the layout of im2col, row stride `ld`,
 // -1 = dense) back into CHW sample gradients, accumulating overlapping

@@ -1,8 +1,8 @@
 // Functional conv primitives: basic identities, bit-identity of the grouped
-// batched path with a whole-batch lowering, bit-identity of the direct data
-// gradient and the im2row weight gradient with the GEMM lowerings they
-// replace, ConvLSTM's pinned bits, and an allocation-free steady-state
-// backward.
+// batched path with a whole-batch lowering, bit-identity of the direct
+// forward, the direct data gradient and the im2row weight gradient with the
+// GEMM lowerings they replace, ConvLSTM's pinned bits, and an
+// allocation-free steady-state forward and backward.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +18,6 @@
 #include "nn/conv_lstm.hpp"
 #include "nn/conv_ops.hpp"
 #include "tensor/gemm.hpp"
-#include "tensor/im2col.hpp"
 #include "util/crc32.hpp"
 #include "util/random.hpp"
 #include "util/target_clones.hpp"
@@ -27,8 +26,9 @@
 // --- counting allocator ------------------------------------------------------
 // Same device as tests/test_quant_rollout.cpp: global operator new/delete
 // counting allocations while g_count_allocs is set, to prove the batched
-// backward's steady state allocates nothing. The aligned forms are counted
-// too, because every Conv2dWorkspace buffer is a 64-byte-aligned vector.
+// forward's and backward's steady states allocate nothing. The aligned forms
+// are counted too, because every Conv2dWorkspace buffer is a 64-byte-aligned
+// vector.
 
 namespace {
 std::atomic<bool> g_count_allocs{false};
@@ -259,6 +259,144 @@ TEST(ConvOps, OddPlaneAlignmentKeepsWholeBatch) {
   for (int workers : {0, 3}) check_grouping_bit_neutral(c, workers);
 }
 
+// --- Direct forward is bit-neutral -------------------------------------------
+//
+// The oracle is the lowering the kernel replaced: y = act(W * im2col(x) + b)
+// through the blocked gemm on the whole batch's wide column matrix, then the
+// per-element epilogue (v = acc + b, +0 without a bias; the activation; y is
+// the GEMM output itself with neither).
+
+float reference_epilogue(float acc, const float* bias, FusedActivation act,
+                         float slope) {
+  if (bias == nullptr && act == FusedActivation::kNone) return acc;
+  const float v = acc + (bias != nullptr ? *bias : 0.0f);
+  switch (act) {
+    case FusedActivation::kNone:
+      return v;
+    case FusedActivation::kLeakyReLU:
+      return v >= 0.0f ? v : slope * v;
+    case FusedActivation::kReLU:
+      return v > 0.0f ? v : 0.0f;
+    case FusedActivation::kTanh:
+      return std::tanh(v);
+  }
+  return v;
+}
+
+Tensor im2col_forward(const Tensor& x, const Tensor& w, const float* bias,
+                      std::int64_t pad, FusedActivation act, float slope) {
+  const std::int64_t n = x.dim(0), cout = w.dim(0);
+  const ConvGeometry g{x.dim(1), x.dim(2), x.dim(3), w.dim(2), pad};
+  const std::int64_t plane = g.col_cols(), wide = n * plane;
+  std::vector<float> col(static_cast<std::size_t>(g.col_rows() * wide));
+  std::vector<float> wide_y(static_cast<std::size_t>(cout * wide));
+  im2col_batched(x.data(), n, g, col.data());
+  gemm(w.data(), col.data(), wide_y.data(), cout, g.col_rows(), wide);
+  Tensor y({n, cout, g.out_height(), g.out_width()});
+  for (std::int64_t s = 0; s < n; ++s) {
+    for (std::int64_t c = 0; c < cout; ++c) {
+      for (std::int64_t i = 0; i < plane; ++i) {
+        y.data()[(s * cout + c) * plane + i] = reference_epilogue(
+            wide_y[static_cast<std::size_t>(c * wide + s * plane + i)],
+            bias != nullptr ? bias + c : nullptr, act, slope);
+      }
+    }
+  }
+  return y;
+}
+
+// Bitwise equality, except that a NaN matches any NaN: the non-finite
+// outputs must sit at exactly the oracle's positions.
+void expect_same_bits_or_both_nan(const float* got, const float* want,
+                                  std::int64_t count, const char* what) {
+  for (std::int64_t i = 0; i < count; ++i) {
+    if (std::isnan(got[i]) && std::isnan(want[i])) continue;
+    ASSERT_EQ(std::memcmp(got + i, want + i, sizeof(float)), 0)
+        << what << " differs at index " << i << ": " << got[i] << " vs "
+        << want[i];
+  }
+}
+
+struct ForwardCase {
+  std::int64_t cin, cout, kernel, pad, height, width;
+  FusedActivation act;
+  bool bias, non_finite;
+};
+
+void check_direct_forward(const ForwardCase& c) {
+  const std::int64_t n = 3;
+  SCOPED_TRACE(std::to_string(c.cin) + "->" + std::to_string(c.cout) + " k" +
+               std::to_string(c.kernel) + " pad " + std::to_string(c.pad) +
+               " " + std::to_string(c.height) + "x" + std::to_string(c.width) +
+               " act " +
+               std::to_string(static_cast<int>(c.act)) +
+               (c.bias ? "" : " no bias") + (c.non_finite ? " NaN/Inf" : ""));
+  const auto seed = static_cast<std::uint64_t>(
+      c.cin * 1000 + c.cout * 100 + c.kernel * 10 + c.pad);
+  Tensor x = random_tensor({n, c.cin, c.height, c.width}, seed);
+  Tensor w = random_tensor({c.cout, c.cin, c.kernel, c.kernel}, seed + 1);
+  const Tensor b = random_tensor({c.cout}, seed + 2);
+  if (c.non_finite) {
+    // A NaN pixel in the last sample, and an Inf weight whose taps also
+    // land on padding zeros (Inf * 0 = NaN) when pad > 0.
+    x.data()[x.size() - c.width - 2] = std::nanf("");
+    w.data()[w.size() / 2] = INFINITY;
+  }
+  const float* bias = c.bias ? b.data() : nullptr;
+  const float slope = 0.01f;
+  const Tensor want = im2col_forward(x, w, bias, c.pad, c.act, slope);
+
+  const ConvGeometry g{c.cin, c.height, c.width, c.kernel, c.pad};
+  Conv2dWorkspace ws;
+  Tensor got(want.shape());
+  conv2d_forward_batched(x.data(), n, g, w.data(), c.cout, bias, c.act, slope,
+                         got.data(), ws);
+  expect_same_bits_or_both_nan(got.data(), want.data(), want.size(),
+                               "batch of 3");
+  // A batch of one (the last sample: the one a batch stages) on the same
+  // workspace, as the ConvLSTM and the single-tile plan run it.
+  const std::int64_t in = x.size() / n, out = want.size() / n;
+  Tensor single({1, c.cout, g.out_height(), g.out_width()});
+  conv2d_forward_batched(x.data() + (n - 1) * in, 1, g, w.data(), c.cout,
+                         bias, c.act, slope, single.data(), ws);
+  expect_same_bits_or_both_nan(single.data(), want.data() + (n - 1) * out, out,
+                               "batch of 1");
+}
+
+TEST(ConvOps, DirectForwardMatchesIm2colOracle) {
+  const std::int64_t channels[] = {1, 4, 5, 6, 16, 33};
+  const FusedActivation acts[] = {
+      FusedActivation::kNone, FusedActivation::kLeakyReLU,
+      FusedActivation::kReLU, FusedActivation::kTanh};
+  const std::int64_t widths[] = {19, 23, 37};
+  for (int workers : {0, 3}) {
+    util::ThreadPool::configure_global(workers);
+    SCOPED_TRACE(std::to_string(workers) + " workers");
+    int index = 0;
+    for (std::int64_t kernel : {3, 5}) {
+      for (std::int64_t pad = 0; pad <= 4; ++pad) {
+        for (std::int64_t cin : channels) {
+          for (std::int64_t cout : channels) {
+            // Every activation with and without a bias, every ragged width,
+            // a NaN pixel with an Inf weight, and planes tall enough to
+            // split into several lane chunks, rotated over the shapes.
+            check_direct_forward({cin, cout, kernel, pad,
+                                  index % 7 == 3 ? 43 : 7, widths[index % 3],
+                                  acts[index % 4], index % 8 < 4,
+                                  index % 5 == 0});
+            if (::testing::Test::HasFatalFailure()) {
+              util::ThreadPool::configure_global(0);
+              return;
+            }
+            ++index;
+          }
+        }
+      }
+    }
+  }
+  util::ThreadPool::configure_global(0);
+}
+
 // --- Direct data gradient and im2row weight gradient are bit-neutral ---------
 //
 // The oracles are the lowerings the kernels replaced: dx = col2im(W^T * dY)
@@ -469,6 +607,62 @@ TEST(ConvOps, BatchedBackwardSteadyStateAllocatesNothing) {
   for (int call = 0; call < 3; ++call) {
     conv2d_backward_batched(x, dy, w, 0, dx, dw, db, ws);
     conv2d_backward_weights_batched(x, dy, 0, dw, db, ws);
+  }
+  g_count_allocs.store(false);
+  EXPECT_EQ(g_alloc_events.load(), 0);
+}
+
+// conv2d_backward_reserve sizes the im2row rows for the largest group the
+// backward lowers (here a group of 8 and a ragged group of 1), so the
+// backward never regrows them.
+TEST(ConvOps, BackwardReserveHoldsTheLargestGroup) {
+  const Tensor x = random_tensor({9, 6, 30, 30}, 66);
+  const Tensor dy = random_tensor({9, 4, 26, 26}, 67);
+  const ConvGeometry g{6, 30, 30, 5, 0};
+  ASSERT_EQ(conv2d_batch_group(g, 9), 8);
+  util::ThreadPool::configure_global(0);
+  Conv2dWorkspace ws;
+  conv2d_backward_reserve(g, 9, ws);
+  const float* rows = ws.staging.data();
+  const std::size_t size = ws.staging.size();
+  EXPECT_EQ(size, static_cast<std::size_t>(8 * g.col_cols() * g.col_rows()));
+  Tensor dw({4, 6, 5, 5}), db({4});
+  conv2d_backward_weights_batched(x, dy, 0, dw, db, ws);
+  EXPECT_EQ(ws.staging.data(), rows);
+  EXPECT_EQ(ws.staging.size(), size);
+}
+
+// The second and later forward calls on one workspace allocate nothing, and
+// neither does the first once conv2d_forward_reserve has sized the workspace
+// (the fp32 plan's contract). Unpadded and padded geometries share the
+// workspace, as a ConvLSTM's convs do.
+TEST(ConvOps, BatchedForwardSteadyStateAllocatesNothing) {
+  const Tensor x = random_tensor({5, 6, 21, 19}, 63);
+  const Tensor w = random_tensor({4, 6, 5, 5}, 64);
+  const Tensor b = random_tensor({4}, 65);
+  util::ThreadPool::configure_global(0);
+  Tensor y0, y2;
+  Conv2dWorkspace ws;
+  conv2d_forward_batched(x, w, b, 0, y0, ws);
+  conv2d_forward_batched(x, w, b, 2, y2, ws);
+  g_alloc_events.store(0);
+  g_count_allocs.store(true);
+  for (int call = 0; call < 3; ++call) {
+    conv2d_forward_batched(x, w, b, 0, y0, ws);
+    conv2d_forward_batched(x, w, b, 2, y2, ws);
+  }
+  g_count_allocs.store(false);
+  EXPECT_EQ(g_alloc_events.load(), 0);
+
+  const ConvGeometry g{6, 21, 19, 5, 2};
+  Conv2dWorkspace reserved;
+  conv2d_forward_reserve(g, 4, 5, reserved);
+  g_alloc_events.store(0);
+  g_count_allocs.store(true);
+  for (std::int64_t n : {5, 1, 3}) {
+    conv2d_forward_batched(x.data(), n, g, w.data(), 4, b.data(),
+                           FusedActivation::kLeakyReLU, 0.01f, y2.data(),
+                           reserved);
   }
   g_count_allocs.store(false);
   EXPECT_EQ(g_alloc_events.load(), 0);

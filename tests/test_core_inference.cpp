@@ -67,7 +67,7 @@ TEST(ParallelRollout, HaloPadMatchesMonolithicExactly) {
   for (int s = 0; s < steps; ++s) {
     SCOPED_TRACE("step " + std::to_string(s));
     // Bit-exact would require identical summation order inside the convs;
-    // float32 conv via im2col is order-identical here, so compare tightly.
+    // the direct float32 conv is order-identical here, so compare tightly.
     parpde::testing::expect_tensors_close(parallel.frames.at(s),
                                           sequential[static_cast<std::size_t>(s)],
                                           1e-5, 1e-4);

@@ -312,10 +312,10 @@ TEST(Mailbox, PopMatchingForExpiresWithoutConsuming) {
   box.push(std::move(msg));
   // A non-matching tag still expires — and leaves the queued message alone.
   EXPECT_FALSE(box.pop_matching(0, 1, &out, 10ms));
-  EXPECT_EQ(box.pending(), 1u);
+  EXPECT_EQ(box.snapshot().size(), 1u);
   EXPECT_TRUE(box.pop_matching(0, 2, &out, 10ms));
   EXPECT_EQ(out.tag, 2);
-  EXPECT_EQ(box.pending(), 0u);
+  EXPECT_EQ(box.snapshot().size(), 0u);
 }
 
 TEST(Mailbox, PopMatchingForWakesOnLateArrival) {
