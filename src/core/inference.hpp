@@ -182,9 +182,10 @@ struct RolloutResult {
   // read it; it goes, with RolloutEngine, the next time perfbench/ changes.
   double overlap_seconds = 0.0;
   // Total buffer regrowths after the warm-up step, summed over ranks (plan
-  // activations, conv workspaces, halo staging). 0 means the steady-state
-  // step ran allocation-free; also exported as the
-  // `inference.steady_state_allocs` telemetry counter.
+  // activations, conv workspaces, halo staging); also exported as the
+  // `inference.steady_state_allocs` telemetry counter. 0 means those buffers
+  // stopped growing, not that the step is allocation-free: minimpi's
+  // per-message payloads and mailbox nodes are not counted.
   std::uint64_t steady_state_allocs = 0;
   // Health-monitor summary (see HealthReport); all-zero when
   // RolloutOptions::monitor_health was false.

@@ -103,16 +103,6 @@ void parse_tag_range(const std::string& segment, const std::string& text,
 
 }  // namespace
 
-const char* action_name(Action a) noexcept {
-  switch (a) {
-    case Action::kDrop: return "drop";
-    case Action::kDelay: return "delay";
-    case Action::kDuplicate: return "dup";
-    case Action::kCorrupt: return "corrupt";
-  }
-  return "?";
-}
-
 FaultPlan FaultPlan::parse(const std::string& spec) {
   FaultPlan plan;
   std::size_t start = 0;

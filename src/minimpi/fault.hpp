@@ -60,8 +60,6 @@ class RankFailure : public std::runtime_error {
 
 enum class Action { kDrop, kDelay, kDuplicate, kCorrupt };
 
-[[nodiscard]] const char* action_name(Action a) noexcept;
-
 // One message-fault rule. Selector fields use -1 for "any".
 struct Rule {
   Action action = Action::kDrop;

@@ -42,9 +42,6 @@ inline constexpr TagRange kFieldGather{4200, 1, "domain.field_gather"};
 // euler/parallel_solver.cpp: per-field halo blocks (4 fields x stride 10,
 // direction offset 0..3 within each).
 inline constexpr TagRange kEulerHalo{8200, 40, "euler.halo"};
-// minimpi/environment.cpp: startup clock-offset handshake (ping + reply)
-// used to align per-rank trace timestamps while telemetry is enabled.
-inline constexpr TagRange kClockSync{4300, 2, "mpi.clocksync"};
 // minimpi/collectives.hpp: reserved block so collective traffic can never
 // match user point-to-point traffic.
 inline constexpr TagRange kCollectives{1 << 20, 8, "mpi.collectives"};
@@ -57,9 +54,8 @@ inline constexpr TagRange kElastic{16384, 2048, "elastic"};
 // — there is no actual message traffic on this range.
 inline constexpr TagRange kServe{4400, 1, "serve.dispatch"};
 
-inline constexpr std::array<TagRange, 7> kAllRanges{
-    kHalo,        kFieldGather, kEulerHalo, kClockSync,
-    kCollectives, kElastic,     kServe};
+inline constexpr std::array<TagRange, 6> kAllRanges{
+    kHalo, kFieldGather, kEulerHalo, kCollectives, kElastic, kServe};
 
 // --- compile-time overlap detection -----------------------------------------
 

@@ -1,7 +1,6 @@
 #include "util/options.hpp"
 
 #include <cstdlib>
-#include <stdexcept>
 
 namespace parpde::util {
 
@@ -70,16 +69,6 @@ bool env_flag(const char* name, bool fallback) {
   if (v == nullptr) return fallback;
   const std::string s(v);
   return s == "1" || s == "true" || s == "yes" || s == "on";
-}
-
-int env_int(const char* name, int fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr) return fallback;
-  try {
-    return std::stoi(v);
-  } catch (const std::exception&) {
-    return fallback;
-  }
 }
 
 }  // namespace parpde::util

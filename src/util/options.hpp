@@ -44,7 +44,4 @@ class Options {
 // Reads an environment variable as bool ("1", "true", "yes" → true).
 bool env_flag(const char* name, bool fallback = false);
 
-// Reads an environment variable as int.
-int env_int(const char* name, int fallback);
-
 }  // namespace parpde::util

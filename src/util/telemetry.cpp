@@ -46,13 +46,10 @@ struct ThreadBuffer {
 constexpr std::size_t kMaxEventsPerThread = 1u << 20;
 
 struct TraceCollector {
-  std::mutex mu;  // guards `buffers` registration and `clock_offsets`
+  std::mutex mu;  // guards `buffers` registration
   std::vector<std::unique_ptr<ThreadBuffer>> buffers;
   std::atomic<std::uint64_t> dropped{0};
   std::atomic<std::uint64_t> reentrant_drops{0};
-  // (rank, offset_us) pairs from the Environment clock handshake; applied as
-  // per-rank timestamp shifts when the trace is written.
-  std::vector<std::pair<int, std::int64_t>> clock_offsets;
 
   static TraceCollector& instance() {
     static TraceCollector* c = new TraceCollector;  // never destroyed: thread
@@ -108,8 +105,6 @@ void set_enabled(bool on) noexcept {
 }
 
 void set_thread_rank(int rank) noexcept { t_rank = rank; }
-
-int thread_rank() noexcept { return t_rank; }
 
 std::int64_t now_us() noexcept {
   return std::chrono::duration_cast<std::chrono::microseconds>(
@@ -274,16 +269,6 @@ std::string Registry::metrics_json() const {
   return obj.str();
 }
 
-std::vector<std::pair<std::string, std::uint64_t>> Registry::counter_values()
-    const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::pair<std::string, std::uint64_t>> out;
-  out.reserve(counters_.size());
-  for (const auto& [name, c] : counters_) out.emplace_back(name, c->value());
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 void Registry::reset() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [name, c] : counters_) c->reset();
@@ -324,35 +309,6 @@ void record_flow_finish(const char* name, const char* category,
                         std::uint64_t flow_id) {
   if (!enabled() || flow_id == 0) return;
   record_event(name, category, now_us(), 0, 'f', flow_id);
-}
-
-// --- clock alignment -------------------------------------------------------
-
-void set_rank_clock_offset(int rank, std::int64_t offset_us) {
-  auto& collector = TraceCollector::instance();
-  std::lock_guard<std::mutex> lock(collector.mu);
-  for (auto& [r, off] : collector.clock_offsets) {
-    if (r == rank) {
-      off = offset_us;
-      return;
-    }
-  }
-  collector.clock_offsets.emplace_back(rank, offset_us);
-}
-
-std::int64_t rank_clock_offset(int rank) {
-  auto& collector = TraceCollector::instance();
-  std::lock_guard<std::mutex> lock(collector.mu);
-  for (const auto& [r, off] : collector.clock_offsets) {
-    if (r == rank) return off;
-  }
-  return 0;
-}
-
-void clear_rank_clock_offsets() {
-  auto& collector = TraceCollector::instance();
-  std::lock_guard<std::mutex> lock(collector.mu);
-  collector.clock_offsets.clear();
 }
 
 void clear_trace() {
@@ -408,12 +364,6 @@ bool write_chrome_trace(const std::string& path) {
     }
   }
   std::sort(ranks_seen.begin(), ranks_seen.end());
-  const auto offset_of = [&collector](int rank) -> std::int64_t {
-    for (const auto& [r, off] : collector.clock_offsets) {
-      if (r == rank) return off;
-    }
-    return 0;
-  };
   for (const int rank : ranks_seen) {
     const std::string label =
         rank < 0 ? "shared threads" : "rank " + std::to_string(rank);
@@ -422,23 +372,16 @@ bool write_chrome_trace(const std::string& path) {
                  "\"tid\":0,\"args\":{\"name\":\"%s\"}}",
                  first ? "" : ",", rank, label.c_str());
     first = false;
-    // Record the clock offset applied to this lane so downstream tools
-    // (tools/parpde_trace.py) know the timestamps are already rank-aligned.
-    std::fprintf(f,
-                 ",{\"ph\":\"M\",\"name\":\"clock_sync\",\"pid\":%d,"
-                 "\"tid\":0,\"args\":{\"offset_us\":%lld,\"applied\":true}}",
-                 rank, static_cast<long long>(offset_of(rank)));
   }
   for (auto& buffer : collector.buffers) {
     std::lock_guard<std::mutex> lock(buffer->mu);
     for (const auto& e : buffer->events) {
-      const std::int64_t ts = e.ts_us + offset_of(e.rank);
       if (e.ph == 'X') {
         std::fprintf(f,
                      "%s{\"ph\":\"X\",\"name\":\"%s\",\"cat\":\"%s\","
                      "\"ts\":%lld,\"dur\":%lld,\"pid\":%d,\"tid\":%d}",
                      first ? "" : ",", json_escape(e.name).c_str(), e.category,
-                     static_cast<long long>(ts),
+                     static_cast<long long>(e.ts_us),
                      static_cast<long long>(e.dur_us), e.rank, e.tid);
       } else {
         // Flow events: "s" opens a flow at the send, "f" with bp:"e" closes
@@ -450,7 +393,7 @@ bool write_chrome_trace(const std::string& path) {
                      e.ph == 'f' ? "\"bp\":\"e\"," : "",
                      json_escape(e.name).c_str(), e.category,
                      static_cast<unsigned long long>(e.flow_id),
-                     static_cast<long long>(ts), e.rank, e.tid);
+                     static_cast<long long>(e.ts_us), e.rank, e.tid);
       }
       first = false;
     }

@@ -14,16 +14,11 @@
 // run opens in Perfetto as one process lane per rank.
 //
 // Clock / epoch semantics: every timestamp is now_us() — microseconds since
-// one process-wide steady_clock epoch latched on first use. Because minimpi
-// ranks are threads of this process they physically share that epoch, but the
-// trace layer does NOT rely on it: mpi::Environment runs an NTP-style min-RTT
-// offset handshake against rank 0 at startup (while tracing is enabled) and
-// registers each rank's estimated offset here via set_rank_clock_offset.
-// write_chrome_trace shifts every event onto rank 0's timeline using those
-// offsets, so the merged trace stays causally aligned even if the substrate
-// is later backed by per-process clocks. All timing in src/ outside util/
-// must flow through now_us()/WallTimer (lint rule `raw-clock`) so this
-// alignment covers every recorded duration.
+// one process-wide steady_clock epoch latched on first use. minimpi ranks are
+// threads of this process, so every rank lane is on that one clock and the
+// trace is written with the raw timestamps. All timing in src/ outside util/
+// must flow through now_us()/WallTimer (lint rule `raw-clock`) so every
+// recorded duration is on that epoch.
 //
 // Metric names are dotted paths ("gemm.flops", "comm.bytes_sent",
 // "halo.exchange_seconds"); the full catalogue lives in docs/observability.md.
@@ -59,12 +54,9 @@ void set_enabled(bool on) noexcept;
 // such spans land in the shared "pool" process lane). Set by
 // mpi::Environment::run for every rank thread.
 void set_thread_rank(int rank) noexcept;
-[[nodiscard]] int thread_rank() noexcept;
 
-// Microseconds since the process-wide trace epoch. The epoch is a steady
-// clock latched on first use; per-rank offsets registered through
-// set_rank_clock_offset are applied at write_chrome_trace time, so callers
-// always record raw local timestamps (see the epoch notes above).
+// Microseconds since the process-wide trace epoch, a steady clock latched on
+// first use (see the epoch notes above).
 [[nodiscard]] std::int64_t now_us() noexcept;
 
 // --- metrics ---------------------------------------------------------------
@@ -151,10 +143,6 @@ class Registry {
   // integers, gauges as doubles, histograms as {count,sum,min,max,buckets}).
   [[nodiscard]] std::string metrics_json() const;
 
-  // Sorted (name, value) snapshot of all counters.
-  [[nodiscard]] std::vector<std::pair<std::string, std::uint64_t>>
-  counter_values() const;
-
   // Zeroes every metric (benchmark / test isolation). Objects stay valid.
   void reset();
 
@@ -240,16 +228,6 @@ void record_flow_start(const char* name, const char* category,
 void record_flow_finish(const char* name, const char* category,
                         std::uint64_t flow_id);
 
-// --- cross-rank clock alignment --------------------------------------------
-
-// Registers rank `rank`'s estimated clock offset relative to rank 0
-// (offset_us = rank0_now − rank_now at the same instant). Applied as a
-// per-rank timestamp shift when the trace is written and emitted as
-// "clock_sync" metadata. Installed by mpi::Environment's startup handshake.
-void set_rank_clock_offset(int rank, std::int64_t offset_us);
-[[nodiscard]] std::int64_t rank_clock_offset(int rank);
-void clear_rank_clock_offsets();
-
 // --- trace buffer management -----------------------------------------------
 
 // Discards all collected trace events (keeps thread buffers registered).
@@ -266,9 +244,9 @@ void clear_trace();
 [[nodiscard]] std::uint64_t trace_reentrant_drops();
 
 // Writes the collected spans as one Chrome trace JSON object
-// ({"traceEvents":[...]}) with per-rank process lanes, per-rank clock offsets
-// applied, and flow events binding sends to receives. Returns false if the
-// file cannot be opened or a write fails.
+// ({"traceEvents":[...]}) with per-rank process lanes and flow events binding
+// sends to receives. Returns false if the file cannot be opened or a write
+// fails.
 bool write_chrome_trace(const std::string& path);
 
 // --- JSON helpers ----------------------------------------------------------

@@ -244,11 +244,6 @@ class Scheduler {
     return rep;
   }
 
-  Schedule schedule() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return sched_;
-  }
-
  private:
   // Perturbation decision for a delivery key: replay set if present,
   // otherwise a seeded percentage draw.
@@ -313,8 +308,6 @@ bool install_from_env() {
 }
 
 RunReport report() { return scheduler().snapshot(); }
-
-Schedule current_schedule() { return scheduler().schedule(); }
 
 void hook_run_begin(int ranks) {
   // First-run env pickup: lets any binary be replayed via PARPDE_SCHEDULE

@@ -131,7 +131,6 @@ void uninstall();
 // hook_run_begin so any binary can be replayed via the environment.
 bool install_from_env();
 [[nodiscard]] RunReport report();
-[[nodiscard]] Schedule current_schedule();
 
 // True while a schedule is installed (one relaxed atomic load).
 [[nodiscard]] bool active() noexcept;

@@ -1,10 +1,11 @@
 #pragma once
 
-// Shared test utilities: finite-difference gradients, tensor comparisons, the
-// module-graph forward every ForwardPlan is checked against, the stepped
-// rollout oracle every parallel_rollout engine is checked against (with the
-// sink that records a rollout's frames), and the im2col lowering and col2im
-// scatter the direct conv forward and data gradient are checked against.
+// Shared test utilities: finite-difference gradients, tensor comparisons, a
+// scoped fault-plan installer, the module-graph forward every ForwardPlan is
+// checked against, the stepped rollout oracle every parallel_rollout engine
+// is checked against (with the sink that records a rollout's frames), and the
+// im2col lowering and col2im scatter the direct conv forward and data
+// gradient are checked against.
 
 #include <gtest/gtest.h>
 
@@ -14,11 +15,13 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "backend/kernel_backend.hpp"
 #include "core/inference.hpp"
 #include "domain/halo.hpp"
+#include "minimpi/fault.hpp"
 #include "nn/forward_plan.hpp"
 #include "nn/sequential.hpp"
 #include "tensor/im2col.hpp"
@@ -116,6 +119,17 @@ inline void col2im_batched(const float* col, std::int64_t batch,
 }  // namespace parpde
 
 namespace parpde::testing {
+
+// Installs a fault plan for the scope. Every test that installs a plan must
+// remove it on exit, or the global hook would leak faults into later tests.
+struct PlanGuard {
+  explicit PlanGuard(mpi::fault::FaultPlan plan) {
+    mpi::fault::install(std::move(plan));
+  }
+  ~PlanGuard() { mpi::fault::uninstall(); }
+  PlanGuard(const PlanGuard&) = delete;
+  PlanGuard& operator=(const PlanGuard&) = delete;
+};
 
 // Central-difference numerical gradient of a scalar function with respect to
 // every entry of `x`. `fn` must not mutate `x` permanently (it is restored

@@ -23,16 +23,8 @@ namespace parpde::core {
 namespace {
 
 using namespace std::chrono_literals;
+using parpde::testing::PlanGuard;
 using parpde::testing::recorded_rollout;
-
-struct PlanGuard {
-  explicit PlanGuard(mpi::fault::FaultPlan plan) {
-    mpi::fault::install(std::move(plan));
-  }
-  ~PlanGuard() { mpi::fault::uninstall(); }
-  PlanGuard(const PlanGuard&) = delete;
-  PlanGuard& operator=(const PlanGuard&) = delete;
-};
 
 std::string fresh_dir(const std::string& stem) {
   const auto dir = std::filesystem::path(::testing::TempDir()) / stem;

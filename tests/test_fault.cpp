@@ -29,17 +29,7 @@ namespace parpde {
 namespace {
 
 using namespace std::chrono_literals;
-
-// Every test that installs a plan must remove it on exit, or the global hook
-// would leak faults into later tests.
-struct PlanGuard {
-  explicit PlanGuard(mpi::fault::FaultPlan plan) {
-    mpi::fault::install(std::move(plan));
-  }
-  ~PlanGuard() { mpi::fault::uninstall(); }
-  PlanGuard(const PlanGuard&) = delete;
-  PlanGuard& operator=(const PlanGuard&) = delete;
-};
+using parpde::testing::PlanGuard;
 
 std::string unique_dir(const std::string& stem) {
   const auto dir = std::filesystem::path(::testing::TempDir()) /

@@ -1,12 +1,14 @@
 // Causal cross-rank tracing: a traced 4-rank rollout must emit a
 // well-formed Chrome trace in which every halo send opens a flow that is
-// closed by exactly one matched receive on the neighbouring rank's lane, the
-// clock-sync metadata is present for every rank, and the critical-path child
-// spans of each rollout.step account for the step's wall time — with the
-// elastic runtime on as well as off.
+// closed by exactly one matched receive on the neighbouring rank's lane, no
+// later than that receive on the one shared clock, and the critical-path
+// child spans of each rollout.step account for the step's wall time — with
+// the elastic runtime on as well as off. Tracing itself sends no messages, so
+// a seeded fault plan hits the same message with tracing on as off.
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -19,6 +21,8 @@
 #include "core/inference.hpp"
 #include "core/model.hpp"
 #include "helpers.hpp"
+#include "minimpi/environment.hpp"
+#include "minimpi/fault.hpp"
 #include "util/random.hpp"
 #include "util/telemetry.hpp"
 
@@ -37,13 +41,14 @@ TrainConfig small_config() {
   return cfg;
 }
 
-ParallelTrainReport shared_weight_report(const std::vector<Tensor>& params) {
+ParallelTrainReport shared_weight_report(const std::vector<Tensor>& params,
+                                         int ranks) {
   ParallelTrainReport report;
-  report.ranks = kRanks;
-  report.dims = mpi::dims_create(kRanks);
+  report.ranks = ranks;
+  report.dims = mpi::dims_create(ranks);
   const domain::Partition part(kGrid, kGrid, report.dims.px, report.dims.py);
-  report.rank_outcomes.resize(kRanks);
-  for (int r = 0; r < kRanks; ++r) {
+  report.rank_outcomes.resize(static_cast<std::size_t>(ranks));
+  for (int r = 0; r < ranks; ++r) {
     auto& outcome = report.rank_outcomes[static_cast<std::size_t>(r)];
     outcome.rank = r;
     outcome.block = part.block_of_rank(r);
@@ -63,6 +68,7 @@ struct Flow {
   char ph = 's';
   std::string name;
   std::uint64_t id = 0;
+  std::int64_t ts = 0;
   int pid = 0;
 };
 
@@ -72,28 +78,41 @@ struct ParsedTrace {
   std::vector<Flow> flows;
 };
 
+// A rollout's model, per-rank report and initial frame.
+struct RolloutSetup {
+  TrainConfig cfg = small_config();
+  ParallelTrainReport report;
+  Tensor initial{{4, kGrid, kGrid}};
+
+  explicit RolloutSetup(int ranks) {
+    util::Rng rng(cfg.seed);
+    const auto model = build_model(cfg.network, cfg.border, rng);
+    auto params = export_parameters(*model);
+    for (auto& t : params) {
+      // Damp weights so the autoregressive rollout stays finite.
+      if (t.ndim() != 1) {
+        for (std::int64_t i = 0; i < t.size(); ++i) t[i] *= 0.5f;
+      }
+    }
+    report = shared_weight_report(params, ranks);
+    util::Rng data_rng(1234);
+    data_rng.fill_uniform(initial.values(), 0.5f, 1.5f);
+  }
+};
+
+parpde::testing::RecordedRollout run_rollout(const RolloutSetup& setup,
+                                             const RolloutOptions& options) {
+  return parpde::testing::recorded_rollout(setup.cfg, setup.report,
+                                           setup.initial, kSteps, options);
+}
+
 // Runs one traced 2x2 rollout and parses the written trace. The writer's key
 // order is fixed (telemetry.cpp), so a regex scan is an honest parser here.
 ParsedTrace run_traced_rollout(const RolloutOptions& options) {
-  TrainConfig cfg = small_config();
-  util::Rng rng(cfg.seed);
-  const auto model = build_model(cfg.network, cfg.border, rng);
-  auto params = export_parameters(*model);
-  for (auto& t : params) {
-    // Damp weights so the autoregressive rollout stays finite.
-    if (t.ndim() != 1) {
-      for (std::int64_t i = 0; i < t.size(); ++i) t[i] *= 0.5f;
-    }
-  }
-  const auto report = shared_weight_report(params);
-  Tensor initial({4, kGrid, kGrid});
-  util::Rng data_rng(1234);
-  data_rng.fill_uniform(initial.values(), 0.5f, 1.5f);
-
   telemetry::set_enabled(true);
   telemetry::clear_trace();
-  const auto run = parpde::testing::recorded_rollout(cfg, report, initial,
-                                                    kSteps, options);
+  static const RolloutSetup setup(kRanks);
+  const auto run = run_rollout(setup, options);
   telemetry::set_enabled(false);
   EXPECT_EQ(run.frames.size(), static_cast<std::size_t>(kSteps));
 
@@ -111,7 +130,7 @@ ParsedTrace run_traced_rollout(const RolloutOptions& options) {
       "\"ts\":(-?\\d+),\"dur\":(\\d+),\"pid\":(-?\\d+),\"tid\":\\d+\\}");
   const std::regex flow_re(
       "\\{\"ph\":\"(s|f)\",(?:\"bp\":\"e\",)?\"name\":\"([^\"]*)\","
-      "\"cat\":\"flow\",\"id\":(\\d+),\"ts\":-?\\d+,\"pid\":(-?\\d+),"
+      "\"cat\":\"flow\",\"id\":(\\d+),\"ts\":(-?\\d+),\"pid\":(-?\\d+),"
       "\"tid\":\\d+\\}");
   for (auto it = std::sregex_iterator(parsed.text.begin(), parsed.text.end(),
                                       span_re);
@@ -123,7 +142,8 @@ ParsedTrace run_traced_rollout(const RolloutOptions& options) {
                                       flow_re);
        it != std::sregex_iterator(); ++it) {
     parsed.flows.push_back(Flow{*(*it)[1].first, (*it)[2],
-                                std::stoull((*it)[3]), std::stoi((*it)[4])});
+                                std::stoull((*it)[3]), std::stoll((*it)[4]),
+                                std::stoi((*it)[5])});
   }
   return parsed;
 }
@@ -189,15 +209,73 @@ TEST(TraceTest, EveryHaloSendHasExactlyOneMatchedReceive) {
   }
 }
 
-TEST(TraceTest, ClockSyncMetadataOnEveryRankLane) {
-  const auto& trace = traced_rollout();
-  for (int rank = 0; rank < kRanks; ++rank) {
-    const std::string needle = "{\"ph\":\"M\",\"name\":\"clock_sync\",\"pid\":" +
-                               std::to_string(rank) +
-                               ",\"tid\":0,\"args\":{\"offset_us\":";
-    EXPECT_NE(trace.text.find(needle), std::string::npos)
-        << "no clock_sync metadata for rank " << rank;
-    EXPECT_NE(trace.text.find("\"applied\":true"), std::string::npos);
+TEST(TraceTest, EveryFlowFinishesAtOrAfterItsStart) {
+  // Both ends of a flow are stamped on the one process-wide now_us() clock:
+  // the start before the mailbox push, the finish after the pop.
+  for (const ParsedTrace* run : {&traced_rollout(), &traced_elastic_rollout()}) {
+    SCOPED_TRACE(run == &traced_rollout() ? "classic" : "elastic");
+    std::map<std::uint64_t, std::pair<const Flow*, const Flow*>> endpoints;
+    for (const auto& f : run->flows) {
+      auto& e = endpoints[f.id];
+      (f.ph == 's' ? e.first : e.second) = &f;
+    }
+    int matched = 0;
+    for (const auto& [id, ends] : endpoints) {
+      if (ends.first == nullptr || ends.second == nullptr) continue;
+      ++matched;
+      EXPECT_GE(ends.second->ts, ends.first->ts)
+          << "flow " << id << " (" << ends.first->name
+          << ") finishes before its start";
+    }
+    EXPECT_GE(matched, kSteps * 8);
+  }
+}
+
+// Sets tracing for the scope; every way out of it turns tracing off again.
+struct TracingScope {
+  explicit TracingScope(bool on) {
+    telemetry::clear_trace();
+    telemetry::set_enabled(on);
+  }
+  ~TracingScope() {
+    telemetry::set_enabled(false);
+    telemetry::clear_trace();
+  }
+  TracingScope(const TracingScope&) = delete;
+  TracingScope& operator=(const TracingScope&) = delete;
+};
+
+TEST(TraceTest, TracingDoesNotChangeASeededFaultsOutcome) {
+  // The plan drops the first message rank 1 sends. Tracing must send nothing
+  // of its own, so that message is the same halo strip with tracing on as
+  // off, and the same borders degrade. Two ranks share one border: in a 2x2
+  // layout a third rank waits on the stalled rank 0 with the same patience,
+  // so whether it degrades too depends on which of the two began waiting
+  // first, not on tracing.
+  const RolloutSetup pair(2);
+  RolloutOptions options;
+  options.halo.recv_timeout = std::chrono::milliseconds(20);
+  options.halo.max_retries = 2;
+  int degraded[2] = {-1, -1};
+  for (const bool traced : {false, true}) {
+    const parpde::testing::PlanGuard fault(
+        mpi::fault::FaultPlan::parse("seed=7;drop:src=1,max=1"));
+    const TracingScope tracing(traced);
+    degraded[traced ? 1 : 0] =
+        run_rollout(pair, options).result.degraded_borders;
+  }
+  EXPECT_GT(degraded[0], 0);
+  EXPECT_EQ(degraded[1], degraded[0]);
+
+  // A traced Environment::run hands the body communicators that have sent
+  // nothing yet.
+  const TracingScope tracing(true);
+  std::vector<std::uint64_t> sent(kRanks, ~std::uint64_t{0});
+  mpi::Environment(kRanks).run([&sent](mpi::Communicator& comm) {
+    sent[static_cast<std::size_t>(comm.rank())] = comm.bytes_sent();
+  });
+  for (int r = 0; r < kRanks; ++r) {
+    EXPECT_EQ(sent[static_cast<std::size_t>(r)], 0u) << "rank " << r;
   }
 }
 

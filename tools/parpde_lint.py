@@ -360,9 +360,9 @@ def rule_unbounded_halo_recv(rel: str, code: str, out: list):
 
 # --- rule: raw-clock ---------------------------------------------------------
 
-# Timestamps must share the telemetry epoch (telemetry::now_us(), offset by
-# the clock-sync handshake at trace-write time). A raw steady_clock::now()
-# outside util/ produces spans/timers that cannot be aligned across ranks.
+# Timestamps must share the one telemetry epoch (telemetry::now_us()). A raw
+# steady_clock::now() outside util/ bypasses that epoch, so its spans/timers
+# cannot be placed on the trace's timeline.
 RAW_CLOCK_EXEMPT_PREFIX = "src/util/"
 
 _RAW_CLOCK = re.compile(
@@ -381,7 +381,7 @@ def rule_raw_clock(rel: str, code: str, out: list):
                 line_of(code, m.start()),
                 f"direct {m.group(1)}::now() outside src/util/ — use "
                 "telemetry::now_us() or util::WallTimer so timestamps stay "
-                "on the rank-aligned trace epoch (docs/observability.md)",
+                "on the one now_us() trace epoch (docs/observability.md)",
             )
         )
 

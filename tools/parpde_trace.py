@@ -1,17 +1,12 @@
 #!/usr/bin/env python3
-"""parpde-trace: merge and analyze parpde Chrome trace-event files.
+"""parpde-trace: analyze parpde Chrome trace-event files.
 
 The C++ side (--trace=FILE on parpde_cli, telemetry::write_chrome_trace)
-emits one Chrome trace-event JSON per process: complete spans (ph "X") on
-one pid lane per rank, flow events (ph "s"/"f") tying every halo/collective
-send to its receive across ranks, and per-lane clock_sync metadata recording
-the NTP-style offset that was already applied to align each rank's
-timestamps to rank 0's clock. This tool turns those files into numbers:
-
-  merge    Concatenates per-process trace shards into one aligned timeline
-           (threads-as-ranks runs already produce a single merged file; this
-           exists for multi-process launches). Shards whose clock_sync
-           metadata says the offset was NOT applied are shifted here.
+emits one Chrome trace-event JSON per run: complete spans (ph "X") on one
+pid lane per rank and flow events (ph "s"/"f") tying every halo/collective
+send to its receive across ranks. Ranks are threads of one process, so every
+lane is on the one process-wide now_us() clock. This tool turns the file into
+numbers:
 
   analyze  Critical-path attribution: for every "rollout.step" slice on
            every rank lane, buckets the step's wall time into
@@ -23,15 +18,16 @@ timestamps to rank 0's clock. This tool turns those files into numbers:
              gather     "rollout.gather"
              other      residual glue (health scan, bookkeeping)
            so the six buckets sum to the measured step time exactly.
-           Validates that every flow start has exactly one finish, measures
-           per-flow wire time (receive ts minus send ts, clamped at 0 since
-           clock offsets carry +-RTT/2 noise), and writes the aggregate
-           (p50/p99 step latency, attribution shares, flow accounting) as
-           BENCH_trace.json. --check makes it exit 1 when flows are
-           unmatched or the residual exceeds --tolerance of total step time.
+           Validates that every flow start has exactly one finish and that
+           the finish is not earlier than the start (both ends are stamped
+           on one monotonic clock, the start before the mailbox push and the
+           finish after the pop), measures per-flow wire time (receive ts
+           minus send ts), and writes the aggregate (p50/p99 step latency,
+           attribution shares, flow accounting) as BENCH_trace.json. --check
+           makes it exit 1 when flows are unmatched or reversed, or the
+           residual exceeds --tolerance of total step time.
 
 Usage:
-  tools/parpde_trace.py merge -o merged.json shard0.json [shard1.json ...]
   tools/parpde_trace.py analyze trace.json [-o BENCH_trace.json]
                         [--steps-out steps.jsonl] [--check] [--tolerance X]
   tools/parpde_trace.py --self-test
@@ -74,51 +70,6 @@ def load_trace(path: str) -> list:
     if not isinstance(events, list):
         raise ValueError(f"{path}: no traceEvents array")
     return events
-
-
-def clock_offsets(events: list) -> dict:
-    """pid -> (offset_us, applied) from the clock_sync metadata records."""
-    offsets = {}
-    for e in events:
-        if e.get("ph") == "M" and e.get("name") == "clock_sync":
-            args = e.get("args", {})
-            offsets[e.get("pid", 0)] = (
-                int(args.get("offset_us", 0)),
-                bool(args.get("applied", False)),
-            )
-    return offsets
-
-
-# --- merge -------------------------------------------------------------------
-
-
-def merge(paths: list, out_path: str, renumber: bool = False) -> dict:
-    """Concatenates trace shards into one timeline. Shards whose clock_sync
-    says applied:false get their offset applied here (and the metadata
-    rewritten), so the merged file is always on rank 0's clock. --renumber
-    spreads each shard's pids into its own block of 1000 to keep lanes from
-    colliding when two shards both contain a rank 0."""
-    merged = []
-    for index, path in enumerate(paths):
-        events = load_trace(path)
-        offsets = clock_offsets(events)
-        for e in events:
-            e = dict(e)
-            pid = e.get("pid", 0)
-            offset, applied = offsets.get(pid, (0, True))
-            if not applied and "ts" in e and e.get("ph") != "M":
-                e["ts"] = int(e["ts"]) + offset
-            if e.get("ph") == "M" and e.get("name") == "clock_sync":
-                e["args"] = dict(e.get("args", {}))
-                e["args"]["applied"] = True
-            if renumber:
-                e["pid"] = index * 1000 + pid
-            merged.append(e)
-    doc = {"displayTimeUnit": "ms", "traceEvents": merged}
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as f:
-            json.dump(doc, f, separators=(",", ":"))
-    return doc
 
 
 # --- analyze -----------------------------------------------------------------
@@ -195,9 +146,9 @@ def analyze_events(events: list, tolerance: float = 0.05) -> dict:
             record["step"] = index
             steps.append(record)
 
-    # Flow accounting: every start must have exactly one finish; wire time is
-    # receive minus send, clamped at zero (offsets carry +-RTT/2 noise).
-    started = finished = matched = unmatched = duplicated = 0
+    # Flow accounting: every start must have exactly one finish, at or after
+    # the start (one monotonic clock); wire time is receive minus send.
+    started = finished = matched = unmatched = duplicated = reversed_ = 0
     wire_us = []
     by_name: dict = {}
     for key, rec in flows.items():
@@ -212,9 +163,10 @@ def analyze_events(events: list, tolerance: float = 0.05) -> dict:
         if len(rec["s"]) == 1 and len(rec["f"]) == 1:
             matched += 1
             stat["matched"] += 1
-            wire_us.append(
-                max(0, int(rec["f"][0]["ts"]) - int(rec["s"][0]["ts"]))
-            )
+            wire = int(rec["f"][0]["ts"]) - int(rec["s"][0]["ts"])
+            if wire < 0:
+                reversed_ += 1
+            wire_us.append(wire)
         elif len(rec["s"]) > 1 or len(rec["f"]) > 1:
             duplicated += 1
         else:
@@ -240,6 +192,8 @@ def analyze_events(events: list, tolerance: float = 0.05) -> dict:
         failures.append(f"{unmatched} flow(s) without a matching receive")
     if duplicated:
         failures.append(f"{duplicated} flow id(s) with duplicate endpoints")
+    if reversed_:
+        failures.append(f"{reversed_} flow(s) finish before their start")
     if unattributed_pct > 100.0 * tolerance:
         failures.append(
             f"unattributed residual {unattributed_pct:.2f}% of step time "
@@ -272,6 +226,7 @@ def analyze_events(events: list, tolerance: float = 0.05) -> dict:
             "matched": matched,
             "unmatched": unmatched,
             "duplicated": duplicated,
+            "reversed": reversed_,
             "by_name": by_name,
         },
         "check": {"passed": not failures, "failures": failures},
@@ -283,9 +238,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     events = load_trace(args.trace)
     report = analyze_events(events, tolerance=args.tolerance)
     report["source"] = args.trace
-    report["clock_offsets_us"] = {
-        str(pid): off for pid, (off, _) in sorted(clock_offsets(events).items())
-    }
     per_step = report.pop("per_step")
     if args.steps_out:
         with open(args.steps_out, "w", encoding="utf-8") as f:
@@ -309,22 +261,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     fl = report["flows"]
     print(
         f"flows: {fl['started']} started, {fl['matched']} matched, "
-        f"{fl['unmatched']} unmatched | wire p99 "
+        f"{fl['unmatched']} unmatched, {fl['reversed']} reversed | wire p99 "
         f"{report['comm_wire_us']['p99']:.0f} us"
     )
     if args.check and not report["check"]["passed"]:
         for failure in report["check"]["failures"]:
             print(f"check FAILED: {failure}", file=sys.stderr)
         return 1
-    return 0
-
-
-def cmd_merge(args: argparse.Namespace) -> int:
-    doc = merge(args.shards, args.out, renumber=args.renumber)
-    print(
-        f"merged {len(args.shards)} shard(s), "
-        f"{len(doc['traceEvents'])} events -> {args.out}"
-    )
     return 0
 
 
@@ -414,6 +357,15 @@ def self_test() -> int:
     if bad_report["check"]["passed"]:
         failures.append("orphaned flow passed --check")
 
+    # A flow whose receive is stamped before its send cannot happen on one
+    # monotonic clock: it must be counted as reversed and fail --check.
+    backwards = events + [_flow("s", 0, 10, 1060), _flow("f", 1, 10, 1059)]
+    backwards_report = analyze_events(backwards)
+    if backwards_report["flows"]["reversed"] != 1:
+        failures.append("reversed flow not counted as reversed")
+    if backwards_report["check"]["passed"]:
+        failures.append("reversed flow passed --check")
+
     # A trace whose steps are mostly unattributed time must fail the
     # tolerance gate.
     sparse = [_span(0, _STEP, 0, 1000), _span(0, _HALO_SEND, 0, 10, "comm")]
@@ -444,19 +396,10 @@ def main() -> int:
     )
     sub = parser.add_subparsers(dest="command")
 
-    p_merge = sub.add_parser("merge", help="merge per-process trace shards")
-    p_merge.add_argument("shards", nargs="+", help="input trace JSON files")
-    p_merge.add_argument("-o", "--out", required=True, help="merged output")
-    p_merge.add_argument(
-        "--renumber",
-        action="store_true",
-        help="give each shard its own pid block of 1000 (rank collisions)",
-    )
-
     p_analyze = sub.add_parser(
         "analyze", help="critical-path attribution + flow validation"
     )
-    p_analyze.add_argument("trace", help="trace JSON (from --trace or merge)")
+    p_analyze.add_argument("trace", help="trace JSON (from --trace)")
     p_analyze.add_argument(
         "-o", "--out", default="BENCH_trace.json", help="aggregate JSON output"
     )
@@ -472,14 +415,13 @@ def main() -> int:
     p_analyze.add_argument(
         "--check",
         action="store_true",
-        help="exit 1 on unmatched flows or excessive unattributed time",
+        help="exit 1 on unmatched or reversed flows or excessive unattributed "
+        "time",
     )
 
     args = parser.parse_args()
     if args.self_test:
         return self_test()
-    if args.command == "merge":
-        return cmd_merge(args)
     if args.command == "analyze":
         return cmd_analyze(args)
     parser.print_help()
