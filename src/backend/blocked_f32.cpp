@@ -22,13 +22,8 @@ struct F32PlanContext final : PlanContext {
     }
   }
 
-  [[nodiscard]] std::uint64_t growth_events() const noexcept override {
-    return growths;
-  }
-
   std::vector<ConvLayerDesc> layers;
   nn::Conv2dWorkspace ws;
-  std::uint64_t growths = 0;
 };
 
 // The fp32 provider: the plan's convs run the training forward
@@ -54,10 +49,8 @@ class BlockedF32Backend final : public KernelBackend {
         telemetry::counter("backend.fp32.gemm_flops");
     telemetry::Span span(batch == 1 ? "conv.fp32" : "conv.fp32.batched",
                          "backend");
-    const std::size_t sized = c.ws.elements();
     nn::conv2d_forward_batched(x, batch, g, l.weight, l.out_channels, l.bias,
                                l.fused, l.slope, y, c.ws);
-    if (c.ws.elements() != sized) ++c.growths;
     flops.add(static_cast<std::uint64_t>(2 * l.out_channels * g.col_rows() *
                                          batch * g.col_cols()));
   }

@@ -67,9 +67,6 @@ struct ConvLayerDesc {
 class PlanContext {
  public:
   virtual ~PlanContext();
-  // Workspace regrowths since construction (0 in a pre-sized steady state);
-  // feeds ForwardPlan::growth_events().
-  [[nodiscard]] virtual std::uint64_t growth_events() const noexcept = 0;
 };
 
 class KernelBackend {
@@ -90,10 +87,10 @@ class KernelBackend {
 
   // y [B, Cout, OH, OW] = fused_act(W (*) x + b) for layer `layer` of
   // the context on `batch` stacked samples x [B, Cin, h, w], both contiguous.
-  // Never allocates for in-range geometries (growths are counted by the
-  // context). Each sample's bytes do not depend on the batch it runs in: the
-  // fp32 conv's per-element tap-reduction order does not depend on the
-  // batch, int8 accumulation is exact, and the epilogues are elementwise.
+  // Never allocates for in-range geometries. Each sample's bytes do not
+  // depend on the batch it runs in: the fp32 conv's per-element
+  // tap-reduction order does not depend on the batch, int8 accumulation is
+  // exact, and the epilogues are elementwise.
   // This is the contract SurrogateServer's cross-session coalescing relies
   // on; test_serve proves it end-to-end. A layer marked feeds_next may leave
   // y unwritten (see ConvLayerDesc).

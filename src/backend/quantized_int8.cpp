@@ -155,10 +155,6 @@ class Int8PlanContext final : public PlanContext {
     for (auto& buf : quads_) buf.resize(static_cast<std::size_t>(quad_peak));
   }
 
-  [[nodiscard]] std::uint64_t growth_events() const noexcept override {
-    return growths_;
-  }
-
   // Quad buffer `i` (0 or 1), grown to hold `batch` samples of `s` plus the
   // slack bytes, which are set to the quantized zero.
   std::uint8_t* quads(int i, const QuadShape& s, std::int64_t batch) {
@@ -166,7 +162,6 @@ class Int8PlanContext final : public PlanContext {
     const std::int64_t bytes = batch * s.sample();
     if (static_cast<std::int64_t>(buf.size()) < bytes + kSlackBytes) {
       buf.resize(static_cast<std::size_t>(bytes + kSlackBytes));
-      ++growths_;
     }
     std::memset(buf.data() + bytes, 128, kSlackBytes);
     return buf.data();
@@ -259,7 +254,6 @@ class Int8PlanContext final : public PlanContext {
   std::vector<QLayer> layers_;
   util::AlignedVector<std::uint8_t> quads_[2];
   Pending pending_;
-  std::uint64_t growths_ = 0;
   bool calibrated_ = false;
 };
 

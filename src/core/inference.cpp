@@ -43,7 +43,6 @@ struct TaskState {
 struct RankTally {
   double comm_seconds = 0.0;
   double compute_seconds = 0.0;
-  std::uint64_t steady_allocs = 0;
   std::uint64_t halo_bytes = 0;
   std::uint64_t halo_bytes_received = 0;
   std::uint64_t bytes_sent = 0;
@@ -147,8 +146,6 @@ RolloutResult parallel_rollout(const TrainConfig& config,
     mpi::PhaseScope phase(comm, "rollout");
     static telemetry::Histogram& step_latency =
         telemetry::histogram("rollout.step_seconds");
-    static telemetry::Counter& steady_counter =
-        telemetry::counter("inference.steady_state_allocs");
     static telemetry::Counter& adoptions_counter =
         telemetry::counter("recover.adoptions");
     static telemetry::Gauge& epoch_gauge =
@@ -355,19 +352,6 @@ RolloutResult parallel_rollout(const TrainConfig& config,
       return line + 1;
     };
 
-    // inference.steady_state_allocs: buffer regrowths of the plans and the
-    // halo staging after the warm-up step (re-baselined after a recovery,
-    // since adopted plans grow once).
-    auto growths = [&] {
-      std::uint64_t g = exchange ? exchange->growth_events() : 0;
-      for (const int t : owned) {
-        g += task[static_cast<std::size_t>(t)].plan->growth_events();
-      }
-      return g;
-    };
-    std::uint64_t warm_growths = 0;
-    int warm_until = 0;
-
     std::optional<elastic::Heartbeat> heartbeat;
     if (el.enabled) heartbeat.emplace(comm, el.lease, el.missed_leases);
     util::AccumulatingTimer comm_timer;
@@ -389,7 +373,6 @@ RolloutResult parallel_rollout(const TrainConfig& config,
           // without one the barrier re-runs without the dead peers, and our
           // heartbeat for this step is already out.
           resend = el.recover;
-          if (el.recover) warm_until = resume;
           step = resume;
           continue;
         }
@@ -457,7 +440,6 @@ RolloutResult parallel_rollout(const TrainConfig& config,
         telemetry::Span gather_span("rollout.gather", "rollout");
         post(step);
       }
-      if (step == warm_until) warm_growths = growths();
       if (rank == 0) {
         const double seconds = step_timer.seconds();
         result.step_seconds[static_cast<std::size_t>(step)] = seconds;
@@ -469,8 +451,6 @@ RolloutResult parallel_rollout(const TrainConfig& config,
     // The last collected round is the final step (always recorded).
     if (rank == 0 && full.ndim() == 3) result.frames.push_back(std::move(full));
 
-    mine.steady_allocs = growths() - warm_growths;
-    steady_counter.add(mine.steady_allocs);
     mine.comm_seconds = comm_timer.seconds();
     mine.compute_seconds = compute_timer.seconds();
     mine.bytes_sent = comm.bytes_sent();
@@ -502,7 +482,6 @@ RolloutResult parallel_rollout(const TrainConfig& config,
     result.comm_seconds = std::max(result.comm_seconds, rt.comm_seconds);
     result.compute_seconds =
         std::max(result.compute_seconds, rt.compute_seconds);
-    result.steady_state_allocs += rt.steady_allocs;
     result.halo_bytes += rt.halo_bytes;
     result.halo_bytes_received += rt.halo_bytes_received;
     result.bytes_sent += rt.bytes_sent;

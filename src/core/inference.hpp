@@ -181,11 +181,10 @@ struct RolloutResult {
   // compute overlaps them. Kept only because the frozen perfbench/ sources
   // read it; it goes, with RolloutEngine, the next time perfbench/ changes.
   double overlap_seconds = 0.0;
-  // Total buffer regrowths after the warm-up step, summed over ranks (plan
-  // activations, conv workspaces, halo staging); also exported as the
-  // `inference.steady_state_allocs` telemetry counter. 0 means those buffers
-  // stopped growing, not that the step is allocation-free: minimpi's
-  // per-message payloads and mailbox nodes are not counted.
+  // Always 0: nothing counts allocations inside the library. The tests count
+  // real heap allocations instead (tests/alloc_counter.hpp; a message-free
+  // rollout allocates nothing per step). Kept only because the frozen
+  // perfbench/ sources read it; it goes the next time perfbench/ changes.
   std::uint64_t steady_state_allocs = 0;
   // Health-monitor summary (see HealthReport); all-zero when
   // RolloutOptions::monitor_health was false.

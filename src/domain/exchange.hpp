@@ -173,11 +173,6 @@ class HaloExchange {
   // BorderHealth is reset.
   int lose_peer(int rank);
 
-  // Times a tile's padded tensor had to be (re)allocated.
-  [[nodiscard]] std::uint64_t growth_events() const noexcept {
-    return growths_;
-  }
-
  private:
   struct Placed {
     Tile tile;
@@ -207,7 +202,6 @@ class HaloExchange {
   std::vector<float> send_strip_;  // packed outgoing strip (reused)
   std::vector<float> recv_strip_;  // packed incoming strip (reused)
   std::uint64_t bytes_before_ = 0;
-  std::uint64_t growths_ = 0;
   double begin_seconds_ = 0.0;
   bool in_flight_ = false;
 };

@@ -23,7 +23,8 @@ Heartbeat::Heartbeat(mpi::Communicator& comm, std::chrono::milliseconds lease,
       lease_(std::max(lease, std::chrono::milliseconds(1))),
       budget_ms_(lease_.count() *
                  static_cast<std::int64_t>(std::max(missed_leases, 1))),
-      seen_(static_cast<std::size_t>(comm.size()), -1) {}
+      seen_(static_cast<std::size_t>(comm.size()), -1),
+      waited_ms_(static_cast<std::size_t>(comm.size()), 0) {}
 
 // Threading (src/minimpi/README.md): the barrier runs on the rank's own
 // thread, and the heartbeat tag is disjoint from the halo strip tags, so
@@ -42,7 +43,7 @@ void Heartbeat::barrier(int epoch, int step, const std::vector<char>& live,
     }
   }
   const std::int64_t target = key(e, s);
-  std::vector<std::int64_t> waited_ms(static_cast<std::size_t>(nranks), 0);
+  std::fill(waited_ms_.begin(), waited_ms_.end(), 0);
   util::WallTimer wait_timer;
   for (;;) {
     bool all = true;
@@ -54,8 +55,8 @@ void Heartbeat::barrier(int epoch, int step, const std::vector<char>& live,
       if (status == mpi::RecvStatus::kOk && buf_.size() == 2) {
         seen_[pi] = std::max(seen_[pi], key(buf_[0], buf_[1]));
       } else {
-        waited_ms[pi] += lease_.count();
-        if (waited_ms[pi] >= budget_ms_) {
+        waited_ms_[pi] += lease_.count();
+        if (waited_ms_[pi] >= budget_ms_) {
           // Batch every peer whose budget expired in this same round so
           // simultaneous deaths produce one deterministic rebalance.
           DeathNotice notice;
@@ -63,7 +64,7 @@ void Heartbeat::barrier(int epoch, int step, const std::vector<char>& live,
           for (int q = 0; q < nranks; ++q) {
             const auto qi = static_cast<std::size_t>(q);
             if (q != rank && live[qi] && seen_[qi] < target &&
-                waited_ms[qi] >= budget_ms_) {
+                waited_ms_[qi] >= budget_ms_) {
               notice.failed.push_back(q);
             }
           }

@@ -64,6 +64,8 @@ class Heartbeat {
   // carried; the lexicographic key lets post-recovery barriers consume any
   // stale pre-recovery heartbeat without miscounting it.
   std::vector<std::int64_t> seen_;
+  // Per-peer silence this barrier has waited out, zeroed at each barrier.
+  std::vector<std::int64_t> waited_ms_;
   std::vector<std::uint32_t> buf_;
 };
 

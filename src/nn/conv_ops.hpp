@@ -45,12 +45,6 @@ struct Conv2dWorkspace {
                                         // for the forward or dx kernel
   util::AlignedVector<float> dy;         // [Cout x G*OH*OW] channel-major gathered dY
   util::AlignedVector<float> dy_padded;  // [G x Cout x padded plane] zero-bordered dY
-
-  // Elements held by every buffer, for callers that count regrowths.
-  [[nodiscard]] std::size_t elements() const {
-    return staging.size() + tap_offsets.size() + w_packed.size() +
-           dy.size() + dy_padded.size();
-  }
 };
 
 // Activation applied in the forward's epilogue (the ForwardPlan peephole

@@ -120,12 +120,7 @@ ForwardPlan::ForwardPlan(Sequential& model, std::int64_t in_channels,
   const auto peak = static_cast<std::size_t>(peak_plane(max_h, max_w));
   act_.ping.resize(static_cast<std::size_t>(max_batch_) * peak);
   act_.pong.resize(static_cast<std::size_t>(max_batch_) * peak);
-  if (max_batch_ > 1) {
-    stack_.resize(static_cast<std::size_t>(
-        max_batch_ * out_channels_ * (max_h - shrink_) * (max_w - shrink_)));
-  }
   ctx_ = backend_->make_plan_context(descs_, max_h, max_w, max_batch_);
-  growth_events_ = 0;
 }
 
 void ForwardPlan::advance(const Step& step, std::int64_t& ch, std::int64_t& h,
@@ -160,7 +155,6 @@ float* ForwardPlan::ensure(util::AlignedVector<float>& buf,
                            std::int64_t floats) {
   if (static_cast<std::int64_t>(buf.size()) < floats) {
     buf.resize(static_cast<std::size_t>(floats));
-    ++growth_events_;
   }
   return buf.data();
 }
@@ -181,7 +175,7 @@ void ForwardPlan::calibrate(const float* x, std::int64_t h, std::int64_t w) {
               util::AlignedVector<float>(peak)};
   std::vector<float> ranges;
   ranges.reserve(descs_.size());
-  (void)walk(ref, *ctx, buf, x, 1, h, w, nullptr, &ranges);
+  (void)walk(ref, *ctx, buf, x, 1, h, w, &ranges);
   set_calibration(std::move(ranges));
 }
 
@@ -196,7 +190,7 @@ void ForwardPlan::set_calibration(std::vector<float> ranges) {
 
 ForwardPlan::Output ForwardPlan::run(const float* x, std::int64_t h,
                                      std::int64_t w) {
-  return walk(*backend_, *ctx_, act_, x, 1, h, w, nullptr, nullptr);
+  return walk(*backend_, *ctx_, act_, x, 1, h, w, nullptr);
 }
 
 ForwardPlan::Output ForwardPlan::run_batched(const float* x,
@@ -205,42 +199,13 @@ ForwardPlan::Output ForwardPlan::run_batched(const float* x,
   if (batch <= 0) {
     throw std::invalid_argument("ForwardPlan::run_batched: batch must be > 0");
   }
-  // Sample grouping: evaluate the batch in groups small enough that a group's
-  // per-layer in/out activation pair stays L2-resident across the whole layer
-  // walk. Running the full batch layer-by-layer streams batch-wide activation
-  // buffers (batch * peak_plane floats, e.g. 4 MB at batch 8 on the 64x64
-  // Table-I net) through a ~2 MB L2 at every layer boundary, which costs more
-  // in DRAM re-reads than the wide GEMM saves — measured 15-25% slower than
-  // solo runs on the int8 backend before grouping. Grouping only changes the
-  // evaluation order *across* samples, never within one, so per-sample bits
-  // are untouched (the batched-vs-solo identity tests in tests/test_serve.cpp
-  // cover exactly this).
-  constexpr std::int64_t kGroupBudgetBytes = std::int64_t{2} << 20;
-  const std::int64_t per_sample_bytes =
-      2 * peak_plane(h, w) * static_cast<std::int64_t>(sizeof(float));
-  const std::int64_t group = std::min(
-      batch, std::max<std::int64_t>(1, kGroupBudgetBytes / per_sample_bytes));
-  if (group >= batch) {
-    return walk(*backend_, *ctx_, act_, x, batch, h, w, nullptr, nullptr);
-  }
-  const std::int64_t oh = h - shrink_;
-  const std::int64_t ow = w - shrink_;
-  const std::int64_t out_floats = out_channels_ * oh * ow;
-  float* out = ensure(stack_, batch * out_floats);
-  Output last{};
-  for (std::int64_t s0 = 0; s0 < batch; s0 += group) {
-    const std::int64_t gb = std::min(group, batch - s0);
-    last = walk(*backend_, *ctx_, act_, x + s0 * in_channels_ * h * w, gb, h,
-                w, out + s0 * out_floats, nullptr);
-  }
-  return Output{out, last.channels, last.height, last.width};
+  return walk(*backend_, *ctx_, act_, x, batch, h, w, nullptr);
 }
 
 ForwardPlan::Output ForwardPlan::walk(const backend::KernelBackend& bk,
                                       backend::PlanContext& ctx, Buffers& buf,
                                       const float* x, std::int64_t batch,
                                       std::int64_t h, std::int64_t w,
-                                      float* final_dst,
                                       std::vector<float>* ranges) {
   // Reject a too-small input before any step runs: a pass must not stop
   // between two chained convs (ConvLayerDesc::feeds_next).
@@ -264,9 +229,7 @@ ForwardPlan::Output ForwardPlan::walk(const backend::KernelBackend& bk,
     advance(step, oc, oh, ow);
     const bool pointwise = step.op != Op::kConv && step.op != Op::kDeconv;
     float* dst = nullptr;
-    if (&step == &steps_.back() && final_dst != nullptr) {
-      dst = final_dst;
-    } else if (pointwise && cur_buf != nullptr) {
+    if (pointwise && cur_buf != nullptr) {
       dst = cur_buf;  // in place
     } else {
       // Write the other ping-pong buffer than the one `cur` lives in.

@@ -74,7 +74,7 @@ class ForwardPlan {
 
   // Evaluates the model on a dense CHW input [in_channels, h, w] with
   // h <= max_h and w <= max_w. Never allocates for in-range geometries;
-  // out-of-range ones grow the buffers and bump growth_events().
+  // out-of-range ones grow the buffers.
   Output run(const float* x, std::int64_t h, std::int64_t w);
 
   // Evaluates the model on `batch` stacked samples [B, in_channels, h, w] in
@@ -117,12 +117,6 @@ class ForwardPlan {
   // Largest batch the plan pre-sized run_batched() for.
   [[nodiscard]] std::int64_t max_batch() const noexcept { return max_batch_; }
 
-  // Buffer regrowths since construction (plan activation buffers plus the
-  // backend context's workspaces); 0 in a pre-sized steady state.
-  [[nodiscard]] std::uint64_t growth_events() const noexcept {
-    return growth_events_ + ctx_->growth_events();
-  }
-
  private:
   enum class Op { kConv, kDeconv, kLeakyReLU, kReLU, kTanh };
 
@@ -143,7 +137,7 @@ class ForwardPlan {
     util::AlignedVector<float> pong;
   };
 
-  float* ensure(util::AlignedVector<float>& buf, std::int64_t floats);
+  static float* ensure(util::AlignedVector<float>& buf, std::int64_t floats);
 
   // Shape [ch, h, w] after `step` (pointwise steps keep it).
   void advance(const Step& step, std::int64_t& ch, std::int64_t& h,
@@ -153,17 +147,12 @@ class ForwardPlan {
   [[nodiscard]] std::int64_t peak_plane(std::int64_t h, std::int64_t w) const;
 
   // One pass of `batch` stacked samples through every step on `bk`/`ctx`,
-  // writing intermediate activations into `buf`; each conv is one backend
-  // conv_forward_batched call. When `final_dst` is non-null the last step
-  // writes its [batch, out_channels, oh, ow] result there instead of into a
-  // ping-pong buffer, which is what lets run_batched() evaluate a large batch in
-  // cache-sized sample groups while still returning one contiguous stacked
-  // output. When `ranges` is non-null each conv layer's input max-abs is
-  // appended to it (calibrate()).
+  // writing the activations into `buf`; each conv is one backend
+  // conv_forward_batched call. When `ranges` is non-null each conv layer's
+  // input max-abs is appended to it (calibrate()).
   Output walk(const backend::KernelBackend& bk, backend::PlanContext& ctx,
               Buffers& buf, const float* x, std::int64_t batch,
-              std::int64_t h, std::int64_t w, float* final_dst,
-              std::vector<float>* ranges);
+              std::int64_t h, std::int64_t w, std::vector<float>* ranges);
 
   const backend::KernelBackend* backend_ = nullptr;
   std::vector<Step> steps_;
@@ -176,13 +165,8 @@ class ForwardPlan {
   std::int64_t max_w_ = 0;
   std::int64_t max_batch_ = 1;
   std::int64_t shrink_ = 0;
-  std::uint64_t growth_events_ = 0;
 
   Buffers act_;  // activation ping-pong buffers
-  // Stacked final output for the grouped run_batched() path (only sized when
-  // max_batch > 1): sample groups write their last-layer result here at their
-  // batch offset so the returned Output spans the whole batch contiguously.
-  util::AlignedVector<float> stack_;
 };
 
 }  // namespace parpde::nn

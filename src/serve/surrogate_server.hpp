@@ -143,10 +143,6 @@ class SurrogateServer {
     return options_;
   }
   [[nodiscard]] ServerStats stats() const;
-  // Plan + backend workspace regrowths (0 in a pre-sized steady state).
-  [[nodiscard]] std::uint64_t growth_events() const noexcept {
-    return plan_.growth_events();
-  }
 
   // Stops the scheduler: pending and future requests get Reject::kShutdown.
   // Idempotent; the destructor calls it.

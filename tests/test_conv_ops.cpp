@@ -6,14 +6,12 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
-#include <new>
 #include <string>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "helpers.hpp"
 #include "nn/conv_lstm.hpp"
 #include "nn/conv_ops.hpp"
@@ -22,50 +20,6 @@
 #include "util/random.hpp"
 #include "util/target_clones.hpp"
 #include "util/thread_pool.hpp"
-
-// --- counting allocator ------------------------------------------------------
-// Same device as tests/test_quant_rollout.cpp: global operator new/delete
-// counting allocations while g_count_allocs is set, to prove the batched
-// forward's and backward's steady states allocate nothing. The aligned forms
-// are counted too, because every Conv2dWorkspace buffer is a 64-byte-aligned
-// vector.
-
-namespace {
-std::atomic<bool> g_count_allocs{false};
-std::atomic<std::int64_t> g_alloc_events{0};
-
-void* counted_alloc(std::size_t n, std::size_t align = 0) {
-  if (g_count_allocs.load(std::memory_order_relaxed)) {
-    g_alloc_events.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (n == 0) n = 1;
-  void* p = align == 0 ? std::malloc(n)
-                       : std::aligned_alloc(align, (n + align - 1) / align * align);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-}  // namespace
-
-void* operator new(std::size_t n) { return counted_alloc(n); }
-void* operator new[](std::size_t n) { return counted_alloc(n); }
-void* operator new(std::size_t n, std::align_val_t a) {
-  return counted_alloc(n, static_cast<std::size_t>(a));
-}
-void* operator new[](std::size_t n, std::align_val_t a) {
-  return counted_alloc(n, static_cast<std::size_t>(a));
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace parpde::nn {
 namespace {
@@ -602,14 +556,12 @@ TEST(ConvOps, BatchedBackwardSteadyStateAllocatesNothing) {
   Conv2dWorkspace ws;
   Tensor dx, dw(w.shape()), db({4});
   conv2d_backward_batched(x, dy, w, 0, dx, dw, db, ws);
-  g_alloc_events.store(0);
-  g_count_allocs.store(true);
+  parpde::testing::AllocCounter allocs;
   for (int call = 0; call < 3; ++call) {
     conv2d_backward_batched(x, dy, w, 0, dx, dw, db, ws);
     conv2d_backward_weights_batched(x, dy, 0, dw, db, ws);
   }
-  g_count_allocs.store(false);
-  EXPECT_EQ(g_alloc_events.load(), 0);
+  EXPECT_EQ(allocs.count(), 0);
 }
 
 // conv2d_backward_reserve sizes the im2row rows for the largest group the
@@ -645,27 +597,25 @@ TEST(ConvOps, BatchedForwardSteadyStateAllocatesNothing) {
   Conv2dWorkspace ws;
   conv2d_forward_batched(x, w, b, 0, y0, ws);
   conv2d_forward_batched(x, w, b, 2, y2, ws);
-  g_alloc_events.store(0);
-  g_count_allocs.store(true);
-  for (int call = 0; call < 3; ++call) {
-    conv2d_forward_batched(x, w, b, 0, y0, ws);
-    conv2d_forward_batched(x, w, b, 2, y2, ws);
+  {
+    parpde::testing::AllocCounter allocs;
+    for (int call = 0; call < 3; ++call) {
+      conv2d_forward_batched(x, w, b, 0, y0, ws);
+      conv2d_forward_batched(x, w, b, 2, y2, ws);
+    }
+    EXPECT_EQ(allocs.count(), 0);
   }
-  g_count_allocs.store(false);
-  EXPECT_EQ(g_alloc_events.load(), 0);
 
   const ConvGeometry g{6, 21, 19, 5, 2};
   Conv2dWorkspace reserved;
   conv2d_forward_reserve(g, 4, 5, reserved);
-  g_alloc_events.store(0);
-  g_count_allocs.store(true);
+  parpde::testing::AllocCounter allocs;
   for (std::int64_t n : {5, 1, 3}) {
     conv2d_forward_batched(x.data(), n, g, w.data(), 4, b.data(),
                            FusedActivation::kLeakyReLU, 0.01f, y2.data(),
                            reserved);
   }
-  g_count_allocs.store(false);
-  EXPECT_EQ(g_alloc_events.load(), 0);
+  EXPECT_EQ(allocs.count(), 0);
 }
 
 TEST(ConvOps, RejectsBadShapes) {

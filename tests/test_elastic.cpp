@@ -180,9 +180,6 @@ TEST(ElasticRollout, MatchesDefaultEngineBitExactly) {
             oracle.health.max_interface_residual);
   EXPECT_EQ(elastic.halo_bytes, oracle.halo_bytes);
   EXPECT_EQ(elastic.halo_bytes_received, oracle.halo_bytes_received);
-  // The heartbeat and recovery machinery leave the healthy steady state
-  // allocation-free.
-  EXPECT_EQ(elastic.steady_state_allocs, 0u);
 }
 
 TEST(ElasticRollout, PlacementIndependenceUnderOverDecomposition) {
@@ -222,7 +219,6 @@ TEST(ElasticRollout, PlacementIndependenceUnderOverDecomposition) {
         recorded_rollout(cfg, *in.report, ds.frame(0), 3, opts);
     parpde::testing::expect_frames_bit_identical(oracle, elastic);
     EXPECT_EQ(elastic.result.degraded_borders, 0);
-    EXPECT_EQ(elastic.result.steady_state_allocs, 0u);
     EXPECT_EQ(elastic.result.health.max_interface_residual,
               oracle.result.health.max_interface_residual);
   }

@@ -8,16 +8,14 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <iterator>
-#include <new>
 #include <sstream>
 
+#include "alloc_counter.hpp"
 #include "core/checkpoint.hpp"
 #include "core/model.hpp"
 #include "core/train_checkpoint.hpp"
@@ -29,82 +27,10 @@
 #include "util/framed_file.hpp"
 #include "util/random.hpp"
 
-// --- largest-allocation probe -------------------------------------------------
-// Global operator new/delete for this test binary. While an AllocWatch is
-// alive it records the largest single request; a request above kRefuseBytes
-// is refused (bad_alloc) instead of served, so a regression shows up as a
-// failed bound rather than gigabytes of RSS.
-
-namespace {
-
-constexpr std::size_t kRefuseBytes = std::size_t{256} << 20;
-std::atomic<bool> g_watching{false};
-std::atomic<std::size_t> g_largest{0};
-
-void note(std::size_t n) {
-  if (!g_watching.load(std::memory_order_relaxed)) return;
-  std::size_t prev = g_largest.load(std::memory_order_relaxed);
-  while (n > prev && !g_largest.compare_exchange_weak(
-                         prev, n, std::memory_order_relaxed)) {
-  }
-  if (n > kRefuseBytes) throw std::bad_alloc();
-}
-
-void* watched_alloc(std::size_t n) {
-  note(n);
-  void* p = std::malloc(n == 0 ? 1 : n);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-
-void* watched_aligned_alloc(std::size_t n, std::align_val_t al) {
-  note(n);
-  const auto a = static_cast<std::size_t>(al);
-  void* p = std::aligned_alloc(a, (n + a) / a * a);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-
-}  // namespace
-
-void* operator new(std::size_t n) { return watched_alloc(n); }
-void* operator new[](std::size_t n) { return watched_alloc(n); }
-void* operator new(std::size_t n, std::align_val_t al) {
-  return watched_aligned_alloc(n, al);
-}
-void* operator new[](std::size_t n, std::align_val_t al) {
-  return watched_aligned_alloc(n, al);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-
 namespace parpde {
 namespace {
 
 constexpr std::size_t kChunkSlack = 64 * 1024;
-
-// Scoped largest-allocation measurement (single-threaded use).
-class AllocWatch {
- public:
-  AllocWatch() {
-    g_largest.store(0);
-    g_watching.store(true);
-  }
-  ~AllocWatch() { g_watching.store(false); }
-  AllocWatch(const AllocWatch&) = delete;
-  AllocWatch& operator=(const AllocWatch&) = delete;
-  [[nodiscard]] static std::size_t largest() { return g_largest.load(); }
-};
 
 std::string fresh_dir(const std::string& stem) {
   const auto dir = std::filesystem::path(::testing::TempDir()) / stem;
@@ -297,9 +223,9 @@ void expect_rejected(const Format& format, const std::string& bytes,
   bool accepted = true;
   std::size_t largest = 0;
   {
-    AllocWatch watch;
+    testing::AllocCounter watch;
     accepted = format.accepts(bytes);
-    largest = AllocWatch::largest();
+    largest = watch.largest();
   }
   EXPECT_FALSE(accepted) << format.name << ": " << what << " was accepted";
   EXPECT_LE(largest, bytes.size() + kChunkSlack)
@@ -395,9 +321,9 @@ TEST(FramedFormats, LyingPpesLengthFailsAsTruncationWithoutAllocating) {
   bool ok = true;
   std::size_t largest = 0;
   {
-    AllocWatch watch;
+    testing::AllocCounter watch;
     ok = elastic::load_task_state(dir, kTask, kStep, &out, &why);
-    largest = AllocWatch::largest();
+    largest = watch.largest();
   }
   EXPECT_FALSE(ok);
   EXPECT_NE(why.find("truncated"), std::string::npos) << why;
@@ -423,14 +349,16 @@ TEST(FramedFile, LyingLengthOnAnUnseekableStreamReadsInBoundedChunks) {
   std::istream in(&buf);
   ASSERT_EQ(in.tellg(), std::istream::pos_type(-1));
   std::size_t largest = 0;
-  try {
-    AllocWatch watch;
-    (void)util::read_verified(in, "ABCD", {1});
-    ADD_FAILURE() << "lying length accepted";
-  } catch (const util::FormatError& e) {
-    largest = AllocWatch::largest();
-    EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos)
-        << e.what();
+  {
+    testing::AllocCounter watch;
+    try {
+      (void)util::read_verified(in, "ABCD", {1});
+      ADD_FAILURE() << "lying length accepted";
+    } catch (const util::FormatError& e) {
+      largest = watch.largest();
+      EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos)
+          << e.what();
+    }
   }
   EXPECT_LE(largest, bytes.size() + kChunkSlack);
 }
@@ -455,10 +383,10 @@ TEST(FramedFormats, CorruptTensorExtentInAFrameFileIsAFormatError) {
     put_file(path, bytes);
     std::size_t largest = 0;
     {
-      AllocWatch watch;
+      testing::AllocCounter watch;
       EXPECT_THROW((void)data::load_frames(path), util::FormatError)
           << "byte " << offset;
-      largest = AllocWatch::largest();
+      largest = watch.largest();
     }
     EXPECT_LE(largest, bytes.size() + kChunkSlack) << "byte " << offset;
   }

@@ -7,17 +7,15 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "backend/int8_detail.hpp"
 #include "backend/kernel_backend.hpp"
 #include "core/inference.hpp"
@@ -35,32 +33,6 @@
 #include "util/random.hpp"
 #include "util/telemetry.hpp"
 #include "util/thread_pool.hpp"
-
-// --- counting allocator ------------------------------------------------------
-// Same device as tests/test_rollout_overlap.cpp: global operator new/delete
-// counting allocations while g_count_allocs is set, to prove the int8 plan's
-// steady state allocates nothing.
-
-namespace {
-std::atomic<bool> g_count_allocs{false};
-std::atomic<std::int64_t> g_alloc_events{0};
-
-void* counted_alloc(std::size_t n) {
-  if (g_count_allocs.load(std::memory_order_relaxed)) {
-    g_alloc_events.fetch_add(1, std::memory_order_relaxed);
-  }
-  void* p = std::malloc(n == 0 ? 1 : n);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-}  // namespace
-
-void* operator new(std::size_t n) { return counted_alloc(n); }
-void* operator new[](std::size_t n) { return counted_alloc(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace parpde::core {
 namespace {
@@ -166,8 +138,6 @@ TEST(QuantRollout, HundredStepDivergenceWithinBudget) {
 
   EXPECT_EQ(ref.result.backend, "fp32");
   EXPECT_EQ(quant.result.backend, "int8");
-  EXPECT_EQ(ref.result.steady_state_allocs, 0u);
-  EXPECT_EQ(quant.result.steady_state_allocs, 0u);
   ASSERT_EQ(ref.steps(), quant.steps());
   ASSERT_FALSE(ref.frames.empty());
   double worst = 0.0;
@@ -204,8 +174,6 @@ TEST(QuantRollout, BitDeterministicAcrossWorkersAndOracle) {
       overlapped,
       parpde::testing::stepped_rollout_oracle(cfg, report, initial, steps, int8));
   parpde::testing::expect_frames_bit_identical(overlapped, pooled);
-  EXPECT_EQ(overlapped.result.steady_state_allocs, 0u);
-  EXPECT_EQ(pooled.result.steady_state_allocs, 0u);
 }
 
 mpi::fault::Rule drop_halo_from(int source) {
@@ -408,37 +376,39 @@ TEST(QuantSerialize, CalibrationSectionRoundTrip) {
 }
 
 TEST(QuantPlan, SteadyStateAllocationFree) {
-  // The int8 plan must hit the same zero-allocation steady state as fp32:
-  // quantized weights, input/col workspaces and the thread-local panel/acc
-  // scratch are all sized during construction/warm-up. Pool inline (0
-  // workers), matching the per-rank inference configuration.
+  // The int8 plan must hit the same zero-allocation steady state as fp32,
+  // and both are counted: quantized weights, channel-quad buffers, the fp32
+  // staging workspace and the thread-local scratch are all sized during
+  // construction/warm-up. Pool inline (0 workers), matching the per-rank
+  // inference configuration.
   const TrainConfig cfg = fig3_config();
   util::Rng rng(cfg.seed);
   auto model = build_model(cfg.network, cfg.border, rng);
   const std::int64_t h = 40, w = 36;
-  nn::ForwardPlan plan(*model, 4, h, w, &backend::quantized_int8());
-
   Tensor x({4, h, w});
   util::Rng data_rng(17);
   data_rng.fill_uniform(x.values(), -1.0f, 1.0f);
-  plan.calibrate(x.data(), h, w);
+  for (const backend::KernelBackend* bk :
+       {&backend::quantized_int8(), &backend::blocked_f32()}) {
+    SCOPED_TRACE(bk->name());
+    nn::ForwardPlan plan(*model, 4, h, w, bk);
+    if (plan.needs_calibration()) plan.calibrate(x.data(), h, w);
 
-  // Warm every code path: full tile plus a smaller (rim-band style) geometry.
-  (void)plan.run(x.data(), h, w);
-  (void)plan.run(x.data(), h - 4, w - 6);
-  (void)plan.run(x.data(), h, w);
+    // Warm every code path: full tile plus a smaller (rim-band style)
+    // geometry.
+    (void)plan.run(x.data(), h, w);
+    (void)plan.run(x.data(), h - 4, w - 6);
+    (void)plan.run(x.data(), h, w);
 
-  g_alloc_events.store(0);
-  g_count_allocs.store(true);
-  for (int i = 0; i < 8; ++i) {
-    const nn::ForwardPlan::Output steady = plan.run(x.data(), h, w);
-    ASSERT_NE(steady.data, nullptr);
-    const nn::ForwardPlan::Output rim = plan.run(x.data(), h - 4, w - 6);
-    ASSERT_NE(rim.data, nullptr);
+    parpde::testing::AllocCounter allocs;
+    for (int i = 0; i < 8; ++i) {
+      const nn::ForwardPlan::Output steady = plan.run(x.data(), h, w);
+      ASSERT_NE(steady.data, nullptr);
+      const nn::ForwardPlan::Output rim = plan.run(x.data(), h - 4, w - 6);
+      ASSERT_NE(rim.data, nullptr);
+    }
+    EXPECT_EQ(allocs.count(), 0);
   }
-  g_count_allocs.store(false);
-  EXPECT_EQ(g_alloc_events.load(), 0);
-  EXPECT_EQ(plan.growth_events(), 0u);
 }
 
 // --- pinned int8 bytes -------------------------------------------------------

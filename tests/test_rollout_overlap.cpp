@@ -1,25 +1,23 @@
 // Rollout engine: the split halo exchange followed by one whole-tile
 // ForwardPlan run per step must be bit-identical to the stepped rollout
 // oracle (tests/helpers.hpp) — healthy, under injected message delay, and
-// under message loss with degraded borders — its steady-state step must
-// perform zero heap allocations (counting allocator over the ForwardPlan,
-// growth accounting over the engine), and its recorded frames must reach the
-// sink through one reused buffer, so frame-sized allocations do not grow
-// with the step count. ForwardPlan itself, deconv mode included, must match
-// the module graph bit for bit.
+// under message loss with degraded borders — a step that sends no message
+// must perform zero heap allocations (real counts, tests/alloc_counter.hpp),
+// and its recorded frames must reach the sink through one reused buffer, so
+// frame-sized allocations do not grow with the step count. ForwardPlan
+// itself, deconv mode included, must match the module graph bit for bit.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "alloc_counter.hpp"
+#include "backend/kernel_backend.hpp"
 #include "core/inference.hpp"
 #include "core/model.hpp"
 #include "domain/exchange.hpp"
@@ -32,39 +30,6 @@
 #include "nn/forward_plan.hpp"
 #include "util/random.hpp"
 #include "util/thread_pool.hpp"
-
-// --- counting allocator ------------------------------------------------------
-// Global operator new/delete for this test binary, counting allocations while
-// g_count_allocs is set, and separately those of at least g_large_bytes.
-// Used to prove the ForwardPlan steady state allocates nothing and that a
-// rollout's frame-sized allocations do not grow with its step count;
-// everything else routes straight to malloc/free.
-
-namespace {
-std::atomic<bool> g_count_allocs{false};
-std::atomic<std::int64_t> g_alloc_events{0};
-std::atomic<std::size_t> g_large_bytes{SIZE_MAX};
-std::atomic<std::int64_t> g_large_events{0};
-
-void* counted_alloc(std::size_t n) {
-  if (g_count_allocs.load(std::memory_order_relaxed)) {
-    g_alloc_events.fetch_add(1, std::memory_order_relaxed);
-    if (n >= g_large_bytes.load(std::memory_order_relaxed)) {
-      g_large_events.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  void* p = std::malloc(n == 0 ? 1 : n);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-}  // namespace
-
-void* operator new(std::size_t n) { return counted_alloc(n); }
-void* operator new[](std::size_t n) { return counted_alloc(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace parpde::core {
 namespace {
@@ -136,18 +101,15 @@ TEST(RolloutOverlap, BitIdenticalToOracleHaloPad) {
   EXPECT_EQ(overlapped.halo_bytes, 4 * steps * strip_floats * sizeof(float));
   EXPECT_EQ(overlapped.halo_bytes_received, overlapped.halo_bytes);
   EXPECT_EQ(overlapped.degraded_borders, 0);
-  EXPECT_EQ(overlapped.steady_state_allocs, 0u);
   EXPECT_GE(overlapped.overlap_seconds, 0.0);
   ASSERT_EQ(overlapped.step_seconds.size(), static_cast<std::size_t>(steps));
 
-  // The health monitor observes only: the same frames with it switched off,
-  // and no steady-state allocations either way.
+  // The health monitor observes only: the same frames with it switched off.
   RolloutOptions unmonitored;
   unmonitored.monitor_health = false;
   const auto quiet =
       recorded_rollout(cfg, report, initial, steps, unmonitored);
   expect_frames_bit_identical(run, quiet);
-  EXPECT_EQ(quiet.result.steady_state_allocs, 0u);
 }
 
 TEST(RolloutOverlap, BitIdenticalToOracleZeroPad) {
@@ -164,7 +126,6 @@ TEST(RolloutOverlap, BitIdenticalToOracleZeroPad) {
                              stepped_rollout_oracle(cfg, report, initial, 3));
   // zero-pad is communication-free
   EXPECT_EQ(overlapped.result.halo_bytes, 0u);
-  EXPECT_EQ(overlapped.result.steady_state_allocs, 0u);
 }
 
 TEST(RolloutOverlap, BitIdenticalWithPoolWorkers) {
@@ -257,22 +218,76 @@ TEST(RolloutOverlap, RecordedFramesDoNotGrowMemoryWithStepCount) {
   RolloutOptions options;
   options.on_frame = [&](int, const Tensor& frame) { checksum += frame[0]; };
   auto frame_sized_allocs = [&](int steps) {
-    g_large_bytes.store(static_cast<std::size_t>(initial.size()) *
-                        sizeof(float));
-    g_large_events.store(0);
-    g_count_allocs.store(true);
-    const RolloutResult result =
-        parallel_rollout(cfg, report, initial, steps, options);
-    g_count_allocs.store(false);
-    g_large_bytes.store(SIZE_MAX);
+    std::int64_t count = 0;
+    RolloutResult result;
+    {
+      parpde::testing::AllocCounter allocs(
+          static_cast<std::size_t>(initial.size()) * sizeof(float));
+      result = parallel_rollout(cfg, report, initial, steps, options);
+      count = allocs.count();
+    }
     EXPECT_EQ(result.frames.size(), 1u);
-    return g_large_events.load();
+    return count;
   };
   const std::int64_t short_run = frame_sized_allocs(6);
   const std::int64_t long_run = frame_sized_allocs(12);
   EXPECT_GT(short_run, 0);  // the gather buffer at least
   EXPECT_EQ(long_run, short_run);
   EXPECT_TRUE(std::isfinite(checksum));
+}
+
+// A step that sends no message allocates nothing: a rollout of 2n steps
+// makes exactly as many heap allocations as one of n steps, whatever the
+// border mode, backend or runtime. 1x1 tiles exchange no halo strip (every
+// border is physical), 2x2 zero-pad exchanges none either, and record_every 0
+// gathers no frame; the elastic runtime runs only at 1x1, where its heartbeat
+// barrier has no peer to message. The pool is inline (0 workers), so no
+// worker's first-chunk scratch depends on the scheduler.
+TEST(RolloutOverlap, MessageFreeRolloutAllocatesNothingPerStep) {
+  const std::int64_t grid = 16;
+  const Tensor initial = random_frame(grid, 23);
+  struct Case {
+    BorderMode mode;
+    int ranks;
+    const backend::KernelBackend* backend;
+    bool elastic;
+  };
+  std::vector<Case> cases;
+  for (const backend::KernelBackend* bk :
+       {&backend::blocked_f32(), &backend::quantized_int8()}) {
+    for (const BorderMode mode :
+         {BorderMode::kHaloPad, BorderMode::kZeroPad, BorderMode::kDeconv}) {
+      // Transpose convs run on fp32 only.
+      if (mode == BorderMode::kDeconv && bk != &backend::blocked_f32()) {
+        continue;
+      }
+      cases.push_back({mode, 1, bk, false});
+      cases.push_back({mode, 1, bk, true});
+    }
+    cases.push_back({BorderMode::kZeroPad, 4, bk, false});
+  }
+  util::ThreadPool::configure_global(0);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(border_mode_name(c.mode)) + " " +
+                 c.backend->name() + " ranks " + std::to_string(c.ranks) +
+                 (c.elastic ? " elastic" : ""));
+    const TrainConfig cfg = small_config(c.mode);
+    NetworkTrainer reference(cfg, 0);
+    const auto report = shared_weight_report(
+        cfg, c.ranks, export_parameters(reference.model()), grid);
+    RolloutOptions options;
+    options.backend = c.backend;
+    options.record_every = 0;
+    options.elastic.enabled = c.elastic;
+    auto allocs_of = [&](int steps) {
+      parpde::testing::AllocCounter allocs;
+      (void)parallel_rollout(cfg, report, initial, steps, options);
+      return allocs.count();
+    };
+    (void)allocs_of(1);  // first-call statics (telemetry registrations)
+    const std::int64_t short_run = allocs_of(3);
+    EXPECT_EQ(allocs_of(6), short_run);
+  }
 }
 
 TEST(RolloutOverlap, InjectedDelayKeepsFramesBitIdentical) {
@@ -461,23 +476,23 @@ TEST(ForwardPlan, BitIdenticalToModuleForwardAndAllocationFree) {
     }
 
     // Smaller geometries reuse the same buffers.
-    (void)plan.run(x.data(), h - 4, w - 6);
-    EXPECT_EQ(plan.growth_events(), 0u);
-
-    // Steady state: zero heap allocations across repeated runs (the counting
-    // global operator new above). The pool is inline here (0 workers),
-    // matching the per-rank inference configuration where rank threads run
-    // their own chunks.
-    (void)plan.run(x.data(), h, w);  // warm every code path once more
-    g_alloc_events.store(0);
-    g_count_allocs.store(true);
-    for (int i = 0; i < 8; ++i) {
-      const nn::ForwardPlan::Output steady = plan.run(x.data(), h, w);
-      ASSERT_NE(steady.data, nullptr);
+    {
+      parpde::testing::AllocCounter allocs;
+      (void)plan.run(x.data(), h - 4, w - 6);
+      EXPECT_EQ(allocs.count(), 0);
     }
-    g_count_allocs.store(false);
-    EXPECT_EQ(g_alloc_events.load(), 0);
-    EXPECT_EQ(plan.growth_events(), 0u);
+
+    // Steady state: zero heap allocations across repeated runs. The pool is
+    // inline here (0 workers), matching the per-rank inference configuration
+    // where rank threads run their own chunks.
+    {
+      parpde::testing::AllocCounter allocs;
+      for (int i = 0; i < 8; ++i) {
+        const nn::ForwardPlan::Output steady = plan.run(x.data(), h, w);
+        ASSERT_NE(steady.data, nullptr);
+      }
+      EXPECT_EQ(allocs.count(), 0);
+    }
 
     // run_batched over 3 stacked samples equals 3 solo runs, allocation-free.
     constexpr std::int64_t kBatch = 3;
@@ -492,13 +507,12 @@ TEST(ForwardPlan, BitIdenticalToModuleForwardAndAllocationFree) {
     }
     nn::ForwardPlan batched(*model, 4, h, w, nullptr, kBatch);
     (void)batched.run_batched(stacked.data(), kBatch, h, w);
-    g_alloc_events.store(0);
-    g_count_allocs.store(true);
-    const nn::ForwardPlan::Output group =
-        batched.run_batched(stacked.data(), kBatch, h, w);
-    g_count_allocs.store(false);
-    EXPECT_EQ(g_alloc_events.load(), 0);
-    EXPECT_EQ(batched.growth_events(), 0u);
+    nn::ForwardPlan::Output group;
+    {
+      parpde::testing::AllocCounter allocs;
+      group = batched.run_batched(stacked.data(), kBatch, h, w);
+      EXPECT_EQ(allocs.count(), 0);
+    }
     ASSERT_EQ(kBatch * group.size(), static_cast<std::int64_t>(solo.size()));
     for (std::size_t i = 0; i < solo.size(); ++i) {
       ASSERT_EQ(group.data[i], solo[i]) << "at index " << i;
@@ -542,14 +556,12 @@ TEST(DeconvMode, RolloutBitIdenticalToModuleGraph) {
 
   const auto classic = recorded_rollout(cfg, report, initial, steps);
   expect_frames_match_oracle(classic, oracle);
-  EXPECT_EQ(classic.result.steady_state_allocs, 0u);
 
   RolloutOptions elastic_options;
   elastic_options.elastic.enabled = true;
   const auto elastic =
       recorded_rollout(cfg, report, initial, steps, elastic_options);
   expect_frames_match_oracle(elastic, oracle);
-  EXPECT_EQ(elastic.result.steady_state_allocs, 0u);
 
   const SubdomainEnsemble ensemble(cfg, report, grid, grid);
   frame = initial;

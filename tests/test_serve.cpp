@@ -4,7 +4,7 @@
 // of any composition, on both the fp32 and int8 backends and under both
 // dispatch engines (coalesced and the serial baseline). On top of the
 // determinism contract: the steady-state request path performs zero heap
-// allocations (counting allocator, same device as test_rollout_overlap), and
+// allocations (real counts, tests/alloc_counter.hpp), and
 // admission is bounded — a full queue returns Reject::kQueueFull immediately
 // and a queued request whose deadline lapses under fault::install delay rules
 // returns Reject::kDeadline instead of blocking forever.
@@ -14,15 +14,14 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <latch>
-#include <new>
 #include <random>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "backend/kernel_backend.hpp"
 #include "core/inference.hpp"
 #include "core/model.hpp"
@@ -32,29 +31,6 @@
 #include "serve/surrogate_server.hpp"
 #include "util/random.hpp"
 #include "util/thread_pool.hpp"
-
-// --- counting allocator ------------------------------------------------------
-
-namespace {
-std::atomic<bool> g_count_allocs{false};
-std::atomic<std::int64_t> g_alloc_events{0};
-
-void* counted_alloc(std::size_t n) {
-  if (g_count_allocs.load(std::memory_order_relaxed)) {
-    g_alloc_events.fetch_add(1, std::memory_order_relaxed);
-  }
-  void* p = std::malloc(n == 0 ? 1 : n);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-}  // namespace
-
-void* operator new(std::size_t n) { return counted_alloc(n); }
-void* operator new[](std::size_t n) { return counted_alloc(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace parpde::serve {
 namespace {
@@ -184,7 +160,6 @@ void expect_server_matches_solo(const backend::KernelBackend* bk,
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(mismatches.load(), 0)
       << "a coalesced step diverged from the solo trajectory";
-  EXPECT_EQ(server.growth_events(), 0u);
 
   const ServerStats stats = server.stats();
   EXPECT_EQ(stats.requests, static_cast<std::uint64_t>(kSessions * kSteps));
@@ -276,32 +251,60 @@ TEST(Serve, ConcurrentSessionsActuallyCoalesce) {
 TEST(Serve, SteadyStateAllocationFree) {
   // After warm-up (telemetry statics, first-dispatch scratch) a request must
   // ride through step() -> scheduler -> run_batched -> completion without a
-  // single heap allocation on either side of the handoff.
+  // single heap allocation on either side of the handoff, on either backend.
   const core::TrainConfig cfg = serve_config();
   const auto model = damped_model(cfg);
-  ServerOptions opt;
-  opt.max_batch = 2;
-  opt.coalesce = true;
-  opt.coalesce_window_ms = 0.0;  // dispatch immediately; batch of 1 is fine
-  SurrogateServer server(*model, kC, kH, kW, opt);
-
   Tensor ic({kC, kH, kW});
   util::Rng rng(11);
   rng.fill_uniform(ic.values(), 0.5f, 1.5f);
-  const std::int64_t id = server.open_session(ic.data());
-  ASSERT_GE(id, 0);
+  for (const backend::KernelBackend* bk :
+       {&backend::blocked_f32(), &backend::quantized_int8()}) {
+    SCOPED_TRACE(bk->name());
+    ServerOptions opt;
+    opt.backend = bk;
+    opt.max_batch = 2;
+    opt.coalesce = true;
+    opt.coalesce_window_ms = 0.0;  // dispatch immediately; batch of 1 is fine
+    SurrogateServer server(*model, kC, kH, kW, opt);
+    if (server.needs_calibration()) server.calibrate(ic.data());
+    const std::int64_t id = server.open_session(ic.data());
+    ASSERT_GE(id, 0);
 
-  for (int t = 0; t < 4; ++t) ASSERT_TRUE(server.step(id).ok());
+    for (int t = 0; t < 4; ++t) ASSERT_TRUE(server.step(id).ok());
 
-  g_alloc_events.store(0);
-  g_count_allocs.store(true);
-  for (int t = 0; t < 16; ++t) {
-    const StepResult r = server.step(id);
-    ASSERT_TRUE(r.ok());
+    parpde::testing::AllocCounter allocs;
+    for (int t = 0; t < 16; ++t) {
+      const StepResult r = server.step(id);
+      ASSERT_TRUE(r.ok());
+    }
+    EXPECT_EQ(allocs.count(), 0);
   }
-  g_count_allocs.store(false);
-  EXPECT_EQ(g_alloc_events.load(), 0);
-  EXPECT_EQ(server.growth_events(), 0u);
+}
+
+// The server's plan evaluates every batch composition the scheduler can
+// form, 1..max_batch samples, from the buffers its constructor sized: none of
+// them allocates, on either backend.
+TEST(Serve, BatchedPlanAllocatesNothingUpToMaxBatch) {
+  const core::TrainConfig cfg = serve_config();
+  const auto model = damped_model(cfg);
+  constexpr std::int64_t kMaxBatch = 4;
+  const auto initials = session_initials(static_cast<int>(kMaxBatch));
+  std::vector<float> stacked;
+  for (const Tensor& ic : initials) {
+    stacked.insert(stacked.end(), ic.data(), ic.data() + kFrame);
+  }
+  for (const backend::KernelBackend* bk :
+       {&backend::blocked_f32(), &backend::quantized_int8()}) {
+    SCOPED_TRACE(bk->name());
+    nn::ForwardPlan plan(*model, kC, kH, kW, bk, kMaxBatch);
+    if (plan.needs_calibration()) plan.calibrate(initials[0].data(), kH, kW);
+    (void)plan.run_batched(stacked.data(), 1, kH, kW);  // first-call statics
+    parpde::testing::AllocCounter allocs;
+    for (std::int64_t batch = kMaxBatch; batch >= 1; --batch) {
+      (void)plan.run_batched(stacked.data(), batch, kH, kW);
+    }
+    EXPECT_EQ(allocs.count(), 0);
+  }
 }
 
 mpi::fault::Rule delay_dispatch(int ms) {

@@ -517,8 +517,6 @@ int cmd_rollout(const util::Options& opts) {
           .field("recorded_frames", static_cast<std::int64_t>(curve.size()))
           .field("comm_seconds", result.comm_seconds)
           .field("compute_seconds", result.compute_seconds)
-          .field("steady_state_allocs",
-                 static_cast<std::int64_t>(result.steady_state_allocs))
           .field("halo_bytes_sent", result.halo_bytes)
           .field("halo_bytes_received", result.halo_bytes_received)
           .field("bytes_sent_total", result.bytes_sent)
@@ -729,7 +727,6 @@ int cmd_serve(const util::Options& opts) {
                                   static_cast<double>(stats.batches)
                             : 0.0,
                         2)});
-  table.add_row({"growth events", std::to_string(server.growth_events())});
   table.print("serve summary (" +
               std::string(opts.has("data") ? "replay" : "synthetic") +
               " sessions):");

@@ -62,6 +62,11 @@ rule):
                    the matching operation, so one adversarial schedule turns
                    the call into a deadlock (parpde-mc explores exactly those
                    schedules; this rule catches the pattern statically).
+  replaceable-new  only tests/alloc_counter.cpp (and the benchmark's own
+                   perfbench/src/harness.cpp) may define a global operator
+                   new, anywhere in the C++ trees: a hand-copied counting
+                   allocator that skips the std::align_val_t forms cannot see
+                   a util::AlignedVector and reads 0 on a reallocating step.
 
 Usage:
   tools/parpde_lint.py [--root DIR]   lint the tree (exit 1 on violations)
@@ -655,6 +660,49 @@ def rule_serve_steady_alloc(rel: str, code: str, raw: str, out: list):
         )
 
 
+# --- rule: replaceable-new --------------------------------------------------
+
+# A global operator new replaces the allocator for the whole binary, and a
+# counting copy is only as good as the forms it replaces: every plan and conv
+# workspace is a util::AlignedVector, which allocates through the
+# std::align_val_t forms. tests/alloc_counter.cpp replaces all of them; the
+# benchmark binary's counter (perfbench/src/harness.cpp) does too.
+REPLACEABLE_NEW_TREES = ("src", "tests", "tools", "bench", "examples", "perfbench")
+REPLACEABLE_NEW_OWNERS = {
+    "tests/alloc_counter.cpp",
+    "perfbench/src/harness.cpp",
+}
+
+_GLOBAL_NEW = re.compile(r"\bvoid\s*\*\s*operator\s+new\b")
+
+
+def rule_replaceable_new(root: str, out: list):
+    for tree in REPLACEABLE_NEW_TREES:
+        for dirpath, _, filenames in sorted(os.walk(os.path.join(root, tree))):
+            for name in sorted(filenames):
+                if not name.endswith(SOURCE_EXTENSIONS):
+                    continue
+                rel = os.path.relpath(os.path.join(dirpath, name), root)
+                rel = rel.replace(os.sep, "/")
+                if rel in REPLACEABLE_NEW_OWNERS:
+                    continue
+                with open(os.path.join(root, rel), "r", encoding="utf-8",
+                          errors="replace") as f:
+                    code = sanitize(f.read())
+                for m in _GLOBAL_NEW.finditer(code):
+                    out.append(
+                        Violation(
+                            "replaceable-new",
+                            rel,
+                            line_of(code, m.start()),
+                            "global operator new outside "
+                            "tests/alloc_counter.cpp — link that counter "
+                            "instead (it replaces the std::align_val_t "
+                            "forms a hand copy tends to miss)",
+                        )
+                    )
+
+
 # --- rule: include-hygiene ---------------------------------------------------
 
 _INCLUDE = re.compile(r'#\s*include\s+(["<][^">]+[">])')
@@ -754,6 +802,7 @@ def lint_tree(root: str) -> list:
             files.append(rel)
             violations.extend(lint_file(root, rel))
     rule_metric_catalogue(root, files, violations)
+    rule_replaceable_new(root, violations)
     return violations
 
 
@@ -939,6 +988,27 @@ SEEDED_FILES = {
         "  auto* node = new Request();\n"
         "}\n"
     ),
+    # replaceable-new: a test's own plain and array operator new (both
+    # flagged) next to the shared counter and a forwarding call (both fine).
+    "tests/test_bad_counter.cpp": (
+        "#include <new>\n"
+        "void* operator new(std::size_t n) { return std::malloc(n); }\n"
+        "void* operator new[](std::size_t n) { return std::malloc(n); }\n"
+        "void operator delete(void* p) noexcept { std::free(p); }\n"
+    ),
+    "tests/alloc_counter.cpp": (
+        "#include <new>\n"
+        "void* operator new(std::size_t n, std::align_val_t a) {\n"
+        "  return std::aligned_alloc(static_cast<std::size_t>(a), n);\n"
+        "}\n"
+    ),
+    "src/util/ok_aligned.hpp": (
+        "#pragma once\n"
+        "inline void* get(std::size_t n) {\n"
+        "  void* p = ::operator new(n, std::align_val_t{64});\n"
+        "  return p;  // void* operator new in a comment is fine\n"
+        "}\n"
+    ),
     # include-hygiene: missing pragma once, parent include, bits include.
     "src/util/bad_header.hpp": (
         "#include <vector>\n"
@@ -971,6 +1041,7 @@ EXPECTED = {
     "raw-rank-block": {"src/core/inference.cpp"},
     "lock-held-comm": {"src/domain/bad_lock_comm.cpp"},
     "serve-steady-alloc": {"src/serve/bad_steady_alloc.cpp"},
+    "replaceable-new": {"tests/test_bad_counter.cpp"},
 }
 
 
@@ -1067,6 +1138,14 @@ def self_test() -> int:
             failures.append(
                 f"serve-steady-alloc: expected exactly 2 findings, got "
                 f"{len(steady)}"
+            )
+        # Exactly the two definitions in the test file: the shared counter
+        # and the forwarding ::operator new call are not flagged.
+        replaced = [v for v in violations if v.rule == "replaceable-new"]
+        if len(replaced) != 2:
+            failures.append(
+                f"replaceable-new: expected exactly 2 findings, got "
+                f"{len(replaced)}"
             )
         if failures:
             print("parpde_lint self-test FAILED:", file=sys.stderr)
