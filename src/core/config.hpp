@@ -50,7 +50,6 @@ struct TrainConfig {
   std::int64_t batch_size = 16;
   double train_fraction = 2.0 / 3.0;  // paper: 1000 of 1500 frames
   std::uint64_t seed = 42;
-  bool shuffle = true;
 
   // Intra-rank compute threads for the conv / GEMM / elementwise kernels
   // (0 = auto: the hardware concurrency divided across concurrent ranks).
@@ -61,22 +60,6 @@ struct TrainConfig {
 
   // Per-channel weights for loss == "wmse" (must match the channel count).
   std::vector<double> channel_weights;
-
-  // Learning-rate step decay: lr *= lr_decay_factor every lr_decay_every
-  // epochs (0 disables).
-  double lr_decay_factor = 1.0;
-  int lr_decay_every = 0;
-
-  // Global gradient-norm clipping before each optimizer step (0 disables).
-  // Useful with raw-field MAPE, whose sign gradients are large and spiky.
-  double clip_grad_norm = 0.0;
-
-  // Early stopping: after `early_stop_patience` consecutive epochs without an
-  // improvement of at least `early_stop_min_delta` in the monitored loss
-  // (validation loss when a validation task is supplied, else training loss)
-  // training stops and the best-epoch weights are restored. 0 disables.
-  int early_stop_patience = 0;
-  double early_stop_min_delta = 0.0;
 };
 
 }  // namespace parpde::core

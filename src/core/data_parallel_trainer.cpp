@@ -5,6 +5,7 @@
 #include "data/batcher.hpp"
 #include "minimpi/collectives.hpp"
 #include "minimpi/environment.hpp"
+#include "tensor/ops.hpp"
 #include "util/telemetry.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
@@ -86,8 +87,7 @@ DataParallelReport DataParallelTrainer::train(
     // Lockstep batch count: every rank must join every averaging round.
     data::Batcher batcher(static_cast<std::int64_t>(shard.size()),
                           config_.batch_size,
-                          config_.seed ^ static_cast<std::uint64_t>(rank),
-                          config_.shuffle);
+                          config_.seed ^ static_cast<std::uint64_t>(rank));
     const std::int64_t lockstep_batches =
         (static_cast<std::int64_t>(min_shard) + config_.batch_size - 1) /
         config_.batch_size;
@@ -95,6 +95,8 @@ DataParallelReport DataParallelTrainer::train(
     util::AccumulatingTimer comm_timer;
     std::uint64_t rounds = 0;
     std::vector<EpochStats> epochs;
+    Tensor in;
+    Tensor target;
     for (int epoch = 0; epoch < config_.epochs; ++epoch) {
       telemetry::Span epoch_span(
           telemetry::enabled() ? "dp.epoch " + std::to_string(epoch)
@@ -105,24 +107,8 @@ DataParallelReport DataParallelTrainer::train(
       double loss_sum = 0.0;
       for (std::int64_t b = 0; b < lockstep_batches; ++b) {
         const auto& batch = batches[static_cast<std::size_t>(b)];
-        // Materialize this batch from the stacked shard tensors.
-        Tensor in({static_cast<std::int64_t>(batch.size()), task.inputs.dim(1),
-                   task.inputs.dim(2), task.inputs.dim(3)});
-        Tensor target({static_cast<std::int64_t>(batch.size()),
-                       task.targets.dim(1), task.targets.dim(2),
-                       task.targets.dim(3)});
-        const std::int64_t in_stride =
-            task.inputs.dim(1) * task.inputs.dim(2) * task.inputs.dim(3);
-        const std::int64_t out_stride =
-            task.targets.dim(1) * task.targets.dim(2) * task.targets.dim(3);
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-          std::copy(task.inputs.data() + batch[i] * in_stride,
-                    task.inputs.data() + (batch[i] + 1) * in_stride,
-                    in.data() + static_cast<std::int64_t>(i) * in_stride);
-          std::copy(task.targets.data() + batch[i] * out_stride,
-                    task.targets.data() + (batch[i] + 1) * out_stride,
-                    target.data() + static_cast<std::int64_t>(i) * out_stride);
-        }
+        ops::gather_samples(task.inputs, batch, in);
+        ops::gather_samples(task.targets, batch, target);
         {
           // Replica gradient steps are communication-free; only the
           // averaging rounds below may talk.

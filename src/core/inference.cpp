@@ -521,9 +521,7 @@ SubdomainEnsemble::SubdomainEnsemble(const TrainConfig& config,
   models_.reserve(trained.rank_outcomes.size());
   plans_.reserve(trained.rank_outcomes.size());
   for (std::size_t r = 0; r < trained.rank_outcomes.size(); ++r) {
-    util::Rng rng(config.seed);
-    auto model = build_model(config.network, config.border, rng);
-    import_parameters(*model, trained.rank_outcomes[r].parameters);
+    auto model = rebuild_model(config, trained.rank_outcomes[r].parameters);
     const auto block = partition_.block_of_rank(static_cast<int>(r));
     plans_.push_back(std::make_unique<nn::ForwardPlan>(
         *model, config.network.channels.front(), block.height() + 2 * halo_,

@@ -7,6 +7,7 @@
 #include "minimpi/collectives.hpp"
 #include "minimpi/environment.hpp"
 #include "nn/conv2d.hpp"
+#include "tensor/ops.hpp"
 #include "util/telemetry.hpp"
 #include "util/timer.hpp"
 
@@ -194,9 +195,10 @@ ModelParallelReport ModelParallelTrainer::train(
 
     // Identical batch schedule on every rank (model parallelism shares all
     // the data).
-    data::Batcher batcher(task.inputs.dim(0), config_.batch_size, config_.seed,
-                          config_.shuffle);
+    data::Batcher batcher(task.inputs.dim(0), config_.batch_size, config_.seed);
     std::vector<EpochStats> epochs;
+    Tensor in;
+    Tensor target;
     for (int epoch = 0; epoch < config_.epochs; ++epoch) {
       telemetry::Span epoch_span(
           telemetry::enabled() ? "mp.epoch " + std::to_string(epoch)
@@ -206,20 +208,8 @@ ModelParallelReport ModelParallelTrainer::train(
       double loss_sum = 0.0;
       std::int64_t batches = 0;
       for (const auto& batch : batcher.next_epoch()) {
-        // Materialize the batch.
-        const auto ci = task.inputs.dim(1), hi = task.inputs.dim(2),
-                   wi = task.inputs.dim(3);
-        Tensor in({static_cast<std::int64_t>(batch.size()), ci, hi, wi});
-        Tensor target({static_cast<std::int64_t>(batch.size()), ci, hi, wi});
-        const std::int64_t stride = ci * hi * wi;
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-          std::memcpy(in.data() + static_cast<std::int64_t>(i) * stride,
-                      task.inputs.data() + batch[i] * stride,
-                      static_cast<std::size_t>(stride) * sizeof(float));
-          std::memcpy(target.data() + static_cast<std::int64_t>(i) * stride,
-                      task.targets.data() + batch[i] * stride,
-                      static_cast<std::size_t>(stride) * sizeof(float));
-        }
+        ops::gather_samples(task.inputs, batch, in);
+        ops::gather_samples(task.targets, batch, target);
         optimizer->zero_grad();
         const Tensor prediction = forward(in);
         Tensor grad;

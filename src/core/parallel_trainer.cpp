@@ -110,8 +110,8 @@ ParallelTrainReport ParallelTrainer::train(
         hook_ptr = &hook;
       }
     }
-    outcome.result = trainer.train(task, nullptr,
-                                   snapshot ? &*snapshot : nullptr, hook_ptr);
+    outcome.result =
+        trainer.train(task, snapshot ? &*snapshot : nullptr, hook_ptr);
     outcome.parameters = export_parameters(trainer.model());
     return outcome;
   };

@@ -24,7 +24,7 @@ using util::read_pod;
 using util::write_pod;
 
 constexpr char kMagic[] = "PPTC";
-constexpr std::uint32_t kVersion = 1;
+constexpr std::uint32_t kVersion = 2;  // v1 is refused (see the header)
 
 void write_string(std::ostream& out, const std::string& s) {
   write_pod(out, static_cast<std::uint32_t>(s.size()));
@@ -56,14 +56,8 @@ std::string serialize_payload(int rank, const TrainerSnapshot& snap) {
   write_pod(out, static_cast<std::uint32_t>(snap.epochs.size()));
   for (const auto& e : snap.epochs) {
     write_pod(out, e.loss);
-    write_pod(out, e.val_loss);
     write_pod(out, e.seconds);
   }
-  write_pod(out, snap.best_monitored);
-  write_pod(out, static_cast<std::int32_t>(snap.epochs_since_best));
-  write_pod(out, static_cast<std::int32_t>(snap.best_epoch));
-  write_tensors(out, snap.best_params);
-  write_pod(out, static_cast<std::int32_t>(snap.schedule_epochs));
   if (!out) throw std::runtime_error("save_rank_checkpoint: stream failure");
   return std::move(out).str();
 }
@@ -85,14 +79,8 @@ void parse_payload(const std::string& payload, int* rank,
   for (std::uint32_t i = 0; i < n_epochs; ++i) {
     auto& e = snap->epochs.emplace_back();
     e.loss = read_pod<double>(in);
-    e.val_loss = read_pod<double>(in);
     e.seconds = read_pod<double>(in);
   }
-  snap->best_monitored = read_pod<double>(in);
-  snap->epochs_since_best = read_pod<std::int32_t>(in);
-  snap->best_epoch = read_pod<std::int32_t>(in);
-  snap->best_params = read_tensors(in, kMaxTensors);
-  snap->schedule_epochs = read_pod<std::int32_t>(in);
   util::expect_end(in);
 }
 

@@ -6,7 +6,7 @@
 // Each checkpoint is one file `rank<R>_epoch<E>.ckpt` holding a
 // TrainerSnapshot in the shared envelope of util/framed_file.hpp:
 //
-//   magic "PPTC" | u32 version (1) | u64 payload_len | u32 crc32 | payload
+//   magic "PPTC" | u32 version (2) | u64 payload_len | u32 crc32 | payload
 //
 // and is replaced atomically by util::write_atomic, so a crash mid-write
 // leaves either the previous checkpoint set intact or a `.tmp` that readers
@@ -15,6 +15,12 @@
 // warning rather than resurrecting garbage weights. A per-rank manifest
 // `rank<R>.latest` (also renamed into place) names the newest file; loading
 // falls back to a directory scan when the manifest is missing or stale.
+//
+// The payload holds the rank, next epoch, batch-shuffle RNG state, optimizer
+// state, parameters and per-epoch (loss, seconds) history. Version 1 files,
+// which also carried early-stopping and learning-rate-decay state, fail with
+// a util::FormatError naming the version, so they are skipped like any
+// invalid file and a directory holding only those cold-starts.
 
 #include <optional>
 #include <string>

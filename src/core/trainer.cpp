@@ -1,8 +1,5 @@
 #include "core/trainer.hpp"
 
-#include <cstring>
-#include <limits>
-#include <optional>
 #include <stdexcept>
 
 #include "data/batcher.hpp"
@@ -74,60 +71,26 @@ NetworkTrainer::NetworkTrainer(const TrainConfig& config,
                                   config.learning_rate);
 }
 
-void NetworkTrainer::gather_rows(const Tensor& stacked,
-                                 std::span<const std::int64_t> indices,
-                                 Tensor& out) {
-  const auto c = stacked.dim(1), h = stacked.dim(2), w = stacked.dim(3);
-  const std::int64_t stride = c * h * w;
-  const std::int64_t rows = static_cast<std::int64_t>(indices.size());
-  if (out.ndim() != 4 || out.dim(0) != rows || out.dim(1) != c ||
-      out.dim(2) != h || out.dim(3) != w) {
-    out = Tensor({rows, c, h, w});
-  }
-  for (std::size_t i = 0; i < indices.size(); ++i) {
-    const auto idx = indices[i];
-    if (idx < 0 || idx >= stacked.dim(0)) {
-      throw std::invalid_argument("gather_rows: index out of range");
-    }
-    std::memcpy(out.data() + static_cast<std::int64_t>(i) * stride,
-                stacked.data() + idx * stride,
-                static_cast<std::size_t>(stride) * sizeof(float));
-  }
-}
-
 double NetworkTrainer::train_batch(const Tensor& inputs, const Tensor& targets) {
   optimizer_->zero_grad();
   const Tensor prediction = model_->forward(inputs);
   Tensor grad;
   const double loss = loss_->compute(prediction, targets, &grad);
   model_->backward_params(grad);
-  if (config_.clip_grad_norm > 0.0) {
-    optimizer_->clip_grad_norm(config_.clip_grad_norm);
-  }
   optimizer_->step();
   return loss;
 }
 
 TrainResult NetworkTrainer::train(const SubdomainTask& task,
-                                  const SubdomainTask* validation,
                                   const TrainerSnapshot* resume,
                                   const CheckpointHook* checkpoint) {
   if (task.inputs.dim(0) != task.targets.dim(0)) {
     throw std::invalid_argument("NetworkTrainer::train: sample count mismatch");
   }
   data::Batcher batcher(task.inputs.dim(0), config_.batch_size,
-                        config_.seed ^ (seed_stream_ * 0x9E3779B9ull),
-                        config_.shuffle);
+                        config_.seed ^ (seed_stream_ * 0x9E3779B9ull));
   TrainResult result;
   util::WallTimer total;
-
-  double best_monitored = std::numeric_limits<double>::infinity();
-  int epochs_since_best = 0;
-  std::vector<Tensor> best_params;
-  std::optional<nn::StepDecaySchedule> schedule;
-  if (config_.lr_decay_every > 0 && config_.lr_decay_factor < 1.0) {
-    schedule.emplace(config_.lr_decay_factor, config_.lr_decay_every);
-  }
 
   int start_epoch = 0;
   if (resume != nullptr) {
@@ -138,11 +101,6 @@ TrainResult NetworkTrainer::train(const SubdomainTask& task,
     batcher.restore_rng(resume->batcher_rng);
     start_epoch = resume->next_epoch;
     result.epochs = resume->epochs;
-    result.best_epoch = resume->best_epoch;
-    best_monitored = resume->best_monitored;
-    epochs_since_best = resume->epochs_since_best;
-    best_params = resume->best_params;
-    if (schedule) schedule->set_epochs_seen(resume->schedule_epochs);
   }
 
   auto make_snapshot = [&](int completed_epoch) {
@@ -152,11 +110,6 @@ TrainResult NetworkTrainer::train(const SubdomainTask& task,
     snap.optimizer = optimizer_->export_state();
     snap.batcher_rng = batcher.rng_state();
     snap.epochs = result.epochs;
-    snap.best_monitored = best_monitored;
-    snap.epochs_since_best = epochs_since_best;
-    snap.best_epoch = result.best_epoch;
-    snap.best_params = best_params;
-    snap.schedule_epochs = schedule ? schedule->epochs_seen() : 0;
     return snap;
   };
 
@@ -177,31 +130,15 @@ TrainResult NetworkTrainer::train(const SubdomainTask& task,
     for (const auto& batch : batcher.next_epoch()) {
       telemetry::Span batch_span("train.batch", "epoch");
       batch_count.add(1);
-      gather_rows(task.inputs, batch, batch_inputs_);
-      gather_rows(task.targets, batch, batch_targets_);
+      ops::gather_samples(task.inputs, batch, batch_inputs_);
+      ops::gather_samples(task.targets, batch, batch_targets_);
       loss_sum += train_batch(batch_inputs_, batch_targets_);
       ++batches;
     }
     EpochStats stats;
     stats.loss = loss_sum / static_cast<double>(batches);
-    if (validation != nullptr) stats.val_loss = evaluate(*validation);
     stats.seconds = epoch_timer.seconds();
     result.epochs.push_back(stats);
-    if (schedule) schedule->advance(*optimizer_);
-
-    if (config_.early_stop_patience > 0) {
-      const double monitored =
-          validation != nullptr ? stats.val_loss : stats.loss;
-      if (monitored < best_monitored - config_.early_stop_min_delta) {
-        best_monitored = monitored;
-        epochs_since_best = 0;
-        result.best_epoch = epoch;
-        best_params = export_parameters(*model_);
-      } else if (++epochs_since_best >= config_.early_stop_patience) {
-        result.stopped_early = true;
-        break;
-      }
-    }
 
     if (checkpoint != nullptr && checkpoint->every_epochs > 0 &&
         checkpoint->save &&
@@ -209,9 +146,6 @@ TrainResult NetworkTrainer::train(const SubdomainTask& task,
          epoch + 1 == config_.epochs)) {
       checkpoint->save(make_snapshot(epoch));
     }
-  }
-  if (config_.early_stop_patience > 0 && !best_params.empty()) {
-    import_parameters(*model_, best_params);
   }
   result.seconds = total.seconds();
   return result;
@@ -224,11 +158,6 @@ Tensor NetworkTrainer::predict(const Tensor& input) {
     return out.reshaped({out.dim(1), out.dim(2), out.dim(3)});
   }
   return model_->forward(input);
-}
-
-double NetworkTrainer::evaluate(const SubdomainTask& task) {
-  const Tensor prediction = model_->forward(task.inputs);
-  return loss_->compute(prediction, task.targets, nullptr);
 }
 
 SequentialOutcome train_sequential(const data::FrameDataset& dataset,

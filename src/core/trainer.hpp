@@ -4,7 +4,6 @@
 // sequential baseline of Fig. 4 — one network over the whole domain.
 
 #include <functional>
-#include <limits>
 #include <span>
 
 #include "core/config.hpp"
@@ -33,24 +32,21 @@ SubdomainTask make_subdomain_task(std::span<const Tensor> frames,
                                   const TrainConfig& config);
 
 struct EpochStats {
-  double loss = 0.0;      // mean training loss of the epoch
-  double val_loss = 0.0;  // validation loss (0 when no validation task)
-  double seconds = 0.0;   // wall time of the epoch
+  double loss = 0.0;     // mean training loss of the epoch
+  double seconds = 0.0;  // wall time of the epoch
 };
 
 struct TrainResult {
   std::vector<EpochStats> epochs;
   double seconds = 0.0;  // total training wall time
-  bool stopped_early = false;
-  int best_epoch = -1;  // epoch whose weights were kept (early stopping only)
   [[nodiscard]] double final_loss() const {
     return epochs.empty() ? 0.0 : epochs.back().loss;
   }
 };
 
 // Everything a NetworkTrainer needs to continue a run bit-identically after
-// a crash: weights, optimizer moments, the batch-shuffle RNG, epoch history
-// and the early-stopping bookkeeping. Persisted atomically with a CRC by
+// a crash: weights, optimizer moments, the batch-shuffle RNG and the epoch
+// history. Persisted atomically with a CRC by
 // core/train_checkpoint.hpp; a resumed run produces byte-identical weights
 // to the uninterrupted one (the chaos tests assert this).
 struct TrainerSnapshot {
@@ -59,12 +55,6 @@ struct TrainerSnapshot {
   nn::OptimizerState optimizer;
   std::string batcher_rng;  // mt19937_64 textual stream state
   std::vector<EpochStats> epochs;
-  // Early-stopping state (mirrors the loop locals in train()).
-  double best_monitored = std::numeric_limits<double>::infinity();
-  int epochs_since_best = 0;
-  int best_epoch = -1;
-  std::vector<Tensor> best_params;
-  int schedule_epochs = 0;  // StepDecaySchedule::epochs_seen
 };
 
 // Periodic checkpoint callback: after every `every_epochs` finished epochs
@@ -83,12 +73,10 @@ class NetworkTrainer {
   // (== rank in the parallel trainer, 0 for the sequential baseline).
   NetworkTrainer(const TrainConfig& config, std::uint64_t seed_stream);
 
-  // Trains on `task`. When `validation` is supplied its loss is evaluated
-  // after every epoch and drives early stopping (if enabled in the config).
-  // `resume` continues a checkpointed run from its next epoch with identical
-  // arithmetic; `checkpoint` installs the periodic snapshot callback.
+  // Trains on `task` for `config.epochs` epochs. `resume` continues a
+  // checkpointed run from its next epoch with identical arithmetic;
+  // `checkpoint` installs the periodic snapshot callback.
   TrainResult train(const SubdomainTask& task,
-                    const SubdomainTask* validation = nullptr,
                     const TrainerSnapshot* resume = nullptr,
                     const CheckpointHook* checkpoint = nullptr);
 
@@ -99,27 +87,17 @@ class NetworkTrainer {
   // Forward pass without gradient bookkeeping side effects that matter here.
   Tensor predict(const Tensor& input);
 
-  // Mean loss over a task without updating weights.
-  double evaluate(const SubdomainTask& task);
-
   nn::Sequential& model() { return *model_; }
-  nn::Optimizer& optimizer() { return *optimizer_; }
   const TrainConfig& config() const { return config_; }
 
  private:
-  // Gathers the rows of a stacked tensor selected by `indices` into the
-  // caller-owned `out`, which is only (re)allocated when its shape changes —
-  // the per-batch buffers are reused across the whole training run.
-  static void gather_rows(const Tensor& stacked,
-                          std::span<const std::int64_t> indices, Tensor& out);
-
   TrainConfig config_;
   std::unique_ptr<nn::Sequential> model_;
   nn::LossPtr loss_;
   nn::OptimizerPtr optimizer_;
   std::uint64_t seed_stream_;
-  Tensor batch_inputs_;   // reusable gather_rows destination
-  Tensor batch_targets_;  // reusable gather_rows destination
+  Tensor batch_inputs_;   // reusable ops::gather_samples destination
+  Tensor batch_targets_;  // reusable ops::gather_samples destination
 };
 
 // Fig. 4's "sequential version": a single network trained on the undecomposed

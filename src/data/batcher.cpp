@@ -6,11 +6,8 @@
 namespace parpde::data {
 
 Batcher::Batcher(std::int64_t num_samples, std::int64_t batch_size,
-                 std::uint64_t seed, bool shuffle)
-    : num_samples_(num_samples),
-      batch_size_(batch_size),
-      shuffle_(shuffle),
-      rng_(seed) {
+                 std::uint64_t seed)
+    : num_samples_(num_samples), batch_size_(batch_size), rng_(seed) {
   if (num_samples <= 0) throw std::invalid_argument("Batcher: no samples");
   if (batch_size <= 0) throw std::invalid_argument("Batcher: bad batch size");
 }
@@ -18,7 +15,7 @@ Batcher::Batcher(std::int64_t num_samples, std::int64_t batch_size,
 std::vector<std::vector<std::int64_t>> Batcher::next_epoch() {
   std::vector<std::int64_t> order(static_cast<std::size_t>(num_samples_));
   std::iota(order.begin(), order.end(), 0);
-  if (shuffle_) rng_.shuffle(std::span<std::int64_t>(order));
+  rng_.shuffle(std::span<std::int64_t>(order));
   std::vector<std::vector<std::int64_t>> batches;
   batches.reserve(static_cast<std::size_t>(batches_per_epoch()));
   for (std::int64_t start = 0; start < num_samples_; start += batch_size_) {

@@ -13,10 +13,9 @@ namespace parpde::data {
 
 class Batcher {
  public:
-  Batcher(std::int64_t num_samples, std::int64_t batch_size, std::uint64_t seed,
-          bool shuffle = true);
+  Batcher(std::int64_t num_samples, std::int64_t batch_size, std::uint64_t seed);
 
-  // Batches for the next epoch (advances the internal RNG when shuffling).
+  // Batches for the next epoch (advances the internal RNG).
   [[nodiscard]] std::vector<std::vector<std::int64_t>> next_epoch();
 
   [[nodiscard]] std::int64_t num_samples() const { return num_samples_; }
@@ -33,7 +32,6 @@ class Batcher {
  private:
   std::int64_t num_samples_;
   std::int64_t batch_size_;
-  bool shuffle_;
   util::Rng rng_;
 };
 

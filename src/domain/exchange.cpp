@@ -58,6 +58,11 @@ constexpr std::size_t idx(mpi::Direction d) {
   return static_cast<std::size_t>(d);
 }
 
+// Bounded-receive patience past HaloOptions' first wait: the backoff cap and
+// the cumulative wall clock one border may wait per step.
+constexpr std::chrono::milliseconds kMaxRecvTimeout{2000};
+constexpr std::chrono::milliseconds kRecvBudget{10000};
+
 }  // namespace
 
 std::string BorderHealth::describe() const {
@@ -205,14 +210,14 @@ void HaloExchange::send_strip(const Placed& p, mpi::Direction side,
 }
 
 // Bounded receive across `side` with exponentially backed-off retry: each
-// timeout doubles the next attempt's wait (capped at `max_recv_timeout`)
-// until either `max_retries` attempts or the cumulative `recv_budget` is
-// spent — a dead neighbour costs a handful of wakeups, not 40. A CRC-corrupt
-// strip is a definitive loss (the payload was consumed — waiting longer
-// would only steal the next step's strip and desynchronize the border
-// forever). Returns false when the border just degraded; the caller leaves
-// its halo zero. Timeout choices never touch the send-side fault engine, so
-// per-channel fault-draw sequences are unchanged by any backoff schedule.
+// timeout doubles the next attempt's wait (capped at kMaxRecvTimeout) until
+// either `max_retries` attempts or the cumulative kRecvBudget is spent — a dead
+// neighbour costs a handful of wakeups, not 40. A CRC-corrupt strip is a
+// definitive loss (the payload was consumed — waiting longer would only steal
+// the next step's strip and desynchronize the border forever). Returns false
+// when the border just degraded; the caller leaves its halo zero. Timeout
+// choices never touch the send-side fault engine, so per-channel fault-draw
+// sequences are unchanged by any backoff schedule.
 // Threading (src/minimpi/README.md): every receive runs on the rank's own
 // thread through this object, and each (peer, tag) channel belongs to one
 // tile border, so each channel (and recv_strip_) keeps a single consumer.
@@ -230,10 +235,9 @@ bool HaloExchange::robust_recv(const Placed& p, mpi::Direction side,
   std::chrono::milliseconds wait = options_.recv_timeout;
   std::chrono::milliseconds spent{0};
   for (int attempt = 0; attempt <= options_.max_retries; ++attempt) {
-    if (attempt > 0 && spent >= options_.recv_budget) break;
-    const std::chrono::milliseconds slice =
-        std::min(wait, std::max(options_.recv_budget - spent,
-                                std::chrono::milliseconds(1)));
+    if (attempt > 0 && spent >= kRecvBudget) break;
+    const std::chrono::milliseconds slice = std::min(
+        wait, std::max(kRecvBudget - spent, std::chrono::milliseconds(1)));
     const mpi::RecvStatus status = comm_.recv_for<float>(
         p.peer[idx(side)], tag(p.tile.task, mpi::opposite(side)), slice,
         &recv_strip_);
@@ -246,7 +250,7 @@ bool HaloExchange::robust_recv(const Placed& p, mpi::Direction side,
       break;
     }
     spent += slice;
-    wait = std::min(wait * 2, options_.max_recv_timeout);
+    wait = std::min(wait * 2, kMaxRecvTimeout);
     ++timeouts;
     retries.add(1);
   }

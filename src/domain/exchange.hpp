@@ -28,19 +28,16 @@ namespace parpde::domain {
 
 // Patience knobs for the bounded halo receive. Attempts back off
 // exponentially: the first waits `recv_timeout`, each miss doubles the wait
-// up to `max_recv_timeout`, and the border degrades once `max_retries`
-// attempts or the cumulative `recv_budget` is exhausted — whichever comes
-// first. The defaults give each border ~10 s of total patience per step
-// (reached after ~7 attempts instead of 40 fixed-interval ones, so a dead
-// neighbour costs far fewer wakeups) — generous enough that a fault-free
+// up to a 2 s cap, and the border degrades once `max_retries` attempts or
+// 10 s of cumulative waiting are spent — whichever comes first. The defaults
+// reach the 10 s budget after ~7 attempts instead of 40 fixed-interval ones,
+// so a dead neighbour costs few wakeups — generous enough that a fault-free
 // run never degrades even under sanitizers, tight enough that a genuinely
 // dead neighbour cannot stall a rollout forever. Chaos tests shrink these.
 // Timeouts are receive-side only: fault-injection draws happen on the send
 // side, so tuning patience never perturbs a seeded fault sequence.
 struct HaloOptions {
-  std::chrono::milliseconds recv_timeout{250};       // first receive attempt
-  std::chrono::milliseconds max_recv_timeout{2000};  // backoff cap
-  std::chrono::milliseconds recv_budget{10000};      // cumulative wall clock
+  std::chrono::milliseconds recv_timeout{250};  // first receive attempt
   int max_retries = 40;  // attempts beyond the first
   // Health monitor: gauge the interface residual (seam mismatch) of every
   // received strip into BorderHealth. O(border length) per strip — cheap

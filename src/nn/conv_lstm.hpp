@@ -9,8 +9,8 @@
 // Sequence convention: the batch dimension is TIME. forward() consumes
 // [T, Cin, H, W] as one sequence (hidden state starts at zero), produces the
 // per-step readout [T, Cout, H, W], and backward() runs BPTT over the same
-// sequence. This makes the cell a drop-in Module for the existing training
-// loop with shuffle disabled.
+// sequence. This makes the cell a drop-in Module for a training loop that
+// feeds chronological windows (core::SequenceTrainer).
 
 #include "nn/conv_ops.hpp"
 #include "nn/module.hpp"

@@ -5,11 +5,6 @@
 
 namespace parpde::nn {
 
-void Optimizer::set_learning_rate(double lr) {
-  if (lr <= 0.0) throw std::invalid_argument("set_learning_rate: lr <= 0");
-  lr_ = lr;
-}
-
 namespace {
 
 // Moment slots are lazily shaped (first step() allocates them); a snapshot
@@ -53,47 +48,15 @@ void Optimizer::import_common(const OptimizerState& state) {
                              state.name + "' state, live optimizer is '" +
                              name() + "'");
   }
-  set_learning_rate(state.learning_rate);
+  if (!(state.learning_rate > 0.0)) {
+    throw std::runtime_error("Optimizer::import_state: learning rate <= 0");
+  }
+  lr_ = state.learning_rate;
 }
 
 void Optimizer::import_state(const OptimizerState& state) {
   import_common(state);
   check_slot_count(state, 0, "Optimizer");
-}
-
-double Optimizer::clip_grad_norm(double max_norm) {
-  if (max_norm <= 0.0) {
-    throw std::invalid_argument("clip_grad_norm: max_norm <= 0");
-  }
-  double sq = 0.0;
-  for (const auto& p : params_) {
-    for (std::int64_t i = 0; i < p.grad->size(); ++i) {
-      const double g = (*p.grad)[i];
-      sq += g * g;
-    }
-  }
-  const double norm = std::sqrt(sq);
-  if (norm > max_norm && norm > 0.0) {
-    const auto scale = static_cast<float>(max_norm / norm);
-    for (auto& p : params_) {
-      for (std::int64_t i = 0; i < p.grad->size(); ++i) (*p.grad)[i] *= scale;
-    }
-  }
-  return norm;
-}
-
-StepDecaySchedule::StepDecaySchedule(double factor, int every)
-    : factor_(factor), every_(every) {
-  if (factor <= 0.0 || factor > 1.0 || every <= 0) {
-    throw std::invalid_argument("StepDecaySchedule: bad configuration");
-  }
-}
-
-void StepDecaySchedule::advance(Optimizer& optimizer) {
-  ++epoch_;
-  if (epoch_ % every_ == 0) {
-    optimizer.set_learning_rate(optimizer.learning_rate() * factor_);
-  }
 }
 
 SGD::SGD(std::vector<ParamRef> params, double lr, double momentum)

@@ -41,20 +41,11 @@ class Optimizer {
     for (auto& p : params_) p.grad->fill(0.0f);
   }
 
-  // Current learning rate; mutable to support decay schedules.
-  [[nodiscard]] double learning_rate() const noexcept { return lr_; }
-  void set_learning_rate(double lr);
-
-  // Rescales all gradients so their global L2 norm is at most `max_norm`;
-  // returns the pre-clip norm. No-op (returns the norm) when already within
-  // bounds.
-  double clip_grad_norm(double max_norm);
-
   [[nodiscard]] virtual std::string name() const = 0;
   [[nodiscard]] const std::vector<ParamRef>& params() const { return params_; }
 
-  // Checkpoint/restore of the mutable state (moments, step count, decayed
-  // learning rate). import_state validates the optimizer kind and slot shapes
+  // Checkpoint/restore of the mutable state (moments, step count, learning
+  // rate). import_state validates the optimizer kind and slot shapes
   // and throws on mismatch; after it, training continues exactly as if never
   // interrupted.
   [[nodiscard]] virtual OptimizerState export_state() const;
@@ -66,26 +57,6 @@ class Optimizer {
   void import_common(const OptimizerState& state);
   std::vector<ParamRef> params_;
   double lr_;
-};
-
-// Multiplies the learning rate by `factor` every `every` epochs. A scheduler
-// object is advanced once per epoch by the trainer.
-class StepDecaySchedule {
- public:
-  StepDecaySchedule(double factor, int every);
-
-  // Call once per finished epoch; applies the decay when due.
-  void advance(Optimizer& optimizer);
-
-  [[nodiscard]] int epochs_seen() const noexcept { return epoch_; }
-  // Restores the epoch counter on resume (the decayed learning rate itself
-  // travels in OptimizerState).
-  void set_epochs_seen(int epochs) noexcept { epoch_ = epochs; }
-
- private:
-  double factor_;
-  int every_;
-  int epoch_ = 0;
 };
 
 using OptimizerPtr = std::unique_ptr<Optimizer>;

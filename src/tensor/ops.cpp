@@ -202,4 +202,25 @@ Tensor stack_samples(const std::vector<Tensor>& samples) {
   return out;
 }
 
+void gather_samples(const Tensor& stacked,
+                    std::span<const std::int64_t> indices, Tensor& out) {
+  check_nchw(stacked, "gather_samples");
+  const auto c = stacked.dim(1), h = stacked.dim(2), w = stacked.dim(3);
+  const std::int64_t stride = c * h * w;
+  const auto rows = static_cast<std::int64_t>(indices.size());
+  if (out.ndim() != 4 || out.dim(0) != rows || out.dim(1) != c ||
+      out.dim(2) != h || out.dim(3) != w) {
+    out = Tensor({rows, c, h, w});
+  }
+  for (std::size_t i = 0; i < indices.size(); ++i) {
+    const auto idx = indices[i];
+    if (idx < 0 || idx >= stacked.dim(0)) {
+      throw std::invalid_argument("gather_samples: index out of range");
+    }
+    std::memcpy(out.data() + static_cast<std::int64_t>(i) * stride,
+                stacked.data() + idx * stride,
+                static_cast<std::size_t>(stride) * sizeof(float));
+  }
+}
+
 }  // namespace parpde::ops

@@ -4,6 +4,8 @@
 // All binary ops require identical shapes (no broadcasting — keeps the math
 // explicit and the library small).
 
+#include <span>
+
 #include "tensor/tensor.hpp"
 
 namespace parpde::ops {
@@ -51,5 +53,11 @@ Tensor select_sample(const Tensor& x, std::int64_t n);
 
 // Concatenates same-shaped [1,C,H,W] samples along the batch dimension.
 Tensor stack_samples(const std::vector<Tensor>& samples);
+
+// Copies the samples of NCHW `stacked` selected by `indices` into `out`,
+// which is only (re)allocated when its shape changes, so a training loop's
+// per-batch buffers are reused across the whole run.
+void gather_samples(const Tensor& stacked,
+                    std::span<const std::int64_t> indices, Tensor& out);
 
 }  // namespace parpde::ops

@@ -1,6 +1,7 @@
 #!/bin/sh
 # End-to-end integration test of the parpde_cli pipeline:
-# simulate -> info -> train -> eval -> rollout, through real files.
+# simulate -> info -> train -> eval -> rollout, through real files, plus a
+# checkpointed train resumed with --resume.
 set -e
 
 CLI="$1"
@@ -40,6 +41,26 @@ if [ "$(steps_of "$WORKDIR/strided.jsonl")" != "3 4 " ]; then
   exit 1
 fi
 grep -q '"recorded_frames":2[,}]' "$WORKDIR/strided.jsonl"
+
+# Crash-resume through the CLI: drop every rank's final checkpoint, so the
+# manifests name missing files and the directory scan falls back to epoch 2;
+# the resumed run must finish the last epoch into the same bytes (PPDE files
+# hold no timings). The log check rules out a silent cold start, which would
+# also reproduce the bytes.
+"$CLI" train --data="$WORKDIR/frames.ppfr" --ranks=4 --epochs=3 --loss=mse \
+  --checkpoint-dir="$WORKDIR/ckpt" --checkpoint-every=1 \
+  --out="$WORKDIR/full.ppde" > /dev/null
+rm "$WORKDIR"/ckpt/rank*_epoch000003.ckpt
+"$CLI" train --data="$WORKDIR/frames.ppfr" --ranks=4 --epochs=3 --loss=mse \
+  --checkpoint-dir="$WORKDIR/ckpt" --checkpoint-every=1 --resume \
+  --out="$WORKDIR/resumed.ppde" > "$WORKDIR/resume.log" 2>&1
+resumed=$(grep -c "resuming from epoch 2" "$WORKDIR/resume.log" || true)
+if [ "$resumed" -ne 4 ]; then
+  echo "--resume restarted $resumed of 4 ranks from epoch 2" >&2
+  cat "$WORKDIR/resume.log" >&2
+  exit 1
+fi
+cmp "$WORKDIR/full.ppde" "$WORKDIR/resumed.ppde"
 
 # The advection path exercises the non-4-channel architecture adaptation.
 "$CLI" simulate --pde=advection --grid=20 --frames=10 --out="$WORKDIR/adv.ppfr"

@@ -141,19 +141,6 @@ TEST(NetworkTrainer, LossDecreasesOverEpochs) {
   for (const auto& e : result.epochs) EXPECT_GE(e.seconds, 0.0);
 }
 
-TEST(NetworkTrainer, EvaluateIsConsistentWithPredict) {
-  const auto ds = tiny_dataset();
-  TrainConfig cfg = tiny_config();
-  const domain::Partition part(16, 16, 1, 1);
-  const auto split = ds.chronological_split(0.75);
-  const auto task = make_subdomain_task(ds.frames(), split.train,
-                                        part.block(0, 0), cfg);
-  NetworkTrainer trainer(cfg, 0);
-  const double loss = trainer.evaluate(task);
-  EXPECT_GT(loss, 0.0);
-  EXPECT_TRUE(std::isfinite(loss));
-}
-
 TEST(NetworkTrainer, PredictHandlesSingleSampleAndBatch) {
   TrainConfig cfg = tiny_config();
   cfg.border = BorderMode::kZeroPad;  // shape-preserving model

@@ -175,13 +175,6 @@ TEST(Batcher, ShufflingChangesOrderAcrossEpochs) {
   EXPECT_NE(e1[0], e2[0]);
 }
 
-TEST(Batcher, NoShuffleKeepsOrder) {
-  Batcher batcher(6, 2, 4, /*shuffle=*/false);
-  const auto batches = batcher.next_epoch();
-  EXPECT_EQ(batches[0], (std::vector<std::int64_t>{0, 1}));
-  EXPECT_EQ(batches[2], (std::vector<std::int64_t>{4, 5}));
-}
-
 TEST(Batcher, RejectsBadArguments) {
   EXPECT_THROW(Batcher(0, 1, 1), std::invalid_argument);
   EXPECT_THROW(Batcher(5, 0, 1), std::invalid_argument);

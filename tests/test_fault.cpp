@@ -451,12 +451,7 @@ core::TrainerSnapshot sample_snapshot(int next_epoch) {
   snap.optimizer.learning_rate = 1e-3;
   snap.optimizer.slots = {w, w};
   snap.batcher_rng = "12345 67890";
-  snap.epochs = {{0.5, 0.0, 1.0}, {0.25, 0.0, 1.0}};
-  snap.best_monitored = 0.25;
-  snap.epochs_since_best = 0;
-  snap.best_epoch = 1;
-  snap.best_params = {w};
-  snap.schedule_epochs = 2;
+  snap.epochs = {{0.5, 1.0}, {0.25, 1.0}};
   return snap;
 }
 
@@ -484,10 +479,7 @@ TEST(TrainCheckpoint, SaveLoadRoundTripPreservesEveryField) {
                                         snap.parameters[0]);
   ASSERT_EQ(loaded.epochs.size(), 2u);
   EXPECT_DOUBLE_EQ(loaded.epochs[1].loss, 0.25);
-  EXPECT_DOUBLE_EQ(loaded.best_monitored, 0.25);
-  EXPECT_EQ(loaded.best_epoch, 1);
-  ASSERT_EQ(loaded.best_params.size(), 1u);
-  EXPECT_EQ(loaded.schedule_epochs, 2);
+  EXPECT_DOUBLE_EQ(loaded.epochs[1].seconds, 1.0);
 }
 
 TEST(TrainCheckpoint, LoadLatestPicksTheNewestEpoch) {
@@ -536,6 +528,26 @@ TEST(TrainCheckpoint, TornAndCorruptFilesAreSkippedNotLoaded) {
   }
   EXPECT_FALSE(core::read_rank_checkpoint(again, &rank, &snap, &why));
   EXPECT_NE(why.find("CRC"), std::string::npos) << why;
+  EXPECT_EQ(core::load_latest_checkpoint(dir, 0)->next_epoch, 1);
+
+  // A well-formed file framed as PPTC version 1 (the layout that still
+  // carried early-stopping and learning-rate-decay state) is refused by its
+  // version and counted, never parsed as the current layout.
+  const auto valid = core::save_rank_checkpoint(dir, 0, sample_snapshot(5));
+  std::string payload;
+  {
+    std::ifstream in(valid, std::ios::binary);
+    payload = util::read_verified(in, "PPTC", {2}).payload;
+  }
+  std::filesystem::remove(valid);
+  const auto legacy =
+      (std::filesystem::path(dir) / "rank0_epoch000009.ckpt").string();
+  util::write_atomic(legacy, util::frame("PPTC", 1, payload));
+  auto& skipped = telemetry::counter("checkpoint.invalid_skipped");
+  const auto skipped_before = skipped.value();
+  EXPECT_FALSE(core::read_rank_checkpoint(legacy, &rank, &snap, &why));
+  EXPECT_NE(why.find("version 1"), std::string::npos) << why;
+  EXPECT_EQ(skipped.value(), skipped_before + 1);
   EXPECT_EQ(core::load_latest_checkpoint(dir, 0)->next_epoch, 1);
 }
 

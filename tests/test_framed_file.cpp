@@ -116,11 +116,7 @@ core::TrainerSnapshot fixture_snapshot() {
   snap.optimizer.learning_rate = 1e-3;
   snap.optimizer.slots = {w, w};
   snap.batcher_rng = "12345 67890";
-  snap.epochs = {{0.5, 0.0, 1.0}, {0.25, 0.0, 1.0}};
-  snap.best_monitored = 0.25;
-  snap.best_epoch = 1;
-  snap.best_params = {w};
-  snap.schedule_epochs = 2;
+  snap.epochs = {{0.5, 1.0}, {0.25, 1.0}};
   return snap;
 }
 
@@ -135,8 +131,8 @@ Tensor fixture_interior() {
 constexpr int kTask = 2;
 constexpr int kStep = 9;
 
-// One format under test: its pristine bytes, the CRC-32 of those bytes at
-// the commit that introduced this test, and a loader that reports whether a
+// One format under test: its pristine bytes, the CRC-32 of those bytes in
+// the format's current version, and a loader that reports whether a
 // byte string was accepted. Loaders may only return or throw FormatError;
 // anything else escapes and fails the test.
 struct Format {
@@ -179,7 +175,7 @@ Format ppde_format() {
 Format pptc_format() {
   const std::string path = core::save_rank_checkpoint(
       fresh_dir("framed_pptc"), 1, fixture_snapshot());
-  return {"PPTC", file_bytes(path), 0x55F79A14u,
+  return {"PPTC", file_bytes(path), 0x13CA803Au,  // PPTC v2
           [path](const std::string& b) {
             put_file(path, b);
             int rank = -1;

@@ -1,5 +1,4 @@
-// Deconv border mode (paper approach 4), learning-rate decay schedules, and
-// gradient clipping.
+// Deconv border mode (paper approach 4).
 
 #include <gtest/gtest.h>
 
@@ -7,7 +6,6 @@
 #include "core/parallel_trainer.hpp"
 #include "euler/simulate.hpp"
 #include "helpers.hpp"
-#include "nn/optimizer.hpp"
 
 namespace parpde::core {
 namespace {
@@ -74,118 +72,6 @@ TEST(DeconvMode, TrainsEndToEnd) {
   ASSERT_EQ(rollout.frames.size(), 2u);
   EXPECT_EQ(rollout.result.halo_bytes, 0u);
   EXPECT_EQ(rollout.frames.at(0).shape(), (Shape{4, 16, 16}));
-}
-
-struct ScalarParam {
-  Tensor value{Shape{1}};
-  Tensor grad{Shape{1}};
-  std::vector<nn::ParamRef> refs() { return {{&value, &grad, "w"}}; }
-};
-
-TEST(LearningRateControl, SetterValidatesAndApplies) {
-  ScalarParam p;
-  nn::SGD opt(p.refs(), 0.1);
-  EXPECT_DOUBLE_EQ(opt.learning_rate(), 0.1);
-  opt.set_learning_rate(0.05);
-  EXPECT_DOUBLE_EQ(opt.learning_rate(), 0.05);
-  EXPECT_THROW(opt.set_learning_rate(0.0), std::invalid_argument);
-
-  p.value[0] = 1.0f;
-  p.grad[0] = 1.0f;
-  opt.step();
-  EXPECT_NEAR(p.value[0], 0.95f, 1e-6);  // uses the updated rate
-}
-
-TEST(LearningRateControl, StepDecayFiresOnSchedule) {
-  ScalarParam p;
-  nn::Adam opt(p.refs(), 1.0);
-  nn::StepDecaySchedule schedule(0.5, 2);
-  schedule.advance(opt);  // epoch 1: no decay
-  EXPECT_DOUBLE_EQ(opt.learning_rate(), 1.0);
-  schedule.advance(opt);  // epoch 2: halve
-  EXPECT_DOUBLE_EQ(opt.learning_rate(), 0.5);
-  schedule.advance(opt);
-  schedule.advance(opt);  // epoch 4: halve again
-  EXPECT_DOUBLE_EQ(opt.learning_rate(), 0.25);
-  EXPECT_EQ(schedule.epochs_seen(), 4);
-  EXPECT_THROW(nn::StepDecaySchedule(0.0, 1), std::invalid_argument);
-  EXPECT_THROW(nn::StepDecaySchedule(0.5, 0), std::invalid_argument);
-}
-
-TEST(LearningRateControl, DecayInsideTrainerReducesRate) {
-  euler::EulerConfig ec;
-  ec.n = 12;
-  euler::SimulateOptions opts;
-  opts.num_frames = 9;
-  auto sim = euler::simulate(ec, opts);
-  const data::FrameDataset ds(std::move(sim.frames));
-
-  TrainConfig cfg;
-  cfg.network.channels = {4, 6, 4};
-  cfg.network.kernel = 3;
-  cfg.border = BorderMode::kZeroPad;
-  cfg.loss = "mse";
-  cfg.epochs = 4;
-  cfg.learning_rate = 1e-2;
-  cfg.lr_decay_factor = 0.1;
-  cfg.lr_decay_every = 2;
-  const auto split = ds.chronological_split(0.75);
-  const domain::Partition part(12, 12, 1, 1);
-  const auto task =
-      make_subdomain_task(ds.frames(), split.train, part.block(0, 0), cfg);
-  NetworkTrainer trainer(cfg, 0);
-  trainer.train(task);
-  // 4 epochs with decay every 2: two decays of 0.1 each.
-  EXPECT_NEAR(trainer.optimizer().learning_rate(), 1e-4, 1e-10);
-}
-
-TEST(GradientClipping, RescalesLargeGradients) {
-  ScalarParam a;
-  nn::SGD opt(a.refs(), 0.1);
-  a.grad[0] = 30.0f;
-  const double norm = opt.clip_grad_norm(3.0);
-  EXPECT_NEAR(norm, 30.0, 1e-6);
-  EXPECT_NEAR(a.grad[0], 3.0f, 1e-5);
-}
-
-TEST(GradientClipping, LeavesSmallGradientsAlone) {
-  ScalarParam a;
-  nn::SGD opt(a.refs(), 0.1);
-  a.grad[0] = 0.5f;
-  const double norm = opt.clip_grad_norm(3.0);
-  EXPECT_NEAR(norm, 0.5, 1e-6);
-  EXPECT_FLOAT_EQ(a.grad[0], 0.5f);
-  EXPECT_THROW(opt.clip_grad_norm(0.0), std::invalid_argument);
-}
-
-TEST(GradientClipping, StabilizesRawMAPETraining) {
-  // Raw-field MAPE with a hot learning rate diverges without clipping and
-  // survives with it.
-  euler::EulerConfig ec;
-  ec.n = 12;
-  euler::SimulateOptions opts;
-  opts.num_frames = 9;
-  auto sim = euler::simulate(ec, opts);
-  const data::FrameDataset ds(std::move(sim.frames));
-
-  auto run = [&](double clip) {
-    TrainConfig cfg;
-    cfg.network.channels = {4, 6, 4};
-    cfg.network.kernel = 3;
-    cfg.border = BorderMode::kZeroPad;
-    cfg.loss = "mape";
-    cfg.optimizer = "sgd";
-    cfg.learning_rate = 1e-3;
-    cfg.epochs = 5;
-    cfg.clip_grad_norm = clip;
-    const auto outcome = train_sequential(ds, cfg);
-    return outcome.result.final_loss();
-  };
-  const double unclipped = run(0.0);
-  const double clipped = run(1.0);
-  EXPECT_TRUE(std::isfinite(clipped));
-  // The unclipped run blows up (or at minimum is much worse).
-  EXPECT_TRUE(!std::isfinite(unclipped) || unclipped > 10.0 * clipped);
 }
 
 }  // namespace

@@ -1,14 +1,12 @@
-// Newer utility surface: ASCII field rendering, frame-file I/O, weighted MSE
-// loss, and early stopping in the network trainer.
+// Newer utility surface: ASCII field rendering, frame-file I/O and weighted
+// MSE loss.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <fstream>
 
-#include "core/trainer.hpp"
 #include "data/dataset.hpp"
-#include "euler/simulate.hpp"
 #include "helpers.hpp"
 #include "nn/loss.hpp"
 #include "util/ascii_plot.hpp"
@@ -142,67 +140,6 @@ TEST(WeightedMSE, RejectsBadConfiguration) {
   const nn::WeightedMSELoss loss({1.0, 1.0});
   EXPECT_THROW(loss.compute(Tensor({3, 2, 2}), Tensor({3, 2, 2}), nullptr),
                std::invalid_argument);
-}
-
-core::TrainConfig small_config() {
-  core::TrainConfig cfg;
-  cfg.network.channels = {4, 6, 4};
-  cfg.network.kernel = 3;
-  cfg.border = core::BorderMode::kZeroPad;
-  cfg.loss = "mse";
-  cfg.epochs = 40;
-  cfg.batch_size = 4;
-  return cfg;
-}
-
-TEST(EarlyStopping, StopsBeforeEpochBudget) {
-  euler::EulerConfig ec;
-  ec.n = 12;
-  euler::SimulateOptions opts;
-  opts.num_frames = 9;
-  auto sim = euler::simulate(ec, opts);
-  const data::FrameDataset ds(std::move(sim.frames));
-  const auto split = ds.chronological_split(0.75);
-  const domain::Partition part(12, 12, 1, 1);
-
-  core::TrainConfig cfg = small_config();
-  cfg.early_stop_patience = 2;
-  cfg.early_stop_min_delta = 1e9;  // nothing can improve by this much
-  const auto task =
-      core::make_subdomain_task(ds.frames(), split.train, part.block(0, 0), cfg);
-  core::NetworkTrainer trainer(cfg, 0);
-  const auto result = trainer.train(task);
-  EXPECT_TRUE(result.stopped_early);
-  EXPECT_LT(result.epochs.size(), 40u);
-}
-
-TEST(EarlyStopping, TracksValidationLossAndBestEpoch) {
-  euler::EulerConfig ec;
-  ec.n = 12;
-  euler::SimulateOptions opts;
-  opts.num_frames = 11;
-  auto sim = euler::simulate(ec, opts);
-  const data::FrameDataset ds(std::move(sim.frames));
-  const auto split = ds.chronological_split(0.7);
-  const domain::Partition part(12, 12, 1, 1);
-
-  core::TrainConfig cfg = small_config();
-  cfg.epochs = 10;
-  cfg.early_stop_patience = 10;  // will not trigger; still tracks best
-  const auto task =
-      core::make_subdomain_task(ds.frames(), split.train, part.block(0, 0), cfg);
-  const auto val_task =
-      core::make_subdomain_task(ds.frames(), split.val, part.block(0, 0), cfg);
-  core::NetworkTrainer trainer(cfg, 0);
-  const auto result = trainer.train(task, &val_task);
-  ASSERT_EQ(result.epochs.size(), 10u);
-  for (const auto& e : result.epochs) EXPECT_GT(e.val_loss, 0.0);
-  EXPECT_GE(result.best_epoch, 0);
-}
-
-TEST(EarlyStopping, DisabledByDefault) {
-  const core::TrainConfig cfg;
-  EXPECT_EQ(cfg.early_stop_patience, 0);
 }
 
 }  // namespace

@@ -232,7 +232,6 @@ bool write_train_metrics(const std::string& path,
           .field("rank", outcome.rank)
           .field("epoch", static_cast<std::int64_t>(e))
           .field("loss", stats.loss)
-          .field("val_loss", stats.val_loss)
           .field("seconds", stats.seconds);
       writer.write_line(record.str());
     }
